@@ -4,7 +4,9 @@
 //
 // Series names follow Figure 3's legend:
 //   spiral-pthreads   multicore CT FFT (14), persistent pool, spin barriers
-//   spiral-openmp     same program, OpenMP-style heavier synchronization
+//   spiral-openmp     same program, simulated with an OpenMP-style
+//                     barrier-cost multiplier (a simulated series, not an
+//                     executor: the library has no OpenMP runtime path)
 //   spiral-seq        generated sequential code (fused balanced ruletree)
 //   fftw-pthreads     FFTW3.1-like: block-cyclic loop parallelization, no
 //                     working thread pool; planner picks the best thread

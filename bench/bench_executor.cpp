@@ -1,23 +1,20 @@
-// Executor-dispatch ablation: fused single-fork execution (one
-// ThreadPool::run for the whole stage list, spin-barrier stage
-// transitions) vs the per-stage fork/join path it replaced vs OpenMP
-// parallel-for dispatch vs the SIMD drivers (vectorized derivation,
-// lane-batched codelets) vs JIT-compiled native code. Real wall-clock
-// on the host CPU.
+// Executor comparison: the fused scalar interpreter (one ThreadPool::run
+// for the whole stage list, spin-barrier stage transitions) vs the SIMD
+// drivers (vectorized derivation, lane-batched codelets) vs JIT-compiled
+// native code. Real wall-clock on the host CPU.
 //
-// The fused path crosses S+1 barriers per transform (pool dispatch, S-1
-// interior stage transitions, pool completion) where per-stage fork/join
-// crosses 2S; at small N that synchronization is the bulk of the runtime
-// (paper Section 3.2), so the fused dispatch should win there and tie at
-// large N where the codelets dominate.
+// The fused walk crosses S+1 barriers per transform (pool dispatch, S-1
+// interior stage transitions, pool completion). The committed
+// BENCH_executor.json also holds per-stage and openmp rows from
+// executors the library no longer has; this bench does not produce them.
 //
 // Usage:
 //   bench_executor [--kmin=6] [--kmax=20] [--json=PATH]
 //
 // Prints one CSV block:
 //   policy,p,log2n,n,seconds,pseudo_mflops
-// followed by a fused-vs-per-stage speedup summary per (p, n). --json
-// additionally writes every row to PATH (BENCH_executor.json).
+// followed by simd- and jit-over-fused speedup summaries per (p, n).
+// --json additionally writes every row to PATH.
 #include <cstdio>
 #include <string>
 
@@ -81,15 +78,13 @@ void predict_traffic(Row& r) {
   }
 }
 
-/// Wall-clock seconds per transform for one (policy, p, n) point. With
+/// Wall-clock seconds per transform for one (executor, p, n) point. With
 /// `jit` the plan's executor is the natively compiled program (the
 /// paper's deployment model); the row is skipped (returns < 0) when the
 /// compile fails, so the bench degrades instead of lying.
-double measure(backend::ExecPolicy policy, int p, idx_t n, bool jit = false,
-               idx_t simd_nu = 0) {
+double measure(int p, idx_t n, bool jit, idx_t simd_nu) {
   core::PlannerOptions opt;
   opt.threads = p;
-  opt.policy = policy;
   opt.verify_lowering = false;
   opt.jit = jit;
   opt.vector_nu = simd_nu;
@@ -117,24 +112,16 @@ int main(int argc, char** argv) {
   const int kmin = static_cast<int>(args.get_int("kmin", 6));
   const int kmax = static_cast<int>(args.get_int("kmax", 20));
 
-  struct Policy {
-    backend::ExecPolicy policy;
+  struct Executor {
     const char* name;
     bool jit = false;
     idx_t simd_nu = 0;
   };
-  std::vector<Policy> policies = {
-      {backend::ExecPolicy::kThreadPool, "fused"},
-      {backend::ExecPolicy::kThreadPoolPerStage, "per-stage"},
-  };
-  if (backend::openmp_available()) {
-    policies.push_back({backend::ExecPolicy::kOpenMP, "openmp"});
-  }
+  std::vector<Executor> executors = {{"fused"}};
   // Scalar-vs-SIMD: the lane-batched vector drivers (vectorized
   // derivation + backend/simd) against the fused scalar interpreter.
   if (backend::simd::detect_isa() != backend::simd::Isa::kScalar) {
-    policies.push_back(
-        {backend::ExecPolicy::kThreadPool, "simd", false, 4});
+    executors.push_back({"simd", false, 4});
   } else {
     std::fprintf(stderr,
                  "bench_executor: no vector ISA; skipping simd rows\n");
@@ -142,7 +129,7 @@ int main(int argc, char** argv) {
   // Interpreter-vs-JIT: the natively compiled executor against the fused
   // interpreter it replaces, on identical plans.
   if (!jit::resolve_compiler().empty()) {
-    policies.push_back({backend::ExecPolicy::kThreadPool, "jit", true});
+    executors.push_back({"jit", true});
   } else {
     std::fprintf(stderr,
                  "bench_executor: no C compiler found; skipping jit rows\n");
@@ -157,13 +144,13 @@ int main(int argc, char** argv) {
   for (int p : {1, 2, 4, 8}) {
     for (int k = kmin; k <= kmax; ++k) {
       const idx_t n = idx_t{1} << k;
-      for (const auto& pol : policies) {
+      for (const auto& ex : executors) {
         Row r;
-        r.policy = pol.name;
+        r.policy = ex.name;
         r.p = p;
         r.k = k;
         r.n = n;
-        r.seconds = measure(pol.policy, p, n, pol.jit, pol.simd_nu);
+        r.seconds = measure(p, n, ex.jit, ex.simd_nu);
         if (r.seconds < 0.0) {
           std::fprintf(stderr, "# %s p=%d n=%lld: jit unavailable, skipped\n",
                        r.policy.c_str(), p, static_cast<long long>(n));
@@ -178,9 +165,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Headline ratio: fused speedup over the per-stage fork/join path.
-  std::printf("\n# fused speedup over per-stage (>1 = fused faster)\n");
-  std::printf("p,log2n,n,speedup\n");
   auto find = [&](const char* policy, int p, int k) -> const Row* {
     for (const auto& r : rows) {
       if (r.policy == policy && r.p == p && r.k == k) return &r;
@@ -205,13 +189,6 @@ int main(int argc, char** argv) {
       json.field("sim_coherence_transfers", r.sim_transfers);
       json.field("sim_mem_lines", r.sim_mem_lines);
     }
-    const Row* base = find("per-stage", r.p, r.k);
-    if (r.policy == "fused" && base != nullptr) {
-      const double speedup = base->seconds / r.seconds;
-      std::printf("%d,%d,%lld,%.2f\n", r.p, r.k,
-                  static_cast<long long>(r.n), speedup);
-      json.field("speedup_vs_per_stage", speedup);
-    }
     const Row* interp = find("fused", r.p, r.k);
     if ((r.policy == "jit" || r.policy == "simd") && interp != nullptr) {
       json.field("speedup_vs_interpreter", interp->seconds / r.seconds);
@@ -221,35 +198,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Headline for the SIMD drivers: lane-batched execution against the
-  // fused scalar interpreter (the tentpole acceptance ratio).
-  {
+  // Headlines: the SIMD drivers and the native code, each against the
+  // fused scalar interpreter on identical plans (>1 = faster).
+  for (const char* policy : {"simd", "jit"}) {
     bool header = false;
     for (const auto& r : rows) {
-      if (r.policy != "simd") continue;
+      if (r.policy != policy) continue;
       const Row* interp = find("fused", r.p, r.k);
       if (interp == nullptr) continue;
       if (!header) {
-        std::printf("\n# simd speedup over fused scalar interpreter"
-                    " (>1 = vector faster)\n");
-        std::printf("p,log2n,n,speedup\n");
-        header = true;
-      }
-      std::printf("%d,%d,%lld,%.2f\n", r.p, r.k, static_cast<long long>(r.n),
-                  interp->seconds / r.seconds);
-    }
-  }
-
-  // Headline for the JIT: native code against the fused interpreter.
-  {
-    bool header = false;
-    for (const auto& r : rows) {
-      if (r.policy != "jit") continue;
-      const Row* interp = find("fused", r.p, r.k);
-      if (interp == nullptr) continue;
-      if (!header) {
-        std::printf("\n# jit speedup over fused interpreter"
-                    " (>1 = native faster)\n");
+        std::printf("\n# %s speedup over fused interpreter\n", policy);
         std::printf("p,log2n,n,speedup\n");
         header = true;
       }

@@ -43,8 +43,9 @@ class ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
   /// Borrows an external worker pool for this context (overrides the
-  /// registry lease). Pass nullptr to return to the leased pool. The
-  /// FFTW-like baseline uses this to model per-call thread start-up.
+  /// registry lease). Pass nullptr to return to the leased pool. This is
+  /// the only way to run a program on a particular team; the FFTW-like
+  /// baseline uses it to model per-call thread start-up.
   void set_pool(threading::ThreadPool* pool) noexcept {
     borrowed_pool_ = pool;
   }
@@ -86,11 +87,11 @@ class ExecContext {
     return lease_.pool();
   }
 
-  /// The team's inter-stage barrier for the fused executor: one
+  /// The team's inter-stage barrier for the interpreter walk: one
   /// sense-reversing spin barrier per context, rebuilt only when the
   /// worker-team size changes. Participant count must equal the executing
   /// pool's size exactly — the barrier is crossed by every pool member
-  /// between consecutive stages of a fused dispatch.
+  /// between consecutive stages of a pooled walk.
   threading::SpinBarrier& stage_barrier_for(int participants) {
     if (!stage_barrier_ || stage_barrier_size_ != participants) {
       stage_barrier_ =

@@ -10,8 +10,6 @@ const char* to_string(ExecPolicy p) {
   switch (p) {
     case ExecPolicy::kSequential: return "sequential";
     case ExecPolicy::kThreadPool: return "pthreads";
-    case ExecPolicy::kThreadPoolPerStage: return "pthreads-per-stage";
-    case ExecPolicy::kOpenMP: return "openmp";
     case ExecPolicy::kJit: return "jit";
   }
   return "?";
@@ -27,17 +25,8 @@ void set_pingpong_mutation(bool enabled) noexcept {
 }
 bool pingpong_mutation() noexcept { return g_pingpong_mutation; }
 
-bool openmp_available() {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
-
-Program::Program(StageList stages, ExecPolicy policy,
-                 threading::ThreadPool* pool)
-    : list_(std::move(stages)), policy_(policy), pool_(pool) {
+Program::Program(StageList stages, ExecPolicy policy)
+    : list_(std::move(stages)), policy_(policy) {
   for (const auto& s : list_.stages) {
     max_p_ = std::max(max_p_, static_cast<int>(s.parallel_p));
   }
@@ -146,40 +135,30 @@ void run_participant(const Stage& s, const simd::StagePlan* sp,
 
 }  // namespace
 
-void Program::run_stage(const Stage& s, const simd::StagePlan* sp,
-                        const cplx* src, cplx* dst,
-                        threading::ThreadPool* pool) const {
-  const idx_t p = s.parallel_p;
-  if (p <= 1 || policy_ == ExecPolicy::kSequential) {
-    run_chunk(s, sp, src, dst, 0, s.iters);
+void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
+  util::require(!list_.stages.empty(), "empty program");
+  if (policy_ == ExecPolicy::kJit && jit_fn_ &&
+      jit_state_.load(std::memory_order_acquire) != kJitDemoted) {
+    execute_jit(ctx, x, y);
     return;
   }
-  if (policy_ == ExecPolicy::kThreadPoolPerStage) {
-    util::require(pool != nullptr, "thread-pool policy requires a pool");
-    pool->run([&](int task) {
-      // When the pool has fewer threads than p, trailing logical tasks
-      // are folded onto the existing threads.
-      run_participant(s, sp, src, dst, task, pool->size());
-    });
-    return;
-  }
-#ifdef _OPENMP
-  if (policy_ == ExecPolicy::kOpenMP) {
-#pragma omp parallel for num_threads(static_cast<int>(p)) schedule(static)
-    for (idx_t t = 0; t < p; ++t) {
-      run_task(s, sp, src, dst, t, p);
-    }
-    return;
-  }
-#endif
-  run_chunk(s, sp, src, dst, 0, s.iters);
+  execute_interp(ctx, x, y);
 }
 
-void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
-                            threading::ThreadPool* pool) const {
+void Program::execute_interp(ExecContext& ctx, const cplx* x, cplx* y) const {
   const auto& st = list_.stages;
-  const int workers = pool->size();
-  threading::SpinBarrier& barrier = ctx.stage_barrier_for(workers);
+  ctx.ensure_buffers(list_.n, st.size() > 1);
+  // The worker team: the context's (borrowed or leased) pool for parallel
+  // programs, none for sequential ones. kJit programs fall back to the
+  // pooled walk (before a native executor is installed, or after a parity
+  // demotion).
+  threading::ThreadPool* pool = nullptr;
+  if (policy_ != ExecPolicy::kSequential && max_p_ > 1) {
+    pool = ctx.pool_for(max_p_);
+  }
+  const int workers = pool != nullptr ? pool->size() : 1;
+  threading::SpinBarrier* barrier =
+      workers > 1 ? &ctx.stage_barrier_for(workers) : nullptr;
   const cplx* first_src = x;
   if (x == y && st.size() == 1) {
     // Single-stage in-place: stage maps may collide; stage through a copy.
@@ -188,6 +167,11 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
   }
   cplx* const buf0 = ctx.buf_[0].data();
   cplx* const buf1 = ctx.buf_[1].data();
+  // Stages apply right-to-left: st.back() first. Intermediates ping-pong
+  // between the two scratch buffers; the last stage writes into y. (With
+  // x == y and more than one stage, the first stage already moves the
+  // data out of the caller's buffer, so the final write is safe.)
+  //
   // One fork for the whole program: every participant walks the stage
   // list with thread-local src/dst ping-pong pointers (the walk is
   // deterministic, so all workers agree without sharing state) and
@@ -195,8 +179,8 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
   // pool's own dispatch/completion barriers bracket the walk, so the
   // caller observes full fork/join semantics for the program while each
   // interior stage boundary costs a single barrier crossing instead of a
-  // fork/join pair.
-  pool->run([&](int tid) {
+  // fork/join pair. Without a team the caller is participant 0 of 1.
+  auto walk = [&](int tid) {
     const cplx* src = first_src;
     int flip = 0;
     for (std::size_t k = st.size(); k-- > 0;) {
@@ -210,9 +194,9 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
         dst = flip ? buf1 : buf0;
         flip ^= 1;
       }
-      if (s.parallel_p <= 1) {
-        // Sequential stage inside the parallel region: participant 0
-        // runs it alone; the others go straight to the barrier.
+      if (s.parallel_p <= 1 || workers == 1) {
+        // Sequential stage (or no team): participant 0 runs it alone; the
+        // others go straight to the barrier.
         if (tid == 0) run_chunk(s, sp, src, dst, 0, s.iters);
       } else {
         run_participant(s, sp, src, dst, tid, workers);
@@ -221,70 +205,18 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
       // data another worker wrote: two adjacent participant-0-only stages
       // hand data to themselves, so the crossing is elided. (Under the
       // ping-pong mutation the walk order is scrambled, so always cross.)
-      if (k != 0 && (g_pingpong_mutation || s.parallel_p > 1 ||
-                     st[k - 1].parallel_p > 1)) {
-        barrier.wait();
+      if (barrier != nullptr && k != 0 &&
+          (g_pingpong_mutation || s.parallel_p > 1 ||
+           st[k - 1].parallel_p > 1)) {
+        barrier->wait();
       }
       src = dst;
     }
-  });
-}
-
-void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
-  util::require(!list_.stages.empty(), "empty program");
-  if (policy_ == ExecPolicy::kJit && jit_fn_ &&
-      jit_state_.load(std::memory_order_acquire) != kJitDemoted) {
-    execute_jit(ctx, x, y);
-    return;
-  }
-  execute_interp(ctx, x, y);
-}
-
-void Program::execute_interp(ExecContext& ctx, const cplx* x, cplx* y) const {
-  const auto& st = list_.stages;
-  util::require(!st.empty(), "empty program");
-  ctx.ensure_buffers(list_.n, st.size() > 1);
-  // Resolve the worker team once per call: an explicitly borrowed team on
-  // the context wins, then the program-level borrowed pool (legacy
-  // single-caller path), then the context's own persistent team.
-  threading::ThreadPool* pool = nullptr;
-  // kJit programs fall back to the fused-pool interpreter (before a
-  // native executor is installed, or after a parity demotion).
-  const bool pool_policy = policy_ == ExecPolicy::kThreadPool ||
-                           policy_ == ExecPolicy::kThreadPoolPerStage ||
-                           policy_ == ExecPolicy::kJit;
-  if (pool_policy && max_p_ > 1) {
-    pool = ctx.borrowed_pool_ != nullptr ? ctx.borrowed_pool_
-           : pool_ != nullptr            ? pool_
-                                         : ctx.pool_for(max_p_);
-  }
-  if ((policy_ == ExecPolicy::kThreadPool || policy_ == ExecPolicy::kJit) &&
-      pool != nullptr) {
-    execute_fused(ctx, x, y, pool);
-    return;
-  }
-  const cplx* src = x;
-  if (x == y && st.size() == 1) {
-    // Single-stage in-place: stage maps may collide; stage through a copy.
-    std::copy(x, x + list_.n, ctx.buf_[0].begin());
-    src = ctx.buf_[0].data();
-  }
-  // Stages apply right-to-left: st.back() first. Intermediates ping-pong
-  // between the two scratch buffers; the last stage writes into y. (With
-  // x == y and more than one stage, the first stage already moves the
-  // data out of the caller's buffer, so the final write is safe.)
-  int flip = 0;
-  for (std::size_t k = st.size(); k-- > 0;) {
-    cplx* dst;
-    if (k == 0) {
-      dst = y;
-    } else {
-      dst = ctx.buf_[flip].data();
-      flip ^= 1;
-    }
-    const std::size_t si = g_pingpong_mutation ? st.size() - 1 - k : k;
-    run_stage(st[si], simd_plan_for(si), src, dst, pool);
-    src = dst;
+  };
+  if (workers > 1) {
+    pool->run(walk);
+  } else {
+    walk(0);
   }
 }
 

@@ -3,13 +3,14 @@
 // boundaries correspond to the barriers between parallel loops in the
 // generated program.
 //
-// Threading contract: a Program is immutable after construction (modulo
-// set_pool, see below). All per-execution state — scratch buffers and the
-// worker team — lives in an ExecContext, so `execute(ctx, x, y)` may be
-// called from many client threads concurrently as long as each brings its
-// own context. The context-free `execute(x, y)` overload keeps the old
-// single-caller convenience API: it routes through one internal context
-// and is therefore NOT safe for concurrent calls on the same Program.
+// Threading contract: a Program is immutable after construction (apart
+// from the one-time enable_simd/install_jit set-up calls). All
+// per-execution state — scratch buffers and the worker team — lives in an
+// ExecContext, so `execute(ctx, x, y)` may be called from many client
+// threads concurrently as long as each brings its own context. The
+// context-free `execute(x, y)` overload keeps the old single-caller
+// convenience API: it routes through one internal context and is
+// therefore NOT safe for concurrent calls on the same Program.
 #pragma once
 
 #include <atomic>
@@ -21,24 +22,18 @@
 #include "backend/exec_context.hpp"
 #include "backend/simd.hpp"
 #include "backend/stage.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace spiral::backend {
 
-/// How parallel stages are dispatched.
+/// How parallel stages are dispatched. Every interpreter execution is the
+/// same fused walk; the policy only decides whether it gets a worker team.
 enum class ExecPolicy {
   kSequential,  ///< ignore parallel annotations, run on the caller
-  /// Fused single-fork dispatch on the persistent pool: the whole stage
-  /// list runs inside one ThreadPool::run; workers cross one spin barrier
-  /// per stage transition (the "low-latency minimal overhead
+  /// Fused single-fork dispatch on the context's persistent pool: the
+  /// whole stage list runs inside one ThreadPool::run; workers cross one
+  /// spin barrier per stage transition (the "low-latency minimal overhead
   /// synchronization" of §3.2). The default parallel policy.
   kThreadPool,
-  /// Ablation knob: the pre-fused executor — a full pool fork/join (two
-  /// barrier crossings + a std::function dispatch) per stage. Kept so the
-  /// paper's per-stage overhead numbers stay reproducible
-  /// (bench_executor).
-  kThreadPoolPerStage,
-  kOpenMP,  ///< OpenMP parallel-for per stage (compiled in when available)
   /// Natively compiled executor installed by the JIT subsystem
   /// (install_jit): the stage list was emitted as C, compiled and
   /// dlopen'd, and execute() calls straight into the shared object. The
@@ -49,9 +44,6 @@ enum class ExecPolicy {
 };
 
 [[nodiscard]] const char* to_string(ExecPolicy p);
-
-/// True when the library was built with OpenMP support.
-[[nodiscard]] bool openmp_available();
 
 /// Mutation-testing hook (spiral-lint --mutate-pingpong): when enabled,
 /// the interpreter walks the stage list in the wrong (left-to-right)
@@ -64,11 +56,10 @@ void set_pingpong_mutation(bool enabled) noexcept;
 
 class Program {
  public:
-  /// Takes ownership of the (fused) stage list. `pool` may be null; it is
-  /// borrowed, not owned, and — when set — overrides each context's own
-  /// team (legacy single-caller path).
-  Program(StageList stages, ExecPolicy policy,
-          threading::ThreadPool* pool = nullptr);
+  /// Takes ownership of the (fused) stage list. The program owns no
+  /// worker threads: parallel execution runs on the pool of the caller's
+  /// ExecContext (ExecContext::set_pool overrides the registry lease).
+  Program(StageList stages, ExecPolicy policy);
 
   /// y = program(x) using the caller-supplied context. Out-of-place;
   /// x == y is supported via an extra copy. Buffers must hold size()
@@ -78,12 +69,6 @@ class Program {
 
   /// Convenience overload over an internal context (single-caller only).
   void execute(const cplx* x, cplx* y) { execute(self_ctx_, x, y); }
-
-  /// Re-points the borrowed pool (e.g. a per-call thread team, as the
-  /// FFTW-like baseline uses). Only meaningful with kThreadPool policy;
-  /// affects every context executed against this program, so only use it
-  /// from single-caller code.
-  void set_pool(threading::ThreadPool* pool) noexcept { pool_ = pool; }
 
   /// Builds per-stage SIMD execution plans at widths up to `nu`
   /// (backend/simd): stages whose fused index maps prove a short-vector
@@ -142,19 +127,15 @@ class Program {
   static constexpr int kJitVerified = 1;
   static constexpr int kJitDemoted = 2;
 
-  void run_stage(const Stage& s, const simd::StagePlan* sp, const cplx* src,
-                 cplx* dst, threading::ThreadPool* pool) const;
   /// SIMD plan for stage index k, null when the stage runs scalar.
   [[nodiscard]] const simd::StagePlan* simd_plan_for(std::size_t k) const {
     if (simd_plans_.empty() || !simd_plans_[k].active) return nullptr;
     return &simd_plans_[k];
   }
-  /// Fused dispatch: one pool fork for the whole stage list; workers
-  /// synchronize between stages on the context's spin barrier and keep
-  /// the ping-pong buffer pointers thread-local.
-  void execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
-                     threading::ThreadPool* pool) const;
-  /// The interpreter walk (either fused-pool or per-stage, by policy).
+  /// The interpreter walk: one pool fork for the whole stage list (or an
+  /// inline run on the caller when there is no team); workers synchronize
+  /// between stages on the context's spin barrier and keep the ping-pong
+  /// buffer pointers thread-local.
   void execute_interp(ExecContext& ctx, const cplx* x, cplx* y) const;
   /// The native executor, including the first-execution parity gate.
   void execute_jit(ExecContext& ctx, const cplx* x, cplx* y) const;
@@ -162,7 +143,6 @@ class Program {
 
   StageList list_;
   ExecPolicy policy_;
-  threading::ThreadPool* pool_;
   int max_p_ = 1;
   std::vector<simd::StagePlan> simd_plans_;  // one per stage when enabled
   bool simd_on_ = false;

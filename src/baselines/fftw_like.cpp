@@ -44,15 +44,15 @@ FftwLikeExecutor::FftwLikeExecutor(backend::StageList plan)
 
 void FftwLikeExecutor::execute(const cplx* x, cplx* y) {
   if (!parallel_) {
-    program_->execute(x, y);
+    program_->execute(ctx_, x, y);
     return;
   }
   // Per-call thread management: start the team, run, tear it down — the
   // cost FFTW 3.1 pays without (working) thread pooling.
   threading::ThreadPool pool(static_cast<int>(max_p_));
-  program_->set_pool(&pool);
-  program_->execute(x, y);
-  program_->set_pool(nullptr);
+  ctx_.set_pool(&pool);
+  program_->execute(ctx_, x, y);
+  ctx_.set_pool(nullptr);
 }
 
 }  // namespace spiral::baselines

@@ -67,8 +67,9 @@ class FftwLikeExecutor {
   }
 
  private:
-  backend::StageList plan_;  // kept when parallel (program built per call)
-  std::unique_ptr<backend::Program> program_;  // sequential fast path
+  backend::StageList plan_;
+  std::unique_ptr<backend::Program> program_;
+  backend::ExecContext ctx_;  // scratch buffers reused across calls
   idx_t plan_n_ = 0;
   bool parallel_ = false;
   idx_t max_p_ = 1;

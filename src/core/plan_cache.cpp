@@ -28,7 +28,7 @@ std::size_t PlanCache::Key::hash() const noexcept {
   h = mix(h, static_cast<std::uint64_t>(nu));
   h = mix(h, static_cast<std::uint64_t>(leaf));
   h = mix(h, static_cast<std::uint64_t>(direction + 2));
-  h = mix(h, static_cast<std::uint64_t>(policy));
+  h = mix(h, static_cast<std::uint64_t>(jit));
   h = mix(h, static_cast<std::uint64_t>(autotune));
   return h;
 }
@@ -44,7 +44,7 @@ PlanCache::Key PlanCache::make_key(TransformKind kind, idx_t n, idx_t n2,
   k.nu = o.vector_nu;
   k.leaf = o.leaf;
   k.direction = o.direction;
-  k.policy = static_cast<int>(o.policy);
+  k.jit = o.jit;
   k.autotune = o.autotune;
   return k;
 }

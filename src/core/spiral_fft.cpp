@@ -236,8 +236,8 @@ FftPlan::FftPlan(spl::FormulaPtr formula, backend::StageList stages,
   // The program owns no worker threads: every ExecContext brings (or
   // lazily builds) its own persistent team, which is what makes one plan
   // safe to execute from many client threads at once.
-  program_ = std::make_unique<backend::Program>(std::move(stages),
-                                                opt.policy, nullptr);
+  program_ = std::make_unique<backend::Program>(
+      std::move(stages), backend::ExecPolicy::kThreadPool);
   if (opt.vector_nu >= 2) {
     // Make the vec rules executable: stages whose fused maps prove a
     // short-vector shape at width nu run through the SIMD drivers
@@ -245,7 +245,7 @@ FftPlan::FftPlan(spl::FormulaPtr formula, backend::StageList stages,
     // so the interpreter baseline in the benches stays scalar.
     program_->enable_simd(opt.vector_nu);
   }
-  if (opt.jit || opt.policy == backend::ExecPolicy::kJit) {
+  if (opt.jit) {
     jit::Options jopt = opt.jit_options;
     if (opt.vector_nu >= 2) jopt.simd_nu = opt.vector_nu;
     jit::Compiled compiled = jit::compile_program(program_->stages(), jopt);

@@ -46,8 +46,6 @@ struct PlannerOptions {
   int threads = 1;
   /// Cache line length mu, in complex<double> elements (64-byte line = 4).
   idx_t cache_line_complex = 4;
-  /// Execution backend for parallel stages.
-  backend::ExecPolicy policy = backend::ExecPolicy::kThreadPool;
   /// Codelet leaf size for the sequential expansions.
   idx_t leaf = rewrite::kMaxCodeletSize;
   /// -1: forward DFT; +1: inverse (unscaled).
@@ -90,7 +88,6 @@ struct PlannerOptions {
   /// ever pays for the compiler. Any failure along the way — no compiler,
   /// compile error, corrupt cache entry, dlopen failure — silently keeps
   /// the fused interpreter; FftPlan::jit_report() says what happened.
-  /// (Setting policy = ExecPolicy::kJit implies this flag.)
   bool jit = false;
   /// Parity-check the first execution of a JIT'd plan against the
   /// interpreter and permanently demote the plan to the interpreter on
@@ -209,7 +206,7 @@ class FftPlan {
 /// Rebuilds a plan from a wisdom descriptor, replaying its recorded
 /// ruletrees instead of searching. Structural parameters (n, p, mu, nu,
 /// leaf, direction) come from the descriptor; execution-level knobs
-/// (policy) come from `base`. Throws std::invalid_argument on invalid
+/// (jit, verify_lowering) come from `base`. Throws std::invalid_argument on invalid
 /// descriptors.
 [[nodiscard]] std::unique_ptr<FftPlan> plan_from_descriptor(
     const wisdom::PlanDescriptor& d, const PlannerOptions& base = {});

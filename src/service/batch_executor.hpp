@@ -121,7 +121,7 @@ struct ServiceOptions {
   std::chrono::microseconds max_delay{200};
   /// Bounded request-queue capacity; submit() blocks when full.
   std::size_t queue_capacity = 4096;
-  /// Substrate knobs forwarded to the planner (policy, vector_nu, jit,
+  /// Substrate knobs forwarded to the planner (vector_nu, jit,
   /// cache_line_complex, leaf, ...). `threads` above overrides
   /// planner.threads; direction is taken from here too.
   core::PlannerOptions planner;

@@ -52,8 +52,8 @@ struct PlanDescriptor {
   std::string jit_key;
 
   /// Identity of a descriptor: the planning parameters that determine the
-  /// generated program's *structure*. Execution-level knobs (ExecPolicy)
-  /// and how the trees were obtained (autotune on/off) are deliberately
+  /// generated program's *structure*. Execution-level knobs (jit) and
+  /// how the trees were obtained (autotune on/off) are deliberately
   /// absent — the descriptor rebuilds the same formula either way.
   using Key = std::tuple<int, idx_t, idx_t, int, idx_t, idx_t, idx_t, int>;
   [[nodiscard]] Key key() const {

@@ -1,6 +1,6 @@
-// Tests for the Program executor: all execution policies produce
-// identical results; parallel stages work through the thread pool and
-// OpenMP; in-place execution; repeated execution.
+// Tests for the Program executor: the one interpreter walk gives identical
+// results inline, on a folded (smaller) team and on a full team; in-place
+// execution; barrier elision; repeated execution.
 #include <gtest/gtest.h>
 
 #include "backend/lower.hpp"
@@ -23,6 +23,14 @@ StageList multicore_program(idx_t n, idx_t p, idx_t mu) {
   return lower_fused(rewrite::expand_dfts_balanced(f));
 }
 
+/// y = prog(x) on `pool`, through a context that borrows it.
+void run_on(const Program& prog, threading::ThreadPool& pool, const cplx* x,
+            cplx* y) {
+  ExecContext ctx;
+  ctx.set_pool(&pool);
+  prog.execute(ctx, x, y);
+}
+
 TEST(Program, SequentialMatchesReference) {
   const idx_t n = 256;
   auto list = multicore_program(n, 2, 2);
@@ -35,6 +43,8 @@ TEST(Program, SequentialMatchesReference) {
 }
 
 TEST(Program, ThreadPoolMatchesSequential) {
+  // A p=4 plan on 1, 2 and 4 threads: the walk's inline, folded and
+  // full-team paths must all agree with kSequential.
   const idx_t n = 1024;
   auto list = multicore_program(n, 4, 2);
   util::Rng rng(2);
@@ -42,10 +52,13 @@ TEST(Program, ThreadPoolMatchesSequential) {
   util::cvec y_seq(x.size()), y_par(x.size());
   Program seq(list, ExecPolicy::kSequential);
   seq.execute(x.data(), y_seq.data());
-  threading::ThreadPool pool(4);
-  Program par(list, ExecPolicy::kThreadPool, &pool);
-  par.execute(x.data(), y_par.data());
-  EXPECT_LT(max_diff(y_par, y_seq), 1e-14) << "policies disagree";
+  const Program par(list, ExecPolicy::kThreadPool);
+  for (int threads : {1, 2, 4}) {
+    threading::ThreadPool pool(threads);
+    run_on(par, pool, x.data(), y_par.data());
+    EXPECT_LT(max_diff(y_par, y_seq), 1e-14)
+        << "policies disagree on " << threads << " threads";
+  }
 }
 
 TEST(Program, PoolSmallerThanStageParallelism) {
@@ -56,21 +69,9 @@ TEST(Program, PoolSmallerThanStageParallelism) {
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
   threading::ThreadPool pool(2);
-  Program par(list, ExecPolicy::kThreadPool, &pool);
-  par.execute(x.data(), y.data());
+  const Program par(list, ExecPolicy::kThreadPool);
+  run_on(par, pool, x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
-}
-
-TEST(Program, OpenMPMatchesSequential) {
-  if (!openmp_available()) GTEST_SKIP() << "built without OpenMP";
-  const idx_t n = 512;
-  auto list = multicore_program(n, 2, 2);
-  util::Rng rng(4);
-  const auto x = rng.complex_signal(n);
-  util::cvec y_seq(x.size()), y_omp(x.size());
-  Program(list, ExecPolicy::kSequential).execute(x.data(), y_seq.data());
-  Program(list, ExecPolicy::kOpenMP).execute(x.data(), y_omp.data());
-  EXPECT_LT(max_diff(y_omp, y_seq), 1e-14);
 }
 
 TEST(Program, InPlaceExecution) {
@@ -98,13 +99,15 @@ TEST(Program, RepeatedExecutionIsDeterministic) {
   const idx_t n = 512;
   auto list = multicore_program(n, 2, 4);
   threading::ThreadPool pool(2);
-  Program prog(list, ExecPolicy::kThreadPool, &pool);
+  ExecContext ctx;
+  ctx.set_pool(&pool);
+  const Program prog(list, ExecPolicy::kThreadPool);
   util::Rng rng(7);
   const auto x = rng.complex_signal(n);
   util::cvec y1(x.size()), y2(x.size());
-  prog.execute(x.data(), y1.data());
+  prog.execute(ctx, x.data(), y1.data());
   for (int rep = 0; rep < 50; ++rep) {
-    prog.execute(x.data(), y2.data());
+    prog.execute(ctx, x.data(), y2.data());
     ASSERT_LT(max_diff(y1, y2), 0.0 + 1e-300) << "rep " << rep;
   }
 }
@@ -114,17 +117,16 @@ TEST(Program, PoolPolicyWithoutExplicitPoolBuildsOwnTeam) {
   // worker team sized to the program's parallelism.
   const idx_t n = 256;
   auto list = multicore_program(n, 2, 2);
-  Program prog(list, ExecPolicy::kThreadPool, nullptr);
+  Program prog(list, ExecPolicy::kThreadPool);
   EXPECT_EQ(prog.max_parallelism(), 2);
   util::Rng rng(11);
   const auto x = rng.complex_signal(n);
   util::cvec y(n);
   prog.execute(x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
-  // A borrowed pool attached afterwards is still honored.
+  // A pool borrowed through a context is honored.
   threading::ThreadPool pool(2);
-  prog.set_pool(&pool);
-  prog.execute(x.data(), y.data());
+  run_on(prog, pool, x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
 }
 
@@ -149,24 +151,6 @@ TEST(Program, DistinctContextsShareOneProgram) {
   EXPECT_LT(max_diff(ya, ref), fft_tolerance(n));
 }
 
-TEST(Program, PerStagePolicyMatchesFused) {
-  // The ablation knob: per-stage fork/join dispatch must agree exactly
-  // with the fused single-fork dispatch and the sequential path.
-  const idx_t n = 1024;
-  auto list = multicore_program(n, 4, 2);
-  util::Rng rng(21);
-  const auto x = rng.complex_signal(n);
-  util::cvec y_seq(x.size()), y_fused(x.size()), y_staged(x.size());
-  Program(list, ExecPolicy::kSequential).execute(x.data(), y_seq.data());
-  threading::ThreadPool pool(4);
-  Program fused(list, ExecPolicy::kThreadPool, &pool);
-  fused.execute(x.data(), y_fused.data());
-  Program staged(list, ExecPolicy::kThreadPoolPerStage, &pool);
-  staged.execute(x.data(), y_staged.data());
-  EXPECT_LT(max_diff(y_fused, y_seq), 1e-14) << "fused != sequential";
-  EXPECT_LT(max_diff(y_staged, y_seq), 1e-14) << "per-stage != sequential";
-}
-
 TEST(Program, FusedInPlaceMultiStage) {
   // x == y through the fused single-fork path: the first stage moves the
   // data into a scratch buffer, so writing y == x at the end is safe.
@@ -176,8 +160,8 @@ TEST(Program, FusedInPlaceMultiStage) {
   auto x = rng.complex_signal(n);
   const auto ref = reference_dft(x);
   threading::ThreadPool pool(4);
-  Program prog(list, ExecPolicy::kThreadPool, &pool);
-  prog.execute(x.data(), x.data());
+  const Program prog(list, ExecPolicy::kThreadPool);
+  run_on(prog, pool, x.data(), x.data());
   EXPECT_LT(max_diff(x, ref), fft_tolerance(n));
 }
 
@@ -191,8 +175,8 @@ TEST(Program, FusedInPlaceSingleParallelStage) {
   auto x = rng.complex_signal(64);
   const auto ref = spl::to_dense(spl::L(64, 8)).apply(x);
   threading::ThreadPool pool(4);
-  Program prog(list, ExecPolicy::kThreadPool, &pool);
-  prog.execute(x.data(), x.data());
+  const Program prog(list, ExecPolicy::kThreadPool);
+  run_on(prog, pool, x.data(), x.data());
   EXPECT_LT(max_diff(x, ref), 1e-15);
 }
 
@@ -218,21 +202,8 @@ TEST(Program, FusedSkipsBarriersBetweenSequentialStages) {
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
   threading::ThreadPool pool(2);
-  Program prog(list, ExecPolicy::kThreadPool, &pool);
-  prog.execute(x.data(), y.data());
-  EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
-}
-
-TEST(Program, PerStagePolicyOnSmallerPool) {
-  // Task folding under the ablation policy too: a p=4 plan on 2 threads.
-  const idx_t n = 1024;
-  auto list = multicore_program(n, 4, 2);
-  util::Rng rng(25);
-  const auto x = rng.complex_signal(n);
-  util::cvec y(x.size());
-  threading::ThreadPool pool(2);
-  Program prog(list, ExecPolicy::kThreadPoolPerStage, &pool);
-  prog.execute(x.data(), y.data());
+  const Program prog(list, ExecPolicy::kThreadPool);
+  run_on(prog, pool, x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
 }
 

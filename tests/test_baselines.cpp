@@ -100,11 +100,13 @@ TEST(SixStep, ThreadedExecutionMatches) {
   const idx_t n = 1 << 10;
   auto list = six_step_program(n, 2);
   threading::ThreadPool pool(2);
-  backend::Program prog(list, backend::ExecPolicy::kThreadPool, &pool);
+  backend::ExecContext ctx;
+  ctx.set_pool(&pool);
+  const backend::Program prog(list, backend::ExecPolicy::kThreadPool);
   util::Rng rng(7);
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
-  prog.execute(x.data(), y.data());
+  prog.execute(ctx, x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
 }
 

@@ -116,20 +116,6 @@ TEST(Planner, PlannerFormulaIsFullyOptimizedWhenParallel) {
   EXPECT_TRUE(check.ok) << check.reason;
 }
 
-TEST(Planner, OpenMPPolicyPlan) {
-  if (!backend::openmp_available()) GTEST_SKIP();
-  PlannerOptions opt;
-  opt.threads = 2;
-  opt.policy = backend::ExecPolicy::kOpenMP;
-  const idx_t n = 1 << 10;
-  auto plan = plan_dft(n, opt);
-  util::Rng rng(6);
-  const auto x = rng.complex_signal(n);
-  util::cvec y(n);
-  plan->execute(x.data(), y.data());
-  EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
-}
-
 TEST(Planner, DescribeMentionsKeyFacts) {
   PlannerOptions opt;
   opt.threads = 2;

@@ -154,8 +154,10 @@ TEST_P(PropertyFuzz, ThreadedExecutionMatchesSequential) {
   backend::Program seq(list, backend::ExecPolicy::kSequential);
   seq.execute(x.data(), ys.data());
   threading::ThreadPool pool(2);
-  backend::Program par(list, backend::ExecPolicy::kThreadPool, &pool);
-  par.execute(x.data(), yp.data());
+  backend::ExecContext ctx;
+  ctx.set_pool(&pool);
+  const backend::Program par(list, backend::ExecPolicy::kThreadPool);
+  par.execute(ctx, x.data(), yp.data());
   EXPECT_LT(spiral::testing::max_diff(ys, yp), 1e-13)
       << spl::to_string(g);
 }

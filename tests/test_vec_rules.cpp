@@ -204,8 +204,10 @@ TEST(VecRules, TandemLoweredProgramIsVectorizableAndCorrect) {
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
   threading::ThreadPool pool(2);
-  backend::Program prog(list, backend::ExecPolicy::kThreadPool, &pool);
-  prog.execute(x.data(), y.data());
+  backend::ExecContext ctx;
+  ctx.set_pool(&pool);
+  const backend::Program prog(list, backend::ExecPolicy::kThreadPool);
+  prog.execute(ctx, x.data(), y.data());
   EXPECT_LT(
       spiral::testing::max_diff(y, spiral::testing::reference_dft(x)),
       spiral::testing::fft_tolerance(n));
