@@ -1,11 +1,11 @@
 // Executor comparison: the fused scalar interpreter (one ThreadPool::run
 // for the whole stage list, spin-barrier stage transitions) vs the SIMD
-// drivers (vectorized derivation, lane-batched codelets) vs JIT-compiled
-// native code. Real wall-clock on the host CPU.
+// drivers (vectorized derivation, lane-batched codelets). Real wall-clock
+// on the host CPU.
 //
 // The fused walk crosses S+1 barriers per transform (pool dispatch, S-1
 // interior stage transitions, pool completion). The committed
-// BENCH_executor.json also holds per-stage and openmp rows from
+// BENCH_executor.json also holds per-stage, openmp and jit rows from
 // executors the library no longer has; this bench does not produce them.
 //
 // Usage:
@@ -13,7 +13,7 @@
 //
 // Prints one CSV block:
 //   policy,p,log2n,n,seconds,pseudo_mflops
-// followed by simd- and jit-over-fused speedup summaries per (p, n).
+// followed by a simd-over-fused speedup summary per (p, n).
 // --json additionally writes every row to PATH.
 #include <cstdio>
 #include <string>
@@ -22,7 +22,6 @@
 #include "backend/simd.hpp"
 #include "bench_common.hpp"
 #include "core/spiral_fft.hpp"
-#include "jit/jit.hpp"
 #include "machine/config.hpp"
 #include "machine/simulator.hpp"
 #include "util/cli.hpp"
@@ -78,27 +77,17 @@ void predict_traffic(Row& r) {
   }
 }
 
-/// Wall-clock seconds per transform for one (executor, p, n) point. With
-/// `jit` the plan's executor is the natively compiled program (the
-/// paper's deployment model); the row is skipped (returns < 0) when the
-/// compile fails, so the bench degrades instead of lying.
-double measure(int p, idx_t n, bool jit, idx_t simd_nu) {
+/// Wall-clock seconds per transform for one (executor, p, n) point.
+double measure(int p, idx_t n, idx_t simd_nu) {
   core::PlannerOptions opt;
   opt.threads = p;
   opt.verify_lowering = false;
-  opt.jit = jit;
   opt.vector_nu = simd_nu;
   auto plan = core::plan_dft(n, opt);
-  if (jit && !plan->jit_report().ok()) return -1.0;
   util::Rng rng(static_cast<std::uint64_t>(n));
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
   backend::ExecContext ctx;
-  if (jit) {
-    // Cross the first-execution parity gate outside the timed region.
-    plan->execute(ctx, x.data(), y.data());
-    if (!plan->jit_active()) return -1.0;
-  }
   // Min-of-5 with a 20 ms floor: on an oversubscribed host the scheduler
   // adds heavy-tailed noise, and the minimum is the defensible statistic.
   return util::time_min_seconds(
@@ -114,25 +103,16 @@ int main(int argc, char** argv) {
 
   struct Executor {
     const char* name;
-    bool jit = false;
     idx_t simd_nu = 0;
   };
   std::vector<Executor> executors = {{"fused"}};
   // Scalar-vs-SIMD: the lane-batched vector drivers (vectorized
   // derivation + backend/simd) against the fused scalar interpreter.
   if (backend::simd::detect_isa() != backend::simd::Isa::kScalar) {
-    executors.push_back({"simd", false, 4});
+    executors.push_back({"simd", 4});
   } else {
     std::fprintf(stderr,
                  "bench_executor: no vector ISA; skipping simd rows\n");
-  }
-  // Interpreter-vs-JIT: the natively compiled executor against the fused
-  // interpreter it replaces, on identical plans.
-  if (!jit::resolve_compiler().empty()) {
-    executors.push_back({"jit", true});
-  } else {
-    std::fprintf(stderr,
-                 "bench_executor: no C compiler found; skipping jit rows\n");
   }
 
   std::printf("# Executor dispatch ablation: wall-clock on this host\n");
@@ -150,12 +130,7 @@ int main(int argc, char** argv) {
         r.p = p;
         r.k = k;
         r.n = n;
-        r.seconds = measure(p, n, ex.jit, ex.simd_nu);
-        if (r.seconds < 0.0) {
-          std::fprintf(stderr, "# %s p=%d n=%lld: jit unavailable, skipped\n",
-                       r.policy.c_str(), p, static_cast<long long>(n));
-          continue;
-        }
+        r.seconds = measure(p, n, ex.simd_nu);
         std::printf("%s,%d,%d,%lld,%.3e,%.1f\n", r.policy.c_str(), r.p, r.k,
                     static_cast<long long>(r.n), r.seconds,
                     util::pseudo_mflops(r.n, r.seconds));
@@ -190,7 +165,7 @@ int main(int argc, char** argv) {
       json.field("sim_mem_lines", r.sim_mem_lines);
     }
     const Row* interp = find("fused", r.p, r.k);
-    if ((r.policy == "jit" || r.policy == "simd") && interp != nullptr) {
+    if (r.policy == "simd" && interp != nullptr) {
       json.field("speedup_vs_interpreter", interp->seconds / r.seconds);
     }
     if (r.policy == "simd") {
@@ -198,22 +173,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Headlines: the SIMD drivers and the native code, each against the
-  // fused scalar interpreter on identical plans (>1 = faster).
-  for (const char* policy : {"simd", "jit"}) {
-    bool header = false;
-    for (const auto& r : rows) {
-      if (r.policy != policy) continue;
-      const Row* interp = find("fused", r.p, r.k);
-      if (interp == nullptr) continue;
-      if (!header) {
-        std::printf("\n# %s speedup over fused interpreter\n", policy);
-        std::printf("p,log2n,n,speedup\n");
-        header = true;
-      }
-      std::printf("%d,%d,%lld,%.2f\n", r.p, r.k, static_cast<long long>(r.n),
-                  interp->seconds / r.seconds);
+  // Headline: the SIMD drivers against the fused scalar interpreter on
+  // identical plans (>1 = faster).
+  bool header = false;
+  for (const auto& r : rows) {
+    if (r.policy != "simd") continue;
+    const Row* interp = find("fused", r.p, r.k);
+    if (interp == nullptr) continue;
+    if (!header) {
+      std::printf("\n# simd speedup over fused interpreter\n");
+      std::printf("p,log2n,n,speedup\n");
+      header = true;
     }
+    std::printf("%d,%d,%lld,%.2f\n", r.p, r.k, static_cast<long long>(r.n),
+                interp->seconds / r.seconds);
   }
 
   if (args.has("json")) {

@@ -1,7 +1,8 @@
 // Batch-service throughput and latency: service::BatchExecutor coalescing
 // many small same-size transforms into I_k (x) DFT_n programs versus the
-// naive per-call loop, across the three execution substrates (scalar
-// interpreter, SIMD nu=4, JIT).
+// naive per-call loop, across the two execution substrates (scalar
+// interpreter, SIMD nu=4). The committed BENCH_service.json also holds
+// rows of a jit substrate the library no longer has.
 //
 // Modes measured per (substrate, n):
 //   percall-seq  plain plan->execute() loop, sequential plan (reference)
@@ -36,7 +37,7 @@
 //   --threads=P            service/percall thread count (default 4)
 //   --max-batch=K          largest coalesced chunk (default 32)
 //   --clients=C            sync client threads (default 4)
-//   --substrates=LIST      comma list of interp,simd,jit (default all)
+//   --substrates=LIST      comma list of interp,simd (default both)
 //   --json=PATH            write rows as JSON (bench::JsonRows)
 //   --check                exit 1 unless every coalesced async run reaches
 //                          --check-ratio (default 1.0) times the percall
@@ -116,7 +117,7 @@ RunStats run_percall(idx_t n, int threads,
   backend::ExecContext ctx;
   Buffers buf;
   buf.ensure(n);
-  plan->execute(ctx, buf.x[n].data(), buf.y[n].data());  // warm pool + JIT
+  plan->execute(ctx, buf.x[n].data(), buf.y[n].data());  // warm the pool
   RunStats rs;
   rs.requests = requests;
   rs.parallel_plan = parallel;
@@ -133,8 +134,7 @@ RunStats run_percall(idx_t n, int threads,
 }
 
 /// Plans every chunk size the service can reach for `sizes` up front, so
-/// the timed window measures execution, not planning (and not JIT
-/// compilation).
+/// the timed window measures execution, not planning.
 void warm_service(service::BatchExecutor& svc,
                   const std::vector<idx_t>& sizes) {
   core::PlannerOptions p = svc.options().planner;
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   const bool check = args.has("check");
   const double check_ratio = args.get_double("check-ratio", 1.0);
   const std::string substrates_arg =
-      args.has("substrates") ? args.get("substrates") : "interp,simd,jit";
+      args.has("substrates") ? args.get("substrates") : "interp,simd";
 
   struct Substrate {
     std::string name;
@@ -351,11 +351,6 @@ int main(int argc, char** argv) {
     core::PlannerOptions p;
     p.vector_nu = 4;
     substrates.push_back({"simd", p});
-  }
-  if (substrates_arg.find("jit") != std::string::npos) {
-    core::PlannerOptions p;
-    p.jit = true;
-    substrates.push_back({"jit", p});
   }
 
   const std::vector<idx_t> all_sizes = {64, 256, 1024};

@@ -103,18 +103,6 @@ bool read_ll(const std::string& s, std::size_t* pos, long long* out) {
   return true;
 }
 
-bool read_ull(const std::string& s, std::size_t* pos,
-              unsigned long long* out) {
-  const char* begin = s.c_str() + *pos;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, 10);
-  if (end == begin || errno == ERANGE) return false;
-  *pos += static_cast<std::size_t>(end - begin);
-  *out = v;
-  return true;
-}
-
 bool read_dbl(const std::string& s, std::size_t* pos, double* out) {
   const char* begin = s.c_str() + *pos;
   char* end = nullptr;
@@ -1160,7 +1148,7 @@ void check_pool_runtime(Ctx& cx, std::size_t k, long long* pool_p) {
       }
     }
   }
-  // Worker loop: barrier -> (quit check) -> whole-program walk -> barrier.
+  // Worker loop: barrier -> whole-program walk -> barrier.
   const std::string worker =
       fn_body(fn_text(s, "static void *pool_worker(void *arg) {"),
               "static void *pool_worker(void *arg) {");
@@ -1219,7 +1207,7 @@ void check_pool_runtime(Ctx& cx, std::size_t k, long long* pool_p) {
   check_stage_walk(cx, walk, k, /*pooled=*/true);
 }
 
-/// Sequential JIT entry: direct stage calls, full iteration ranges, same
+/// Sequential entry: direct stage calls, full iteration ranges, same
 /// right-to-left ping-pong chain.
 void parse_sequential_entry(Ctx& cx, const std::string& body, std::size_t k,
                             std::vector<PStage>* ps) {
@@ -1246,78 +1234,6 @@ void parse_sequential_entry(Ctx& cx, const std::string& body, std::size_t k,
     (*ps)[si].iters = iters;
   }
   check_stage_walk(cx, body, k, /*pooled=*/false);
-}
-
-// ---------------------------------------------------------------------------
-// The exported spiral_jit_program descriptor (ABI v2).
-// ---------------------------------------------------------------------------
-
-void check_descriptor(Ctx& cx, const StageList& list, long long src_max_p,
-                      const CodegenCheckOptions& opt) {
-  const std::string& s = cx.src;
-  std::size_t p = 0;
-  if (s.find("spiral_jit_program") == std::string::npos) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "spiral_jit_program descriptor not emitted");
-    return;
-  }
-  std::string vec_lit;
-  std::size_t vp = 0;
-  if (seek(s, &vp, "static const char spiral_jit_vec_stages[] = \"")) {
-    const std::size_t end = s.find("\";", vp);
-    if (end != std::string::npos) vec_lit = s.substr(vp, end - vp);
-  } else {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "spiral_jit_vec_stages record not emitted");
-  }
-  long long abi = 0, n = 0, threads = 0, nu = 0;
-  unsigned long long fp = 0;
-  if (!seek(s, &p, "const spiral_jit_program_v2 spiral_jit_program = {\n  ") ||
-      !read_ll(s, &p, &abi) || !expect(s, &p, ", ") || !read_ll(s, &p, &n) ||
-      !expect(s, &p, "LL, ") || !read_ll(s, &p, &threads) ||
-      !expect(s, &p, ", ") || !read_ull(s, &p, &fp) ||
-      !expect(s, &p, "ULL, ") || !read_ll(s, &p, &nu) ||
-      !expect(s, &p, ",\n  spiral_jit_vec_stages, ")) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "spiral_jit_program descriptor is not the v2 layout");
-    return;
-  }
-  if (!expect(s, &p, opt.entry_name + ", " + opt.entry_name +
-                         "_shutdown,\n};")) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor exec/shutdown entries do not name " + opt.entry_name);
-  }
-  if (abi != backend::kJitAbiVersion) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor abi_version " + std::to_string(abi) + " != " +
-               std::to_string(backend::kJitAbiVersion));
-  }
-  if (n != list.n) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor n " + std::to_string(n) + " != plan n " +
-               std::to_string(list.n));
-  }
-  if (threads != src_max_p) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor threads " + std::to_string(threads) +
-               " != plan team size " + std::to_string(src_max_p));
-  }
-  if (opt.expect_fingerprint != 0 && fp != opt.expect_fingerprint) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor fingerprint does not match the plan's program "
-           "fingerprint");
-  }
-  if (opt.expect_simd_nu >= 0 && nu != opt.expect_simd_nu) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor simd_nu " + std::to_string(nu) + " != requested " +
-               std::to_string(opt.expect_simd_nu));
-  }
-  if (vec_lit != cx.rep.vec_stages_string()) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "descriptor vec_stages \"" + vec_lit +
-               "\" disagrees with the emitted vector bodies \"" +
-               cx.rep.vec_stages_string() + "\"");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1684,13 +1600,13 @@ CodegenReport check_codegen(const std::string& source,
   }
   if (source.find("#pragma omp") != std::string::npos) {
     cx.add(CodegenDiag::kParseError, -1,
-           "OpenMP emission is outside the validated JIT dialect");
+           "OpenMP emission is outside the validated dialect");
     return rep;
   }
   const bool pooled = source.find(kChunkDecl) != std::string::npos;
   if (!pooled && source.find("pthread_create") != std::string::npos) {
     cx.add(CodegenDiag::kParseError, -1,
-           "per-stage fork/join emission is outside the validated JIT "
+           "per-stage fork/join emission is outside the validated "
            "dialect");
     return rep;
   }
@@ -1744,7 +1660,7 @@ CodegenReport check_codegen(const std::string& source,
     }
   }
 
-  // Dispatch: pool runtime or sequential entry, then the JIT entry point.
+  // Dispatch: pool runtime or sequential entry, then the entry point.
   if (pooled != (src_max_p > 1)) {
     cx.add(CodegenDiag::kScheduleMismatch, -1,
            pooled ? "worker pool emitted for a fully sequential plan"
@@ -1772,7 +1688,7 @@ CodegenReport check_codegen(const std::string& source,
     }
     if (entry_body.empty()) {
       cx.add(CodegenDiag::kShapeMismatch, -1,
-             "JIT entry point " + opt.entry_name + " not found");
+             "entry point " + opt.entry_name + " not found");
     } else {
       std::size_t ep = 0;
       if (!seek(entry_body, &ep, "pool_start();") ||
@@ -1784,7 +1700,7 @@ CodegenReport check_codegen(const std::string& source,
   } else {
     if (entry_body.empty()) {
       cx.add(CodegenDiag::kShapeMismatch, -1,
-             "JIT entry point " + opt.entry_name + " not found");
+             "entry point " + opt.entry_name + " not found");
     } else {
       parse_sequential_entry(cx, entry_body, k, &ps);
     }
@@ -1832,19 +1748,6 @@ CodegenReport check_codegen(const std::string& source,
   }
 
   check_codelets(cx, ps);
-
-  // The exported descriptor and the dlclose-safety shutdown hook.
-  check_descriptor(cx, list, src_max_p, opt);
-  const std::string sd_decl = "void " + opt.entry_name + "_shutdown(void) {";
-  const std::string sd_body = fn_body(fn_text(source, sd_decl), sd_decl);
-  if (fn_text(source, sd_decl).empty()) {
-    cx.add(CodegenDiag::kShapeMismatch, -1,
-           "shutdown hook " + opt.entry_name + "_shutdown not emitted");
-  } else if (pooled &&
-             sd_body.find("pool_stop();") == std::string::npos) {
-    cx.add(CodegenDiag::kParseError, -1,
-           "shutdown hook does not stop the worker pool (dlclose-unsafe)");
-  }
   return rep;
 }
 

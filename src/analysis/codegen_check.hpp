@@ -2,11 +2,10 @@
 //
 // The paper's deployment model is *generated code*: the program that
 // serves traffic is the C translation unit `emit_c` renders, not the
-// Stage IR the rest of the analysis stack reasons about. Until now the
-// only correctness gate on that final artifact was the runtime
-// first-execution parity check — which already let one real gcc
-// IPA-modref hoist-above-barrier miscompile through to debugging. This
-// pass closes the gap in the FFTW/SPIRAL translation-validation style:
+// Stage IR the rest of the analysis stack reasons about. A runtime
+// parity check alone once let a real gcc IPA-modref hoist-above-barrier
+// miscompile through to debugging. This pass closes the gap in the
+// FFTW/SPIRAL translation-validation style:
 // it parses the restricted C dialect the emitter produces (affine index
 // expressions, stage loops, pthreads single-fork pool dispatch,
 // GCC-vector bodies, ping-pong scratch) back into a symbolic model and
@@ -37,11 +36,8 @@
 //      SIMD deinterleave/interleave shuffle index lists are verified
 //      lane by lane.
 //
-// Wired as a plan-time gate in jit::compile_program (a finding rejects
-// the program before compile/dlopen, typed as
-// JitStatus::kCodegenCheckFailed) and as `spiral-lint --validate-codegen`
-// with `--mutate-codegen=<kind>` seeded emitter bugs for mutation
-// testing.
+// Wired as `spiral-lint --validate-codegen` with
+// `--mutate-codegen=<kind>` seeded emitter bugs for mutation testing.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +51,7 @@ namespace spiral::analysis {
 /// Typed defect classes of the emitted program.
 enum class CodegenDiag {
   kParseError,        ///< source deviates from the emitter dialect
-  kShapeMismatch,     ///< n / stage count / descriptor / ping-pong chain
+  kShapeMismatch,     ///< n / stage count / entry point / ping-pong chain
   kFootprintMismatch, ///< emitted (it,l) addressing differs from the IR
   kScaleMismatch,     ///< emitted scale tables differ from the IR
   kScheduleMismatch,  ///< per-thread chunk bounds differ from the schedule
@@ -81,9 +77,7 @@ struct CodegenReport {
   idx_t n = 0;     ///< transform size parsed from the emitted header
   int stages = 0;  ///< stage bodies discovered in the source
   /// Stages emitted with an across-iterations vector body, and the lane
-  /// width of each (parallel arrays). This is the ground truth the
-  /// `spiral_jit_program` descriptor's vec_stages field is checked
-  /// against, and what FftPlan::jit_report() surfaces.
+  /// width of each (parallel arrays).
   std::vector<int> vec_stage_ids;
   std::vector<idx_t> vec_stage_widths;
   std::vector<CodegenFinding> findings;
@@ -92,7 +86,7 @@ struct CodegenReport {
   [[nodiscard]] std::int64_t count(CodegenDiag kind) const;
   /// Human-readable multi-line report.
   [[nodiscard]] std::string to_string() const;
-  /// "1:4,3:4" — the vectorized-stage summary (descriptor format).
+  /// "1:4,3:4" — the vectorized-stage summary.
   [[nodiscard]] std::string vec_stages_string() const;
 };
 
@@ -100,15 +94,11 @@ struct CodegenCheckOptions {
   /// Cache-line length (complex elements) for the verify() re-run on the
   /// reconstructed program.
   idx_t mu = 4;
-  /// Expected program fingerprint in the emitted descriptor (0 = skip).
-  std::uint64_t expect_fingerprint = 0;
-  /// Expected simd_nu recorded in the descriptor (-1 = skip).
-  idx_t expect_simd_nu = -1;
-  /// Name of the emitted entry point.
-  std::string entry_name = "spiral_jit_entry";
+  /// Name of the emitted entry point (CodegenOptions::function_name).
+  std::string entry_name = "spiral_dft";
 };
 
-/// Validates `source` (a TU produced by backend::emit_c in the JIT shape:
+/// Validates `source` (a TU produced by backend::emit_c with
 /// CodegenThreading::kNone or kPthreadsPool) against the StageList it was
 /// emitted from. Purely static — the source is never compiled or run.
 [[nodiscard]] CodegenReport check_codegen(

@@ -6,8 +6,12 @@
 // The generated file contains:
 //   * static const index-map / twiddle tables for every stage,
 //   * one function per distinct codelet size (iterative radix-2),
-//   * the entry point  void <name>(const double* x, double* y)
-//     operating on interleaved complex data,
+//   * one entry point for every threading mode,
+//       void <name>(const double* x, double* y, double* b0, double* b1)
+//     operating on interleaved complex data, with caller-provided
+//     ping-pong scratch b0/b1 (2n doubles each): the function owns no
+//     buffers, so sequential emissions are reentrant (the pthreads pool
+//     emission dispatches through one process-wide team and is not),
 //   * optional OpenMP pragmas or pthreads dispatch for parallel stages,
 //   * an optional self-testing main() comparing against a direct O(n^2)
 //     DFT.
@@ -16,24 +20,11 @@
 // and run it (tests/test_codegen_c.cpp).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "backend/stage.hpp"
 
 namespace spiral::backend {
-
-/// Version of the C emission scheme. It is part of the JIT disk-cache key:
-/// any change to the shape of the generated code (ABI fields, loop
-/// structure, table layout, emission bug fixes) must bump this so stale
-/// cached objects can never be loaded by a newer library.
-inline constexpr int kCodegenVersion = 5;
-
-/// ABI version of the `spiral_jit_program` descriptor emitted when
-/// CodegenOptions::jit_abi is set (see SpiralJitProgramV2 in src/jit/).
-/// v2 added {simd_nu, vec_stages} after the fingerprint so loaders and
-/// FftPlan::jit_report() can see which stages actually vectorized.
-inline constexpr int kJitAbiVersion = 2;
 
 enum class CodegenThreading {
   kNone,     ///< sequential C
@@ -50,19 +41,6 @@ struct CodegenOptions {
   std::string function_name = "spiral_dft";
   CodegenThreading threading = CodegenThreading::kNone;
   bool emit_main = false;  ///< self-testing main() with exit code 0/1
-  /// Emit the hardened Spiral JIT ABI around the program (DESIGN.md §5e):
-  ///   * the entry point takes caller-provided ping-pong scratch
-  ///     (const double* x, double* y, double* b0, double* b1) instead of
-  ///     static buffers, so distinct ExecContexts never share state;
-  ///   * a <name>_shutdown() hook stops and joins the persistent worker
-  ///     pool, making the shared object safe to dlclose;
-  ///   * an exported `spiral_jit_program` descriptor struct carries
-  ///     {abi version, n, threads, fingerprint, exec, shutdown} so the
-  ///     loader can validate a cached object before trusting it.
-  bool jit_abi = false;
-  /// Program fingerprint recorded in the ABI descriptor (jit_abi only);
-  /// the loader rejects objects whose fingerprint disagrees with the plan.
-  std::uint64_t fingerprint = 0;
   /// SIMD width in complex lanes (0 = scalar emission). Compute stages
   /// whose fused maps prove the contiguous-lane shape
   /// (kAcrossIterations on both sides) at this width are emitted as
@@ -70,7 +48,7 @@ struct CodegenOptions {
   /// broadcast-twiddle radix-2 network, one lane per iteration — the
   /// same shapes the interpreter's backend/simd drivers execute. Other
   /// stages keep the scalar emission. Requires a GNU-compatible C
-  /// compiler (gcc/clang); part of the JIT cache key.
+  /// compiler (gcc/clang).
   idx_t simd_nu = 0;
 };
 
@@ -80,9 +58,9 @@ struct CodegenOptions {
 
 /// Seeded emitter defects for mutation-testing analysis::codegen_check
 /// (`spiral-lint --mutate-codegen=<kind>`, WILL_FAIL ctest gates). Each
-/// kind corrupts only the rendered text — the StageList, the JIT cache
-/// key, and the descriptor stay truthful, so the static validator is the
-/// only line of defense the mutation exercises.
+/// kind corrupts only the rendered text — the StageList stays truthful,
+/// so the static validator is the only line of defense the mutation
+/// exercises.
 enum class CodegenMutation {
   kNone,
   /// Input iteration stride off by one in emitted affine bodies

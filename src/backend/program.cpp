@@ -10,7 +10,6 @@ const char* to_string(ExecPolicy p) {
   switch (p) {
     case ExecPolicy::kSequential: return "sequential";
     case ExecPolicy::kThreadPool: return "pthreads";
-    case ExecPolicy::kJit: return "jit";
   }
   return "?";
 }
@@ -137,21 +136,10 @@ void run_participant(const Stage& s, const simd::StagePlan* sp,
 
 void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
   util::require(!list_.stages.empty(), "empty program");
-  if (policy_ == ExecPolicy::kJit && jit_fn_ &&
-      jit_state_.load(std::memory_order_acquire) != kJitDemoted) {
-    execute_jit(ctx, x, y);
-    return;
-  }
-  execute_interp(ctx, x, y);
-}
-
-void Program::execute_interp(ExecContext& ctx, const cplx* x, cplx* y) const {
   const auto& st = list_.stages;
   ctx.ensure_buffers(list_.n, st.size() > 1);
   // The worker team: the context's (borrowed or leased) pool for parallel
-  // programs, none for sequential ones. kJit programs fall back to the
-  // pooled walk (before a native executor is installed, or after a parity
-  // demotion).
+  // programs, none for sequential ones.
   threading::ThreadPool* pool = nullptr;
   if (policy_ != ExecPolicy::kSequential && max_p_ > 1) {
     pool = ctx.pool_for(max_p_);
@@ -231,76 +219,6 @@ void Program::enable_simd(idx_t nu) {
     simd_on_ = simd_on_ || simd_plans_.back().active;
   }
   if (!simd_on_) simd_plans_.clear();
-}
-
-void Program::install_jit(JitFn fn, bool verify_first) {
-  jit_fn_ = std::move(fn);
-  jit_verify_first_ = verify_first;
-  jit_state_.store(verify_first ? kJitUnchecked : kJitVerified,
-                   std::memory_order_release);
-  policy_ = ExecPolicy::kJit;
-}
-
-std::string Program::jit_runtime_diag() const {
-  std::lock_guard<std::mutex> lock(jit_gate_);
-  return jit_diag_;
-}
-
-void Program::jit_call(const cplx* x, cplx* y, ExecContext& ctx) const {
-  jit_fn_(reinterpret_cast<const double*>(x), reinterpret_cast<double*>(y),
-          reinterpret_cast<double*>(ctx.buf_[0].data()),
-          reinterpret_cast<double*>(ctx.buf_[1].data()));
-}
-
-void Program::execute_jit(ExecContext& ctx, const cplx* x, cplx* y) const {
-  // The native entry ping-pongs through caller-provided scratch; both
-  // buffers must exist even when the program would not otherwise need
-  // them (single-stage programs simply ignore the pointers).
-  ctx.ensure_buffers(list_.n, true);
-  util::cvec inplace_copy;
-  if (x == y) {
-    // The native program streams from x while writing y; with aliased
-    // buffers stage the input through a private copy first.
-    inplace_copy.assign(x, x + list_.n);
-    x = inplace_copy.data();
-  }
-  if (jit_verify_first_ &&
-      jit_state_.load(std::memory_order_acquire) == kJitUnchecked) {
-    std::lock_guard<std::mutex> lock(jit_gate_);
-    if (jit_state_.load(std::memory_order_relaxed) == kJitUnchecked) {
-      // First execution: compute the interpreter reference, then the
-      // native result, and only trust the module if they agree. The
-      // caller gets a correct answer either way.
-      util::cvec ref(static_cast<std::size_t>(list_.n));
-      execute_interp(ctx, x, ref.data());
-      ctx.ensure_buffers(list_.n, true);
-      jit_call(x, y, ctx);
-      double err = 0.0;
-      double mag = 0.0;
-      for (idx_t i = 0; i < list_.n; ++i) {
-        err = std::max(err, std::abs(y[i] - ref[std::size_t(i)]));
-        mag = std::max(mag, std::abs(ref[std::size_t(i)]));
-      }
-      if (err <= 1e-9 * std::max(1.0, mag)) {
-        jit_state_.store(kJitVerified, std::memory_order_release);
-      } else {
-        jit_diag_ =
-            "first-execution parity gate: native result deviates from the "
-            "interpreter by " +
-            std::to_string(err) + " (reference magnitude " +
-            std::to_string(mag) + "); demoted to interpreter";
-        std::copy(ref.begin(), ref.end(), y);
-        jit_state_.store(kJitDemoted, std::memory_order_release);
-      }
-      return;
-    }
-    if (jit_state_.load(std::memory_order_relaxed) == kJitDemoted) {
-      // Another caller demoted the program while we waited for the gate.
-      execute_interp(ctx, x, y);
-      return;
-    }
-  }
-  jit_call(x, y, ctx);
 }
 
 }  // namespace spiral::backend

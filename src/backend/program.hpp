@@ -4,7 +4,7 @@
 // generated program.
 //
 // Threading contract: a Program is immutable after construction (apart
-// from the one-time enable_simd/install_jit set-up calls). All
+// from the one-time enable_simd set-up call). All
 // per-execution state — scratch buffers and the worker team — lives in an
 // ExecContext, so `execute(ctx, x, y)` may be called from many client
 // threads concurrently as long as each brings its own context. The
@@ -13,11 +13,7 @@
 // therefore NOT safe for concurrent calls on the same Program.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
+#include <vector>
 
 #include "backend/exec_context.hpp"
 #include "backend/simd.hpp"
@@ -34,13 +30,6 @@ enum class ExecPolicy {
   /// spin barrier per stage transition (the "low-latency minimal overhead
   /// synchronization" of §3.2). The default parallel policy.
   kThreadPool,
-  /// Natively compiled executor installed by the JIT subsystem
-  /// (install_jit): the stage list was emitted as C, compiled and
-  /// dlopen'd, and execute() calls straight into the shared object. The
-  /// fused interpreter remains the fallback — before a function is
-  /// installed, after a runtime parity demotion, and for embedders that
-  /// never JIT.
-  kJit,
 };
 
 [[nodiscard]] const char* to_string(ExecPolicy p);
@@ -95,51 +84,12 @@ class Program {
   /// needs); 1 for fully sequential programs.
   [[nodiscard]] int max_parallelism() const noexcept { return max_p_; }
 
-  /// Native executor signature (the JIT ABI's exec entry): interleaved
-  /// complex viewed as doubles, with caller-provided ping-pong scratch.
-  using JitFn =
-      std::function<void(const double* x, double* y, double* b0, double* b1)>;
-
-  /// Installs a natively compiled executor and switches the policy to
-  /// kJit. With `verify_first` the first execution is parity-checked
-  /// against the interpreter: on mismatch the result handed to the caller
-  /// is the interpreter's, the program demotes itself permanently back to
-  /// the interpreter, and jit_runtime_diag() explains why. Call at most
-  /// once, before the program is shared across threads.
-  void install_jit(JitFn fn, bool verify_first);
-
-  /// A native executor has been installed (it may have been demoted).
-  [[nodiscard]] bool jit_installed() const noexcept {
-    return static_cast<bool>(jit_fn_);
-  }
-  /// The native executor is installed and serving executions (not
-  /// demoted by the first-execution parity gate).
-  [[nodiscard]] bool jit_active() const noexcept {
-    return jit_installed() &&
-           jit_state_.load(std::memory_order_acquire) != kJitDemoted;
-  }
-  /// Diagnostic of a runtime demotion ("" while the JIT is healthy).
-  [[nodiscard]] std::string jit_runtime_diag() const;
-
  private:
-  // First-execution parity-gate states.
-  static constexpr int kJitUnchecked = 0;
-  static constexpr int kJitVerified = 1;
-  static constexpr int kJitDemoted = 2;
-
   /// SIMD plan for stage index k, null when the stage runs scalar.
   [[nodiscard]] const simd::StagePlan* simd_plan_for(std::size_t k) const {
     if (simd_plans_.empty() || !simd_plans_[k].active) return nullptr;
     return &simd_plans_[k];
   }
-  /// The interpreter walk: one pool fork for the whole stage list (or an
-  /// inline run on the caller when there is no team); workers synchronize
-  /// between stages on the context's spin barrier and keep the ping-pong
-  /// buffer pointers thread-local.
-  void execute_interp(ExecContext& ctx, const cplx* x, cplx* y) const;
-  /// The native executor, including the first-execution parity gate.
-  void execute_jit(ExecContext& ctx, const cplx* x, cplx* y) const;
-  void jit_call(const cplx* x, cplx* y, ExecContext& ctx) const;
 
   StageList list_;
   ExecPolicy policy_;
@@ -147,12 +97,6 @@ class Program {
   std::vector<simd::StagePlan> simd_plans_;  // one per stage when enabled
   bool simd_on_ = false;
   ExecContext self_ctx_;  // backs the context-free execute()
-
-  JitFn jit_fn_;
-  bool jit_verify_first_ = true;
-  mutable std::atomic<int> jit_state_{kJitUnchecked};
-  mutable std::mutex jit_gate_;   // serializes the parity-gate execution
-  mutable std::string jit_diag_;  // guarded by jit_gate_
 };
 
 }  // namespace spiral::backend

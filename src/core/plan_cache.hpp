@@ -103,7 +103,7 @@ class PlanCache {
 
  private:
   /// Full plan identity: structural parameters plus the execution-level
-  /// knobs (jit, autotune) that change what object the user gets back.
+  /// knob (autotune) that changes what object the user gets back.
   struct Key {
     int kind = 0;
     idx_t n = 0;
@@ -113,7 +113,6 @@ class PlanCache {
     idx_t nu = 0;  // part of the key: scalar and vectorized plans differ!
     idx_t leaf = 0;
     int direction = -1;
-    bool jit = false;  // a JIT'd plan and an interpreted one differ
     bool autotune = false;
 
     bool operator==(const Key&) const = default;

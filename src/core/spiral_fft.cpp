@@ -1,12 +1,10 @@
 #include "core/spiral_fft.hpp"
 
 #include <map>
-#include <mutex>
 #include <sstream>
 
 #include "analysis/verify.hpp"
 #include "backend/lower.hpp"
-#include "jit/runtime.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
 #include "rewrite/smp_rules.hpp"
@@ -245,32 +243,6 @@ FftPlan::FftPlan(spl::FormulaPtr formula, backend::StageList stages,
     // so the interpreter baseline in the benches stays scalar.
     program_->enable_simd(opt.vector_nu);
   }
-  if (opt.jit) {
-    jit::Options jopt = opt.jit_options;
-    if (opt.vector_nu >= 2) jopt.simd_nu = opt.vector_nu;
-    jit::Compiled compiled = jit::compile_program(program_->stages(), jopt);
-    jit_report_ = compiled.report;
-    if (compiled.ok()) {
-      // The lambda owns the module: the shared object stays loaded as
-      // long as any plan uses it. Pool-threaded modules dispatch through
-      // globals inside the .so, so concurrent executions of one module
-      // serialize on its mutex; sequential modules are reentrant (the
-      // ping-pong scratch is caller-provided) and skip the lock.
-      auto mod = compiled.module;
-      backend::Program::JitFn fn;
-      if (mod->threads() > 1) {
-        fn = [mod](const double* x, double* y, double* b0, double* b1) {
-          std::lock_guard<std::mutex> lock(mod->exec_mutex());
-          mod->exec()(x, y, b0, b1);
-        };
-      } else {
-        fn = [mod](const double* x, double* y, double* b0, double* b1) {
-          mod->exec()(x, y, b0, b1);
-        };
-      }
-      program_->install_jit(std::move(fn), opt.jit_verify_first);
-    }
-  }
 }
 
 void FftPlan::execute(backend::ExecContext& ctx, const cplx* x,
@@ -299,15 +271,6 @@ std::string FftPlan::describe() const {
        << ", " << vec << "/" << program_->stages().stages.size()
        << " stages vectorized\n";
   }
-  if (jit_report_.ok()) {
-    os << "jit: native (key=" << jit_report_.cache_key;
-    if (jit_report_.simd_nu > 0) {
-      os << ", nu=" << jit_report_.simd_nu << ", vec=["
-         << (jit_report_.vec_stages.empty() ? "-" : jit_report_.vec_stages)
-         << "]";
-    }
-    os << ")\n";
-  }
   os << program_->stages().summary();
   return os.str();
 }
@@ -321,9 +284,6 @@ std::unique_ptr<FftPlan> plan_dft(idx_t n, const PlannerOptions& opt,
     *out_descriptor =
         descriptor_shell(wisdom::TransformKind::kDFT, n, 0, opt);
     out_descriptor->trees = std::move(record);
-    if (plan->jit_report().ok()) {
-      out_descriptor->jit_key = plan->jit_report().cache_key;
-    }
   }
   return plan;
 }
@@ -335,9 +295,6 @@ std::unique_ptr<FftPlan> plan_wht(idx_t n, const PlannerOptions& opt,
     // The WHT expansion is chooser-free: the descriptor carries no trees.
     *out_descriptor =
         descriptor_shell(wisdom::TransformKind::kWHT, n, 0, opt);
-    if (plan->jit_report().ok()) {
-      out_descriptor->jit_key = plan->jit_report().cache_key;
-    }
   }
   return plan;
 }
@@ -353,9 +310,6 @@ std::unique_ptr<FftPlan> plan_dft_2d(idx_t rows, idx_t cols,
     *out_descriptor =
         descriptor_shell(wisdom::TransformKind::kDFT2D, rows, cols, opt);
     out_descriptor->trees = std::move(record);
-    if (plan->jit_report().ok()) {
-      out_descriptor->jit_key = plan->jit_report().cache_key;
-    }
   }
   return plan;
 }
@@ -370,9 +324,6 @@ std::unique_ptr<FftPlan> plan_batch_dft(idx_t n, idx_t batch,
     *out_descriptor =
         descriptor_shell(wisdom::TransformKind::kBatchDFT, n, batch, opt);
     out_descriptor->trees = std::move(record);
-    if (plan->jit_report().ok()) {
-      out_descriptor->jit_key = plan->jit_report().cache_key;
-    }
   }
   return plan;
 }

@@ -159,8 +159,8 @@ void BatchExecutor::run_chunk(idx_t n, std::vector<StatePtr>& items,
     } else {
       // One I_count (x) DFT_n program over the concatenated signals —
       // derived via the registered rewrite rules (rule (9)), so it went
-      // through the same verifier/locality/SIMD/JIT pipeline as any
-      // other plan.
+      // through the same verifier/locality/SIMD pipeline as any other
+      // plan.
       const auto plan =
           cache_->batch_dft(n, static_cast<idx_t>(count), planner_);
       const std::size_t total = count * static_cast<std::size_t>(n);

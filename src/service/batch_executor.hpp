@@ -11,8 +11,8 @@
 //
 // program — derived through the registered rewrite rules (rule (9) turns
 // it into the embarrassingly parallel I_p (x)|| (I_{k/p} (x) DFT_n)), so
-// the static verifier, locality analyzer, SIMD drivers and JIT all apply
-// to the coalesced program unchanged — and executes it on a persistent
+// the static verifier, locality analyzer and SIMD drivers all apply to
+// the coalesced program unchanged — and executes it on a persistent
 // shared worker team, amortizing every per-call cost over the batch
 // (EFFT's pipelining argument: keep one thread team streaming stages
 // instead of fork/joining per call).
@@ -121,7 +121,7 @@ struct ServiceOptions {
   std::chrono::microseconds max_delay{200};
   /// Bounded request-queue capacity; submit() blocks when full.
   std::size_t queue_capacity = 4096;
-  /// Substrate knobs forwarded to the planner (vector_nu, jit,
+  /// Substrate knobs forwarded to the planner (vector_nu,
   /// cache_line_complex, leaf, ...). `threads` above overrides
   /// planner.threads; direction is taken from here too.
   core::PlannerOptions planner;

@@ -20,7 +20,7 @@ namespace spiral::util {
 /// doubles); it is also the natural alignment for SSE2/AVX loads.
 inline constexpr std::size_t kBufferAlignment = 64;
 
-// The SIMD execution layer and the JIT ABI scratch buffers assume every
+// The SIMD execution layer and the ExecContext scratch buffers assume every
 // library-allocated signal buffer is aligned to the widest vector
 // register in play (64 B = one AVX-512 zmm). A weaker guarantee would
 // make aligned vector loads fault; keep the invariant machine-checked.

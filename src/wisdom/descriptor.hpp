@@ -43,18 +43,11 @@ struct PlanDescriptor {
   idx_t leaf = rewrite::kMaxCodeletSize;
   int direction = -1;
   RuleTreeMap trees;
-  /// JIT disk-cache key of the compiled executor, when the plan was JIT
-  /// compiled ("" otherwise). Advisory: a process importing this wisdom
-  /// and planning with jit enabled recomputes the key — which also covers
-  /// the local compiler fingerprint — and warm caches then skip the
-  /// compiler entirely. Deliberately NOT part of key(): the descriptor
-  /// identity is the program structure, not how it was executed.
-  std::string jit_key;
 
   /// Identity of a descriptor: the planning parameters that determine the
-  /// generated program's *structure*. Execution-level knobs (jit) and
-  /// how the trees were obtained (autotune on/off) are deliberately
-  /// absent — the descriptor rebuilds the same formula either way.
+  /// generated program's *structure*. How the trees were obtained
+  /// (autotune on/off) is deliberately absent — the descriptor rebuilds
+  /// the same formula either way.
   using Key = std::tuple<int, idx_t, idx_t, int, idx_t, idx_t, idx_t, int>;
   [[nodiscard]] Key key() const {
     return {static_cast<int>(kind), n, n2, threads, mu, nu, leaf, direction};

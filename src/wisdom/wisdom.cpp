@@ -74,7 +74,6 @@ std::string to_text(const std::vector<PlanDescriptor>& plans) {
     os << "plan kind=" << to_string(d.kind) << " n=" << d.n << " n2=" << d.n2
        << " p=" << d.threads << " mu=" << d.mu << " nu=" << d.nu
        << " leaf=" << d.leaf << " dir=" << d.direction << "\n";
-    if (!d.jit_key.empty()) os << "jitkey " << d.jit_key << "\n";
     for (const auto& [sz, tree] : d.trees) {
       os << "tree " << sz << " " << serialize_ruletree(tree) << "\n";
     }
@@ -92,6 +91,7 @@ bool parse_text(const std::string& text, std::vector<PlanDescriptor>& out,
   int lineno = 0;
   bool saw_header = false;
   std::optional<PlanDescriptor> open;  // descriptor between plan..endplan
+  bool open_jitkey = false;  // the open block already had a 'jitkey' line
 
   auto fail = [&](const std::string& why) {
     error = "wisdom line " + std::to_string(lineno) + ": " + why;
@@ -128,9 +128,12 @@ bool parse_text(const std::string& text, std::vector<PlanDescriptor>& out,
         if (!err.empty()) return fail(err);
       }
       open = std::move(d);
+      open_jitkey = false;
       continue;
     }
     if (toks[0] == "jitkey") {
+      // Legacy line: older builds recorded the key of a natively compiled
+      // executor here. It is still validated, then discarded.
       if (!open) return fail("'jitkey' outside of a plan block");
       if (toks.size() != 2) return fail("'jitkey' needs exactly one value");
       const std::string& key = toks[1];
@@ -140,8 +143,8 @@ bool parse_text(const std::string& text, std::vector<PlanDescriptor>& out,
       if (key.empty() || !hex) {
         return fail("'jitkey' value must be a lowercase hex string");
       }
-      if (!open->jit_key.empty()) return fail("duplicate 'jitkey'");
-      open->jit_key = key;
+      if (open_jitkey) return fail("duplicate 'jitkey'");
+      open_jitkey = true;
       continue;
     }
     if (toks[0] == "tree") {

@@ -13,7 +13,9 @@
 //
 // Every `plan` opens a descriptor (all seven parameters required, any
 // order), each `tree <size> <expr>` attaches the ruletree chosen for that
-// sequential DFT size, and `endplan` closes it. Import is atomic: any
+// sequential DFT size, and `endplan` closes it. A `jitkey <hex>` line
+// inside a block, written by older builds, is validated and ignored.
+// Import is atomic: any
 // malformed line, unknown key, failed validation or version mismatch
 // rejects the whole blob with a diagnostic and leaves the store untouched.
 #pragma once

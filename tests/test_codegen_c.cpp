@@ -9,6 +9,7 @@
 
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
+#include "core/spiral_fft.hpp"
 #include "rewrite/breakdown.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
@@ -16,8 +17,24 @@
 namespace spiral::backend {
 namespace {
 
+/// Compile flags for vector emission (simd_nu > 0): C11 and the host
+/// ISA, so the GNU-C vector bodies lower to the widest registers the
+/// machine has. Later flags override the harness's -std=c99.
+const std::string kVectorFlags = "-std=c11 -march=native";
+
+/// The program of a vector_nu=4 plan: its across-iterations stages emit
+/// as GNU-C vector bodies under CodegenOptions::simd_nu = 4.
+StageList vector_plan_stages(idx_t n, int threads) {
+  core::PlannerOptions o;
+  o.threads = threads;
+  o.vector_nu = 4;
+  return core::plan_dft(n, o)->stages();
+}
+
 /// Writes `src` to dir/name.c, compiles and runs it; returns the exit
-/// status of the generated binary (or -1 on compile failure).
+/// status of the generated binary (or -1 on compile failure). The emitted
+/// main() calls the entry point with its own static scratch buffers and
+/// checks the result against a direct DFT.
 int compile_and_run(const std::string& src, const std::string& name,
                     const std::string& extra_flags) {
   const std::string dir = ::testing::TempDir();
@@ -36,14 +53,25 @@ int compile_and_run(const std::string& src, const std::string& name,
 }
 
 TEST(CodegenC, SequentialProgramSelfTests) {
-  auto f = rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64));
-  auto list = lower_fused(f);
-  CodegenOptions opts;
-  opts.function_name = "dft64";
-  opts.emit_main = true;
-  const std::string src = emit_c(list, opts);
-  EXPECT_NE(src.find("void dft64"), std::string::npos);
-  EXPECT_EQ(compile_and_run(src, "seq64", ""), 0);
+  for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
+    SCOPED_TRACE("simd_nu=" + std::to_string(nu));
+    const StageList list =
+        nu == 0 ? lower_fused(rewrite::formula_from_ruletree(
+                      rewrite::balanced_ruletree(64)))
+                : vector_plan_stages(1024, 1);
+    CodegenOptions opts;
+    opts.function_name = "dft_seq";
+    opts.emit_main = true;
+    opts.simd_nu = nu;
+    const std::string src = emit_c(list, opts);
+    EXPECT_NE(src.find("void dft_seq(const double *x, double *y, "
+                       "double *b0, double *b1)"),
+              std::string::npos);
+    EXPECT_EQ(src.find("typedef double vd4") != std::string::npos, nu == 4);
+    EXPECT_EQ(compile_and_run(src, "seq_nu" + std::to_string(nu),
+                              nu == 0 ? "" : kVectorFlags),
+              0);
+  }
 }
 
 TEST(CodegenC, MulticoreOpenMPProgramSelfTests) {
@@ -75,18 +103,27 @@ TEST(CodegenC, MulticorePthreadsProgramSelfTests) {
 TEST(CodegenC, PersistentPoolProgramSelfTests) {
   // The paper's generated-code execution model: persistent team +
   // sense-reversing spin barriers, created on first call.
-  auto f = rewrite::derive_multicore_ct(256, 16, 2, 2);
-  auto g = rewrite::expand_dfts_balanced(f);
-  auto list = lower_fused(g);
-  CodegenOptions opts;
-  opts.function_name = "dft256_pool";
-  opts.threading = CodegenThreading::kPthreadsPool;
-  opts.emit_main = true;
-  const std::string src = emit_c(list, opts);
-  EXPECT_NE(src.find("pool_barrier"), std::string::npos);
-  EXPECT_NE(src.find("sense"), std::string::npos);
-  EXPECT_NE(src.find("pthread_create"), std::string::npos);
-  EXPECT_EQ(compile_and_run(src, "pool256", "-pthread"), 0);
+  for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
+    SCOPED_TRACE("simd_nu=" + std::to_string(nu));
+    const StageList list =
+        nu == 0 ? lower_fused(rewrite::expand_dfts_balanced(
+                      rewrite::derive_multicore_ct(256, 16, 2, 2)))
+                : vector_plan_stages(4096, 2);
+    CodegenOptions opts;
+    opts.function_name = "dft_pool";
+    opts.threading = CodegenThreading::kPthreadsPool;
+    opts.emit_main = true;
+    opts.simd_nu = nu;
+    const std::string src = emit_c(list, opts);
+    EXPECT_NE(src.find("pool_barrier"), std::string::npos);
+    EXPECT_NE(src.find("sense"), std::string::npos);
+    EXPECT_NE(src.find("pthread_create"), std::string::npos);
+    EXPECT_EQ(src.find("typedef double vd4") != std::string::npos, nu == 4);
+    EXPECT_EQ(compile_and_run(src, "pool_nu" + std::to_string(nu),
+                              nu == 0 ? "-pthread"
+                                      : "-pthread " + kVectorFlags),
+              0);
+  }
 }
 
 TEST(CodegenC, WhtProgramSelfTests) {

@@ -1,43 +1,29 @@
 // Tests for analysis::codegen_check — static translation validation of
-// the JIT C backend (DESIGN.md §5h).
+// the emitted C (DESIGN.md §5h).
 //
-// Four layers of evidence that the validator is both sound and live:
+// Three layers of evidence that the validator is both sound and live:
 //   1. the unmutated planner sweep (2^4..2^14, p in {1,2,4}, nu in
 //      {1,4}) validates clean — no false positives on real plans;
 //   2. every seeded emitter defect (--mutate-codegen kinds) is rejected
 //      with exactly the intended typed diagnostic — mutation testing of
 //      the validator itself, mirrored by the WILL_FAIL ctest lint gates;
 //   3. string-level tampering with an otherwise clean emission (removed
-//      barrier, de-atomized job pointer, perturbed twiddle, corrupted
-//      descriptor fingerprint) is caught — the validator reads the
-//      *text*, not the emitter's intentions;
-//   4. the jit::compile_program gate turns a finding into
-//      JitStatus::kCodegenCheckFailed before the compiler ever runs,
-//      and the plan keeps the (correct) interpreter.
+//      barrier, de-atomized job pointer, perturbed twiddle) is caught —
+//      the validator reads the *text*, not the emitter's intentions.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <string>
 
 #include "analysis/codegen_check.hpp"
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
 #include "core/spiral_fft.hpp"
-#include "jit/jit.hpp"
 #include "rewrite/breakdown.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
-#include "test_helpers.hpp"
 
 namespace spiral {
 namespace {
-
-namespace fs = std::filesystem;
-using spiral::testing::fft_tolerance;
-using spiral::testing::max_diff;
-using spiral::testing::reference_dft;
 
 /// RAII seed/clear of an emitter defect: no test can leave a mutation
 /// behind for the rest of the suite.
@@ -53,33 +39,20 @@ class MutationGuard {
   MutationGuard& operator=(const MutationGuard&) = delete;
 };
 
-/// Emits `list` exactly the way jit::compile_program does — hardened JIT
-/// ABI, pthreads pool when any stage is parallel, the requested SIMD
-/// width, the true program fingerprint in the descriptor.
-std::string emit_jit_shaped(const backend::StageList& list, idx_t nu) {
+/// Emits `list` in the validated dialect — pthreads pool when any stage
+/// is parallel, sequential otherwise — at the requested SIMD width.
+std::string emit_validated(const backend::StageList& list, idx_t nu) {
   idx_t maxp = 1;
   for (const auto& s : list.stages) maxp = std::max(maxp, s.parallel_p);
   backend::CodegenOptions cg;
-  cg.function_name = "spiral_jit_entry";
-  cg.jit_abi = true;
-  cg.fingerprint = jit::program_fingerprint(list);
   cg.threading = maxp > 1 ? backend::CodegenThreading::kPthreadsPool
                           : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
   return backend::emit_c(list, cg);
 }
 
-/// Check options matching emit_jit_shaped's emission.
-analysis::CodegenCheckOptions check_options(const backend::StageList& list,
-                                            idx_t nu) {
-  analysis::CodegenCheckOptions cko;
-  cko.expect_fingerprint = jit::program_fingerprint(list);
-  cko.expect_simd_nu = nu;
-  return cko;
-}
-
 /// Plan n at (threads, nu) through the real planner and return the
-/// lowered+fused program — the same StageList the JIT would compile.
+/// lowered+fused program — the same StageList the interpreter runs.
 backend::StageList planned_list(idx_t n, int threads, idx_t nu) {
   core::PlannerOptions opt;
   opt.threads = threads;
@@ -99,8 +72,8 @@ const backend::StageList& mutant_list() {
 analysis::CodegenReport check_mutant_emission(backend::CodegenMutation m) {
   const backend::StageList& list = mutant_list();
   MutationGuard guard(m);
-  const std::string source = emit_jit_shaped(list, 4);
-  return analysis::check_codegen(source, list, check_options(list, 4));
+  const std::string source = emit_validated(list, 4);
+  return analysis::check_codegen(source, list);
 }
 
 // ---------------------------------------------------------------------
@@ -116,9 +89,9 @@ TEST(CodegenCheckSweep, PlannerSweepValidatesClean) {
     for (int p : {1, 2, 4}) {
       for (idx_t nu : {idx_t{1}, idx_t{4}}) {
         const backend::StageList list = planned_list(n, p, nu);
-        const std::string source = emit_jit_shaped(list, nu);
+        const std::string source = emit_validated(list, nu);
         const analysis::CodegenReport rep =
-            analysis::check_codegen(source, list, check_options(list, nu));
+            analysis::check_codegen(source, list);
         EXPECT_TRUE(rep.clean()) << "n=" << n << " p=" << p << " nu=" << nu
                                  << "\n" << rep.to_string();
       }
@@ -126,21 +99,24 @@ TEST(CodegenCheckSweep, PlannerSweepValidatesClean) {
   }
 }
 
-TEST(CodegenCheck, VecStageRecordMatchesDescriptor) {
+TEST(CodegenCheck, VecStageRecordNamesVectorBodies) {
   const backend::StageList& list = mutant_list();
-  const std::string source = emit_jit_shaped(list, 4);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 4));
+  const std::string source = emit_validated(list, 4);
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   ASSERT_TRUE(rep.clean()) << rep.to_string();
   // The canonical config provably vectorizes (this is also the
   // non-vacuity anchor for the swap-lanes mutant below).
   ASSERT_FALSE(rep.vec_stage_ids.empty());
   ASSERT_EQ(rep.vec_stage_ids.size(), rep.vec_stage_widths.size());
   for (idx_t w : rep.vec_stage_widths) EXPECT_GE(w, 2);
-  // The emitted descriptor carries the identical record.
-  EXPECT_NE(source.find("static const char spiral_jit_vec_stages[] = \"" +
-                        rep.vec_stages_string() + "\";"),
-            std::string::npos);
+  // Every recorded stage really was emitted with a vector body (its
+  // scalar body is then renamed stage<si>_scalar).
+  for (int si : rep.vec_stage_ids) {
+    EXPECT_NE(source.find("static void stage" + std::to_string(si) +
+                          "_scalar("),
+              std::string::npos)
+        << "stage " << si;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -169,7 +145,7 @@ TEST(CodegenCheckMutants, DropBarrierCaughtAsMissingBarrier) {
 
 TEST(CodegenCheckMutants, SwapLanesCaughtAsLaneMismatch) {
   // Non-vacuity: the unmutated emission of this config has vector
-  // stages (asserted in VecStageRecordMatchesDescriptor), so the lane
+  // stages (asserted in VecStageRecordNamesVectorBodies), so the lane
   // swap is live.
   const analysis::CodegenReport rep =
       check_mutant_emission(backend::CodegenMutation::kSwapLanes);
@@ -189,13 +165,13 @@ TEST(CodegenCheckMutants, NarrowIndexCaughtAsNarrowedIndex) {
 // Clearing the mutation restores byte-identical clean emission.
 TEST(CodegenCheckMutants, MutationIsScopedAndRestorable) {
   const backend::StageList& list = mutant_list();
-  const std::string before = emit_jit_shaped(list, 4);
+  const std::string before = emit_validated(list, 4);
   {
     MutationGuard guard(backend::CodegenMutation::kStrideSkew);
-    EXPECT_NE(emit_jit_shaped(list, 4), before);
+    EXPECT_NE(emit_validated(list, 4), before);
   }
   EXPECT_EQ(backend::codegen_mutation(), backend::CodegenMutation::kNone);
-  EXPECT_EQ(emit_jit_shaped(list, 4), before);
+  EXPECT_EQ(emit_validated(list, 4), before);
 }
 
 // ---------------------------------------------------------------------
@@ -208,14 +184,13 @@ class CodegenTamperTest : public ::testing::Test {
  protected:
   void SetUp() override {
     list_ = mutant_list();
-    source_ = emit_jit_shaped(list_, 4);
-    analysis::CodegenReport rep =
-        analysis::check_codegen(source_, list_, check_options(list_, 4));
+    source_ = emit_validated(list_, 4);
+    analysis::CodegenReport rep = analysis::check_codegen(source_, list_);
     ASSERT_TRUE(rep.clean()) << rep.to_string();
   }
 
   [[nodiscard]] analysis::CodegenReport check(const std::string& src) const {
-    return analysis::check_codegen(src, list_, check_options(list_, 4));
+    return analysis::check_codegen(src, list_);
   }
 
   /// Replaces the first occurrence of `from` (must exist) with `to`.
@@ -266,15 +241,6 @@ TEST_F(CodegenTamperTest, PerturbedTwiddleValueFlagged) {
       << rep.to_string();
 }
 
-TEST_F(CodegenTamperTest, CorruptedDescriptorFingerprintFlagged) {
-  const std::uint64_t fp = jit::program_fingerprint(list_);
-  const analysis::CodegenReport rep =
-      check(tampered(std::to_string(fp) + "ULL",
-                     std::to_string(fp ^ 1) + "ULL"));
-  EXPECT_GT(rep.count(analysis::CodegenDiag::kShapeMismatch), 0)
-      << rep.to_string();
-}
-
 TEST_F(CodegenTamperTest, ForeignDialectRejected) {
   // A TU the emitter never produced (e.g. OpenMP output) must be a
   // parse error, not a silent pass.
@@ -297,9 +263,8 @@ TEST(CodegenCheckEdge, SingleStageCodeletProgram) {
   const backend::StageList list = backend::lower_fused(
       rewrite::formula_from_ruletree(rewrite::balanced_ruletree(16)));
   ASSERT_EQ(list.stages.size(), 1u);
-  const std::string source = emit_jit_shaped(list, 0);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 0));
+  const std::string source = emit_validated(list, 0);
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
   EXPECT_EQ(rep.stages, 1);
 }
@@ -308,11 +273,10 @@ TEST(CodegenCheckEdge, SingleStageCodeletProgram) {
 // all — and the validator accepts the sequential entry shape.
 TEST(CodegenCheckEdge, SequentialPlanHasNoPthreadsAndValidates) {
   const backend::StageList list = planned_list(256, 1, 0);
-  const std::string source = emit_jit_shaped(list, 0);
+  const std::string source = emit_validated(list, 0);
   EXPECT_EQ(source.find("pthread"), std::string::npos);
   EXPECT_EQ(source.find("pool_"), std::string::npos);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 0));
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
 }
 
@@ -321,10 +285,9 @@ TEST(CodegenCheckEdge, SequentialPlanHasNoPthreadsAndValidates) {
 TEST(CodegenCheckEdge, MulticoreDerivationValidates) {
   const backend::StageList list = backend::lower_fused(
       rewrite::expand_dfts_balanced(rewrite::derive_multicore_ct(256, 16, 2, 2)));
-  const std::string source = emit_jit_shaped(list, 4);
+  const std::string source = emit_validated(list, 4);
   EXPECT_NE(source.find("pool_barrier"), std::string::npos);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 4));
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
 }
 
@@ -342,12 +305,11 @@ TEST(CodegenCheckEdge, RemainderLoopsFromUnalignedChunksValidate) {
     }
   }
   ASSERT_TRUE(retagged);
-  const std::string source = emit_jit_shaped(list, 4);
+  const std::string source = emit_validated(list, 4);
   // Non-vacuity: the emission contains a scalar-head call, i.e. at
   // least one chunk really is vector-unaligned.
   EXPECT_NE(source.find("if (lo < va) stage"), std::string::npos);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 4));
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
 }
 
@@ -355,109 +317,10 @@ TEST(CodegenCheckEdge, RemainderLoopsFromUnalignedChunksValidate) {
 // stage is what the maps prove, not blindly opts.simd_nu.
 TEST(CodegenCheckEdge, HalfWidthVectorEmissionValidates) {
   const backend::StageList& list = mutant_list();
-  const std::string source = emit_jit_shaped(list, 2);
-  const analysis::CodegenReport rep =
-      analysis::check_codegen(source, list, check_options(list, 2));
+  const std::string source = emit_validated(list, 2);
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
   for (idx_t w : rep.vec_stage_widths) EXPECT_EQ(w, 2);
-}
-
-// ---------------------------------------------------------------------
-// 5. The jit:: gate: findings become kCodegenCheckFailed before the
-//    compiler runs; the plan keeps the interpreter and stays correct.
-// ---------------------------------------------------------------------
-
-class CodegenJitGateTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/spiral-cgc-test-XXXXXX";
-    char* dir = ::mkdtemp(tmpl);
-    ASSERT_NE(dir, nullptr);
-    cache_dir_ = dir;
-    jit::reset_stats();
-  }
-  void TearDown() override {
-    backend::set_codegen_mutation(backend::CodegenMutation::kNone);
-    std::error_code ec;
-    fs::remove_all(cache_dir_, ec);
-  }
-
-  std::string cache_dir_;
-};
-
-bool compiler_available() { return !jit::resolve_compiler({}).empty(); }
-
-TEST_F(CodegenJitGateTest, MutatedEmissionRejectedBeforeCompiling) {
-  if (!compiler_available()) GTEST_SKIP() << "no system C compiler";
-  const backend::StageList list = planned_list(4096, 4, 4);
-  jit::Options opt;
-  opt.cache_dir = cache_dir_;
-  // The cache key does not (and must not) include the seeded mutation —
-  // the mutation corrupts only the rendered text — so bypass the cache
-  // to force a fresh emission.
-  opt.use_cache = false;
-  opt.simd_nu = 4;
-
-  MutationGuard guard(backend::CodegenMutation::kStrideSkew);
-  const jit::Compiled out = jit::compile_program(list, opt);
-  EXPECT_FALSE(out.ok());
-  EXPECT_EQ(out.report.status, jit::JitStatus::kCodegenCheckFailed)
-      << out.report.to_string();
-  EXPECT_NE(out.report.message.find("footprint"), std::string::npos)
-      << out.report.message;
-  // Rejected *statically*: the compiler was never invoked.
-  EXPECT_EQ(jit::stats().compiles, 0u);
-}
-
-TEST_F(CodegenJitGateTest, GateCanBeDisabled) {
-  if (!compiler_available()) GTEST_SKIP() << "no system C compiler";
-  const backend::StageList list = planned_list(64, 1, 0);
-  jit::Options opt;
-  opt.cache_dir = cache_dir_;
-  opt.use_cache = false;
-  opt.validate_codegen = false;
-  const jit::Compiled out = jit::compile_program(list, opt);
-  EXPECT_TRUE(out.ok()) << out.report.to_string();
-}
-
-TEST_F(CodegenJitGateTest, PlanFallsBackToInterpreterAndStaysCorrect) {
-  if (!compiler_available()) GTEST_SKIP() << "no system C compiler";
-  const idx_t n = 256;
-  core::PlannerOptions opt;
-  opt.jit = true;
-  opt.jit_options.cache_dir = cache_dir_;
-  opt.jit_options.use_cache = false;
-
-  MutationGuard guard(backend::CodegenMutation::kDropBarrier);
-  auto plan = core::plan_dft(n, opt);
-  // Sequential n=256 has no barriers to drop — force a parallel plan.
-  core::PlannerOptions popt = opt;
-  popt.threads = 4;
-  auto pplan = core::plan_dft(4096, popt);
-  EXPECT_EQ(pplan->jit_report().status, jit::JitStatus::kCodegenCheckFailed)
-      << pplan->jit_report().to_string();
-
-  util::Rng rng(11);
-  const auto x = rng.complex_signal(n);
-  util::cvec y(x.size());
-  plan->execute(x.data(), y.data());
-  EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(n));
-}
-
-TEST_F(CodegenJitGateTest, ReportCarriesSimdNuAndVecStages) {
-  if (!compiler_available()) GTEST_SKIP() << "no system C compiler";
-  core::PlannerOptions opt;
-  opt.threads = 4;
-  opt.vector_nu = 4;
-  opt.jit = true;
-  opt.jit_options.cache_dir = cache_dir_;
-  auto plan = core::plan_dft(4096, opt);
-  ASSERT_TRUE(plan->jit_report().ok()) << plan->jit_report().to_string();
-  EXPECT_EQ(plan->jit_report().simd_nu, 4);
-  // "si:w,...": at least one stage vectorized at this config, and the
-  // record round-trips through the compiled module's descriptor.
-  EXPECT_NE(plan->jit_report().vec_stages.find(":4"), std::string::npos)
-      << "vec_stages=\"" << plan->jit_report().vec_stages << "\"";
 }
 
 }  // namespace

@@ -4,11 +4,10 @@
 // the emitter's restricted dialect and regenerates canonical text from
 // the parsed parameters. That only stays sound if dialect changes are
 // *deliberate* — an emitter edit that changes the rendered shape must
-// also teach the validator (and bump backend::kCodegenVersion). These
-// snapshots turn silent dialect drift into a failing test with a line
-// diff: two deterministic derivations (no planner, no timing, no
-// machine dependence) are emitted in the JIT shape and compared
-// byte-for-byte against committed golden files.
+// also teach the validator. These snapshots turn silent dialect drift
+// into a failing test with a line diff: two deterministic derivations
+// (no planner, no timing, no machine dependence) are emitted and
+// compared byte-for-byte against committed golden files.
 //
 // To bless an intentional dialect change:
 //   SPIRAL_UPDATE_GOLDEN=1 ./test_codegen_golden
@@ -22,7 +21,6 @@
 
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
-#include "jit/jit.hpp"
 #include "rewrite/breakdown.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
@@ -82,12 +80,9 @@ void expect_matches(const std::string& source, const std::string& name) {
   EXPECT_TRUE(want == source) << first_line_diff(want, source);
 }
 
-std::string emit_jit_shaped(const backend::StageList& list, idx_t nu,
-                            bool pooled) {
+std::string emit_validated(const backend::StageList& list, idx_t nu,
+                           bool pooled) {
   backend::CodegenOptions cg;
-  cg.function_name = "spiral_jit_entry";
-  cg.jit_abi = true;
-  cg.fingerprint = jit::program_fingerprint(list);
   cg.threading = pooled ? backend::CodegenThreading::kPthreadsPool
                         : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
@@ -95,25 +90,23 @@ std::string emit_jit_shaped(const backend::StageList& list, idx_t nu,
 }
 
 // Scalar sequential snapshot: balanced DFT_64, no SIMD, no pool —
-// covers tables, codelets, stage loops, the sequential JIT entry and
-// the v2 descriptor.
+// covers tables, codelets, stage loops and the sequential entry.
 TEST(CodegenGolden, ScalarSequentialDft64) {
   const backend::StageList list = backend::lower_fused(
       rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64)));
-  expect_matches(emit_jit_shaped(list, 0, /*pooled=*/false),
-                 "golden_jit_scalar_dft64.c");
+  expect_matches(emit_validated(list, 0, /*pooled=*/false),
+                 "golden_scalar_dft64.c");
 }
 
 // Pooled SIMD snapshot: the paper's multicore derivation DFT_256 =
 // CT(16,16) with smp(2,2), emitted at nu=4 — covers the GCC-vector
-// bodies, shuffles, remainder head/tail, pool runtime, barriers and the
-// vec_stages descriptor record.
+// bodies, shuffles, remainder head/tail, pool runtime and barriers.
 TEST(CodegenGolden, PooledSimdMulticoreDft256) {
   const backend::StageList list =
       backend::lower_fused(rewrite::expand_dfts_balanced(
           rewrite::derive_multicore_ct(256, 16, 2, 2)));
-  expect_matches(emit_jit_shaped(list, 4, /*pooled=*/true),
-                 "golden_jit_pool_simd_dft256.c");
+  expect_matches(emit_validated(list, 4, /*pooled=*/true),
+                 "golden_pool_simd_dft256.c");
 }
 
 }  // namespace

@@ -54,26 +54,6 @@ TEST(PlanCache, VectorNuIsPartOfTheKey) {
   EXPECT_LT(max_diff(ya, yb), 1e-13);
 }
 
-TEST(PlanCache, JitIsPartOfTheKey) {
-  // Regression test: the cache key used to omit jit, so an interpreted
-  // plan could be handed to a jit=true request (and vice versa). The
-  // compiler path does not exist, so the JIT request fails fast with a
-  // typed report and never touches the object cache.
-  PlanCache cache;
-  PlannerOptions interp;
-  PlannerOptions jitted;
-  jitted.jit = true;
-  jitted.jit_options.compiler = "/nonexistent/bin/definitely-not-a-cc";
-  auto a = cache.dft(256, interp);
-  auto b = cache.dft(256, jitted);
-  EXPECT_NE(a.get(), b.get())
-      << "jit=false and jit=true requests must not alias in the cache";
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(a->jit_report().status, jit::JitStatus::kDisabled);
-  EXPECT_NE(b->jit_report().status, jit::JitStatus::kDisabled)
-      << "the jit=true request must have attempted a compile";
-}
-
 TEST(PlanCache, BatchDftIsCached) {
   PlanCache cache;
   auto a = cache.batch_dft(64, 4);

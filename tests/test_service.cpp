@@ -3,7 +3,7 @@
 // reference, deterministic coalescing (paused backlog -> one I_k (x)
 // DFT_n execution), per-size binning onto distinct PlanCache entries,
 // power-of-two chunk splitting, bounded-queue backpressure, substrate
-// parity (interpreter / SIMD / JIT), shutdown draining, and the
+// parity (interpreter / SIMD), shutdown draining, and the
 // concurrent-submitter stress that the TSan leg runs.
 #include <gtest/gtest.h>
 
@@ -178,9 +178,9 @@ TEST(BatchExecutor, TrySubmitShedsLoadWhenQueueFull) {
 }
 
 TEST(BatchExecutor, SubstrateParity) {
-  // The coalesced programs must execute correctly on all three
-  // substrates: scalar interpreter, SIMD nu=4 drivers, and the JIT. The
-  // traffic is identical; only the planner knobs differ.
+  // The coalesced programs must execute correctly on both substrates:
+  // the scalar interpreter and the SIMD nu=4 drivers. The traffic is
+  // identical; only the planner knobs differ.
   struct Substrate {
     const char* name;
     core::PlannerOptions planner;
@@ -191,11 +191,6 @@ TEST(BatchExecutor, SubstrateParity) {
     core::PlannerOptions p;
     p.vector_nu = 4;
     substrates.push_back({"simd", p});
-  }
-  {
-    core::PlannerOptions p;
-    p.jit = true;
-    substrates.push_back({"jit", p});
   }
   for (const auto& sub : substrates) {
     SCOPED_TRACE(sub.name);

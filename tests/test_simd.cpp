@@ -13,7 +13,6 @@
 #include "backend/simd.hpp"
 #include "backend/vectorize.hpp"
 #include "core/spiral_fft.hpp"
-#include "jit/jit.hpp"
 #include "test_helpers.hpp"
 #include "util/aligned_vector.hpp"
 
@@ -231,32 +230,6 @@ TEST(Simd, VecformMutationIsDetectable) {
   util::cvec got(x.size());
   mut.execute(x.data(), got.data());
   EXPECT_GT(max_diff(got, want), 1e-6);
-}
-
-// JIT emission: simd_nu flows into the cache key (same program, other
-// width => other object) and the compiled vector code passes the
-// first-execution parity gate against the interpreter.
-TEST(Simd, JitVectorEmissionParity) {
-  if (jit::resolve_compiler().empty()) GTEST_SKIP() << "no C compiler";
-  PlannerOptions o;
-  o.threads = 2;
-  o.vector_nu = 4;
-  o.jit = true;
-  o.jit_options.use_cache = false;
-  const auto plan = core::plan_dft(4096, o);
-  ASSERT_TRUE(plan->jit_report().ok()) << plan->jit_report().to_string();
-
-  jit::Options scalar_opt, simd_opt;
-  simd_opt.simd_nu = 4;
-  EXPECT_NE(jit::cache_key(plan->stages(), scalar_opt),
-            jit::cache_key(plan->stages(), simd_opt));
-
-  const util::cvec x = random_signal(4096, 0xbeef);
-  const util::cvec want = scalar_oracle(*plan, x);
-  util::cvec got(x.size());
-  plan->execute(x.data(), got.data());
-  EXPECT_TRUE(plan->jit_active()) << plan->jit_runtime_diag();
-  EXPECT_LE(max_diff(got, want), fft_tolerance(4096));
 }
 
 }  // namespace

@@ -163,6 +163,47 @@ TEST(WisdomText, RejectsMalformedInputAtomically) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+// Older builds wrote a `jitkey <hex>` line (the key of a natively
+// compiled executor) into each plan block. Such files still import: the
+// line is validated and discarded, so the descriptor is the same as
+// without it.
+TEST(WisdomText, LegacyJitKeyLineIsAcceptedAndDiscarded) {
+  const std::string head =
+      "spiral-wisdom 1\n"
+      "plan kind=dft n=1024 n2=0 p=2 mu=4 nu=0 leaf=16 dir=-1\n";
+  const std::string tail =
+      "tree 32 ct(2,16)\n"
+      "endplan\n";
+  std::vector<PlanDescriptor> plain;
+  std::vector<PlanDescriptor> legacy;
+  std::string error;
+  ASSERT_TRUE(parse_text(head + tail, plain, error)) << error;
+  ASSERT_TRUE(parse_text(head + "jitkey 0123456789abcdef\n" + tail, legacy,
+                         error))
+      << error;
+  ASSERT_EQ(legacy.size(), 1u);
+  EXPECT_EQ(legacy[0].key(), plain[0].key());
+  EXPECT_EQ(to_text(legacy), to_text(plain));
+  EXPECT_EQ(to_text(legacy).find("jitkey"), std::string::npos);
+
+  // A malformed jitkey line still fails, naming its line.
+  const std::pair<std::string, const char*> bad[] = {
+      {"spiral-wisdom 1\njitkey 00ff\n", "line 2"},  // outside a block
+      {head + "jitkey\n" + tail, "line 3"},            // no value
+      {head + "jitkey 00 ff\n" + tail, "line 3"},      // two values
+      {head + "jitkey 00FF\n" + tail, "line 3"},       // not lowercase
+      {head + "jitkey 0x1\n" + tail, "line 3"},        // not hex
+      {head + "jitkey 00\njitkey 00\n" + tail, "line 4"},  // duplicate
+  };
+  for (const auto& [text, line] : bad) {
+    std::vector<PlanDescriptor> out;
+    EXPECT_FALSE(parse_text(text, out, error)) << text;
+    EXPECT_NE(error.find(std::string("wisdom ") + line), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("jitkey"), std::string::npos) << error;
+  }
+}
+
 TEST(WisdomStoreTest, MergePoliciesControlCollisions) {
   WisdomStore store;
   PlanDescriptor a = sample_descriptor();

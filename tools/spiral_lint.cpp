@@ -45,7 +45,6 @@
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
 #include "backend/simd.hpp"
-#include "jit/jit.hpp"
 #include "core/spiral_fft.hpp"
 #include "machine/config.hpp"
 #include "spl/dense.hpp"
@@ -84,7 +83,7 @@ void usage() {
                "       --mutate-vecform     mis-report strided-lane SIMD"
                " shapes as contiguous (caught by --check-exec)\n"
                "       --validate-codegen   statically validate the emitted"
-               " JIT C against the plan's\n"
+               " C against the plan's\n"
                "                            stage list"
                " (analysis::codegen_check; no compiler involved)\n"
                "       --mutate-codegen=K   seed an emitter defect before"
@@ -160,11 +159,11 @@ void check_locality(const spiral::backend::StageList& list, int threads,
   item->locality_ok = item->locality.clean(max_ratio);
 }
 
-/// --validate-codegen: emits the plan's program exactly the way the JIT
-/// would (hardened ABI, pthreads pool when parallel, the requested SIMD
-/// width) and runs the static translation validator on the result. With
-/// --mutate-codegen a seeded emitter defect is active, and CI gates on
-/// the validator catching it — before any compiler runs.
+/// --validate-codegen: emits the plan's program as C (pthreads pool when
+/// parallel, the requested SIMD width) and runs the static translation
+/// validator on the result. With --mutate-codegen a seeded emitter
+/// defect is active, and CI gates on the validator catching it — before
+/// any compiler runs.
 void check_codegen_emission(const spiral::backend::StageList& list,
                             spiral::idx_t nu, spiral::idx_t mu,
                             LintItem* item) {
@@ -172,17 +171,12 @@ void check_codegen_emission(const spiral::backend::StageList& list,
   idx_t maxp = 1;
   for (const auto& s : list.stages) maxp = std::max(maxp, s.parallel_p);
   backend::CodegenOptions cg;
-  cg.function_name = "spiral_jit_entry";
-  cg.jit_abi = true;
-  cg.fingerprint = jit::program_fingerprint(list);
   cg.threading = maxp > 1 ? backend::CodegenThreading::kPthreadsPool
                           : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
   const std::string source = backend::emit_c(list, cg);
   analysis::CodegenCheckOptions cko;
   cko.mu = mu;
-  cko.expect_fingerprint = cg.fingerprint;
-  cko.expect_simd_nu = nu;
   item->codegen = analysis::check_codegen(source, list, cko);
   item->codegen_checked = true;
   item->codegen_ok = item->codegen.clean();
@@ -352,8 +346,8 @@ int run(const spiral::util::CliArgs& args) {
                           args.has("mutate-vecform");
 
   // Emitter mutations imply the static codegen validation that catches
-  // them (the seeded bug lives in the rendered C text only — the plan,
-  // the interpreter, and the JIT cache key all stay truthful).
+  // them (the seeded bug lives in the rendered C text only — the plan and
+  // the interpreter stay truthful).
   const bool validate_codegen =
       args.has("validate-codegen") || args.has("mutate-codegen");
   if (args.has("mutate-codegen")) {
