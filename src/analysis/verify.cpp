@@ -133,19 +133,26 @@ void verify_stage(const backend::StageList& program, int si,
 
   // -- Well-formedness that later checks depend on: map/scale lengths.
   //    An affine-compacted side carries no table (its addressing is total
-  //    by construction); only materialized sides must match iters*cn.
+  //    by construction); a bit-stride side must span exactly iters*cn
+  //    positions, and a materialized side must have iters*cn entries.
   const idx_t expected = s.iters * s.cn;
   const auto esz = static_cast<std::size_t>(expected);
+  const auto entries = [expected](bool affine, bool bit_encoded,
+                                  const backend::BitStrideMap& bits,
+                                  const std::vector<std::int32_t>& map) {
+    if (affine) return expected;
+    if (bit_encoded) return idx_t{1} << bits.bits();
+    return static_cast<idx_t>(map.size());
+  };
+  const idx_t in_entries =
+      entries(s.in_affine, s.in_bit_encoded, s.in_bits, s.in_map);
+  const idx_t out_entries =
+      entries(s.out_affine, s.out_bit_encoded, s.out_bits, s.out_map);
   bool maps_ok = true;
-  if (s.iters < 0 || s.cn < 1 || (!s.in_affine && s.in_map.size() != esz) ||
-      (!s.out_affine && s.out_map.size() != esz)) {
+  if (s.iters < 0 || s.cn < 1 || in_entries != expected ||
+      out_entries != expected) {
     std::ostringstream os;
-    os << "index maps have "
-       << (s.in_affine ? std::string("affine")
-                       : std::to_string(s.in_map.size()))
-       << "/"
-       << (s.out_affine ? std::string("affine")
-                        : std::to_string(s.out_map.size()))
+    os << "index maps have " << in_entries << "/" << out_entries
        << " entries, expected iters*cn = " << expected;
     add(Diag::kMapSizeMismatch, os.str(), 1);
     maps_ok = false;

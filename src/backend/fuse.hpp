@@ -3,6 +3,13 @@
 // neighbouring compute loops as index maps and scale factors, so that —
 // as in Spiral-generated code — "permutations are usually not performed
 // explicitly" (paper, Section 3.1).
+//
+// Two representations, one fusion loop. A 2-power program's maps are bit
+// permutations (BitStrideMap), so a fold is a composition of log n
+// strides and its twiddles travel as a small diagonal plus a bit
+// projection (BitDiag), written out as an execution-order table once, at
+// the end. Mixed-radix programs keep int32 tables composed entry by
+// entry: their digit permutations do not compose in general.
 #pragma once
 
 #include "backend/stage.hpp"
@@ -18,5 +25,47 @@ namespace spiral::backend {
 /// Pure stages with no compute neighbour (e.g. a program that is a single
 /// permutation) survive. Returns the number of stages eliminated.
 int fuse(StageList& list);
+
+/// True iff m is a bit permutation of [0, 2^bits): base 0 and strides a
+/// permutation of 1, 2, 4, ..., 2^(bits-1). Every side of a complete
+/// 2-power program has this form.
+[[nodiscard]] bool is_bit_permutation(const BitStrideMap& m);
+
+/// Inverse of a bit permutation: invert(m).at(m.at(k)) == k. O(log n).
+[[nodiscard]] BitStrideMap invert(const BitStrideMap& m);
+
+/// outer o inner: compose(outer, inner).at(k) == outer.at(inner.at(k)).
+/// inner must be a bit permutation over outer's position bits. O(log n).
+[[nodiscard]] BitStrideMap compose(const BitStrideMap& outer,
+                                   const BitStrideMap& inner);
+
+/// A diagonal on a bit-encoded stage side, kept symbolic through lowering
+/// and fusion:
+///
+///   value(k) = values[sum_i bit_{bits[i]}(k) << i]
+///
+/// A twiddle leaf D_{m,n} inside a loop nest is a |D|-entry diagonal
+/// projected on the low bits of k; folding it through a permutation only
+/// renames the bits. Empty `values` means no diagonal.
+struct BitDiag {
+  util::cvec values;
+  std::vector<int> bits;
+};
+
+/// A stage between lowering and the end of fusion. Bit-encoded stages
+/// carry their diagonals here (stage.in_scale/out_scale stay empty);
+/// table stages carry them in the stage itself.
+struct LoweredStage {
+  Stage stage;
+  BitDiag in_diag;
+  BitDiag out_diag;
+};
+
+/// fuse() on lowered stages; diagonals stay symbolic.
+int fuse_lowered(std::vector<LoweredStage>& stages);
+
+/// Writes a lowered stage's symbolic diagonals into its execution-order
+/// in_scale/out_scale tables and returns the stage.
+[[nodiscard]] Stage materialize_scales(LoweredStage&& ls);
 
 }  // namespace spiral::backend

@@ -154,13 +154,81 @@ struct LoopCtx {
       fn(it, off);
     }
   }
+
+  /// Bit strides of the flattened iteration index, lowest bit first (the
+  /// fastest dimension owns the low bits). False when a dimension count
+  /// is not a power of two.
+  [[nodiscard]] bool iteration_strides(std::vector<idx_t>& out) const {
+    std::vector<Dim> all = dims;
+    all.insert(all.end(), inner_dims.begin(), inner_dims.end());
+    for (auto d = all.rbegin(); d != all.rend(); ++d) {
+      if (!util::is_pow2(d->count)) return false;
+      for (idx_t c = 1; c < d->count; c *= 2) out.push_back(c * d->stride);
+    }
+    return true;
+  }
 };
 
+/// Bit strides of a permutation leaf (position bit b moves to table
+/// value strides[b]; appended to `out`), read off the formula in
+/// O(log n). False for sizes that are not powers of two and for
+/// constructs outside the stride-permutation family the rewriting
+/// emits; the program then takes the table path.
+bool permutation_bits(const FormulaPtr& f, std::vector<idx_t>& out) {
+  if (!util::is_pow2(f->size)) return false;
+  // Appends a child's strides scaled by `scale` (its block's weight).
+  const auto child = [&out](const FormulaPtr& c, idx_t scale) {
+    const std::size_t at = out.size();
+    if (!permutation_bits(c, out)) return false;
+    for (std::size_t b = at; b < out.size(); ++b) out[b] *= scale;
+    return true;
+  };
+  switch (f->kind) {
+    case Kind::kIdentity:
+      for (idx_t c = 1; c < f->n; c *= 2) out.push_back(c);
+      return true;
+    case Kind::kStridePerm: {
+      // table[i*nn + j] = j*m + i: the low log2(nn) bits (j) scale by m.
+      const idx_t m = f->stride;
+      if (!util::is_pow2(m)) return false;
+      for (idx_t c = 1; c < f->size / m; c *= 2) out.push_back(c * m);
+      for (idx_t c = 1; c < m; c *= 2) out.push_back(c);
+      return true;
+    }
+    case Kind::kPermBar:
+    case Kind::kVecTensor:
+      // table[r*mu + k] = P[r]*mu + k.
+      if (!util::is_pow2(f->mu)) return false;
+      for (idx_t c = 1; c < f->mu; c *= 2) out.push_back(c);
+      return child(f->child(0), f->mu);
+    case Kind::kTensor: {
+      // table[ra*nb + rb] = A[ra]*nb + B[rb].
+      const idx_t nb = f->child(1)->size;
+      return child(f->child(1), 1) && child(f->child(0), nb);
+    }
+    case Kind::kVecShuffle: {
+      // I_k (x) L^{nu^2}_nu.
+      const idx_t nu = f->mu;
+      return child(spl::Builder::stride_perm(nu * nu, nu), 1) &&
+             child(spl::I(f->n), nu * nu);
+    }
+    default:
+      return false;
+  }
+}
+
+/// Emits a formula's leaves as stages. For 2-power transforms
+/// (`bits`), every index map is a BitStrideMap and every diagonal a
+/// symbolic BitDiag; a leaf without a bit-stride form marks the lowering
+/// failed() and the caller lowers again with tables. The table mode is
+/// the mixed-radix path: materialized int32 maps and scale tables.
 class Lowerer {
  public:
-  explicit Lowerer(idx_t n) { list_.n = n; }
+  explicit Lowerer(bool bits) : bits_(bits) {}
 
-  StageList take() && { return std::move(list_); }
+  [[nodiscard]] bool failed() const noexcept { return failed_; }
+  [[nodiscard]] bool empty() const noexcept { return stages_.empty(); }
+  std::vector<LoweredStage> take() && { return std::move(stages_); }
 
   void walk(const FormulaPtr& f, LoopCtx ctx) {
     switch (f->kind) {
@@ -220,9 +288,16 @@ class Lowerer {
         emit_perm(f, ctx);
         return;
       case Kind::kTwiddleDiag:
-      case Kind::kDiagSeg:
-        emit_scale(f, ctx);
+      case Kind::kDiagSeg: {
+        const idx_t off0 = (f->kind == Kind::kDiagSeg) ? f->seg_off : 0;
+        util::cvec diag(static_cast<std::size_t>(f->size));
+        for (idx_t l = 0; l < f->size; ++l) {
+          diag[static_cast<std::size_t>(l)] =
+              spl::twiddle_entry(f->tw_m, f->tw_n, off0 + l, f->root_sign);
+        }
+        emit_scale(f, ctx, std::move(diag), ctx.parallel_p);
         return;
+      }
       case Kind::kDirectSum:
       case Kind::kDirectSumPar:
         emit_direct_sum(f, ctx);
@@ -234,7 +309,72 @@ class Lowerer {
     require(false, "lower: unhandled construct");
   }
 
+  /// The explicit copy stage of an identity formula I_n.
+  void emit_identity(idx_t n) {
+    Stage s;
+    s.iters = n;
+    s.cn = 1;
+    s.is_compute = false;
+    s.label = "I";
+    set_maps(s, LoopCtx{}, n, nullptr);
+  }
+
  private:
+  /// Sets both index maps of `s` over the loop nest, flattened position
+  /// k = it*sz + l:  out(k) = off(it) + l*es,  in(k) = off(it) + perm(l)*es
+  /// (perm == nullptr: the identity), then appends the stage.
+  void set_maps(Stage& s, const LoopCtx& ctx, idx_t sz, const FormulaPtr* perm,
+                BitDiag diag = {}) {
+    const idx_t es = ctx.elem_stride;
+    if (bits_) {
+      std::vector<idx_t> in;
+      std::vector<idx_t> out;
+      if (perm != nullptr) {
+        if (!permutation_bits(*perm, in)) {
+          failed_ = true;
+          return;
+        }
+        for (auto& v : in) v *= es;
+      }
+      if (!util::is_pow2(sz)) {
+        failed_ = true;
+        return;
+      }
+      for (idx_t c = 1; c < sz; c *= 2) out.push_back(c * es);
+      if (perm == nullptr) in = out;
+      std::vector<idx_t> it;
+      if (!ctx.iteration_strides(it)) {
+        failed_ = true;
+        return;
+      }
+      in.insert(in.end(), it.begin(), it.end());
+      out.insert(out.end(), it.begin(), it.end());
+      s.in_bits = BitStrideMap(ctx.base, std::move(in));
+      s.out_bits = BitStrideMap(ctx.base, std::move(out));
+      s.in_bit_encoded = s.out_bit_encoded = true;
+      stages_.push_back(LoweredStage{std::move(s), std::move(diag), {}});
+      return;
+    }
+    std::vector<idx_t> table;
+    if (perm != nullptr) table = spl::permutation_table(*perm);
+    s.in_map.resize(static_cast<std::size_t>(s.iters * s.cn));
+    s.out_map.resize(s.in_map.size());
+    if (!diag.values.empty()) s.in_scale.resize(s.in_map.size());
+    ctx.for_each([&](idx_t it, idx_t off) {
+      for (idx_t l = 0; l < sz; ++l) {
+        const auto k = static_cast<std::size_t>(it * sz + l);
+        const idx_t from =
+            table.empty() ? l : table[static_cast<std::size_t>(l)];
+        s.out_map[k] = checked_index(off + l * es);
+        s.in_map[k] = checked_index(off + from * es);
+        if (!diag.values.empty()) {
+          s.in_scale[k] = diag.values[static_cast<std::size_t>(l)];
+        }
+      }
+    });
+    stages_.push_back(LoweredStage{std::move(s), {}, {}});
+  }
+
   void emit_compute(const FormulaPtr& f, const LoopCtx& ctx) {
     const idx_t n = f->n;
     require(n <= 64, "lower: DFT leaf too large for a codelet; expand it");
@@ -245,66 +385,35 @@ class Lowerer {
     s.is_compute = true;
     s.wht = f->kind == Kind::kWHT;
     s.parallel_p = ctx.parallel_p;
-    s.in_map.resize(static_cast<std::size_t>(s.iters * n));
-    s.out_map.resize(s.in_map.size());
-    const idx_t es = ctx.elem_stride;
-    ctx.for_each([&](idx_t it, idx_t off) {
-      for (idx_t l = 0; l < n; ++l) {
-        const auto idx = checked_index(off + l * es);
-        s.in_map[static_cast<std::size_t>(it * n + l)] = idx;
-        s.out_map[static_cast<std::size_t>(it * n + l)] = idx;
-      }
-    });
     s.label = stage_label(f, ctx);
-    list_.stages.push_back(std::move(s));
+    set_maps(s, ctx, n, nullptr);
   }
 
   void emit_perm(const FormulaPtr& f, const LoopCtx& ctx) {
-    const auto table = spl::permutation_table(f);
-    const idx_t sz = f->size;
     Stage s;
-    s.iters = ctx.total_iters() * sz;
+    s.iters = ctx.total_iters() * f->size;
     s.cn = 1;
     s.is_compute = false;
     s.parallel_p = ctx.parallel_p;
-    s.in_map.resize(static_cast<std::size_t>(s.iters));
-    s.out_map.resize(s.in_map.size());
-    const idx_t es = ctx.elem_stride;
-    ctx.for_each([&](idx_t it, idx_t off) {
-      for (idx_t l = 0; l < sz; ++l) {
-        s.out_map[static_cast<std::size_t>(it * sz + l)] =
-            checked_index(off + l * es);
-        s.in_map[static_cast<std::size_t>(it * sz + l)] =
-            checked_index(off + table[static_cast<std::size_t>(l)] * es);
-      }
-    });
     s.label = stage_label(f, ctx);
-    list_.stages.push_back(std::move(s));
+    set_maps(s, ctx, f->size, &f);
   }
 
-  void emit_scale(const FormulaPtr& f, const LoopCtx& ctx) {
+  /// A diagonal leaf: `diag` holds its f->size entries, evaluated once
+  /// (they depend on the element, not the loop iteration).
+  void emit_scale(const FormulaPtr& f, const LoopCtx& ctx, util::cvec diag,
+                  idx_t parallel_p) {
     const idx_t sz = f->size;
     Stage s;
     s.iters = ctx.total_iters() * sz;
     s.cn = 1;
     s.is_compute = false;
-    s.parallel_p = ctx.parallel_p;
-    s.in_map.resize(static_cast<std::size_t>(s.iters));
-    s.out_map.resize(s.in_map.size());
-    s.in_scale.resize(s.in_map.size());
-    const idx_t es = ctx.elem_stride;
-    const idx_t off0 = (f->kind == Kind::kDiagSeg) ? f->seg_off : 0;
-    ctx.for_each([&](idx_t it, idx_t off) {
-      for (idx_t l = 0; l < sz; ++l) {
-        const auto idx = checked_index(off + l * es);
-        s.in_map[static_cast<std::size_t>(it * sz + l)] = idx;
-        s.out_map[static_cast<std::size_t>(it * sz + l)] = idx;
-        s.in_scale[static_cast<std::size_t>(it * sz + l)] =
-            spl::twiddle_entry(f->tw_m, f->tw_n, off0 + l, f->root_sign);
-      }
-    });
+    s.parallel_p = parallel_p;
     s.label = stage_label(f, ctx);
-    list_.stages.push_back(std::move(s));
+    // The entry index is the low log2(sz) position bits (bit mode).
+    std::vector<int> low;
+    for (int b = 0; (idx_t{1} << b) < sz; ++b) low.push_back(b);
+    set_maps(s, ctx, sz, nullptr, BitDiag{std::move(diag), std::move(low)});
   }
 
   void emit_direct_sum(const FormulaPtr& f, const LoopCtx& ctx) {
@@ -316,20 +425,8 @@ class Lowerer {
     }
     require(all_diag,
             "lower: direct sums are supported for diagonal segments only");
-    const idx_t sz = f->size;
-    Stage s;
-    s.iters = ctx.total_iters() * sz;
-    s.cn = 1;
-    s.is_compute = false;
-    s.parallel_p = (f->kind == Kind::kDirectSumPar)
-                       ? static_cast<idx_t>(f->arity())
-                       : ctx.parallel_p;
-    s.in_map.resize(static_cast<std::size_t>(s.iters));
-    s.out_map.resize(s.in_map.size());
-    s.in_scale.resize(s.in_map.size());
-    const idx_t es = ctx.elem_stride;
-    // Precompute the concatenated diagonal of the sum.
-    util::cvec diag(static_cast<std::size_t>(sz));
+    // The concatenated diagonal of the sum.
+    util::cvec diag(static_cast<std::size_t>(f->size));
     idx_t pos = 0;
     for (const auto& c : f->children) {
       for (idx_t l = 0; l < c->size; ++l) {
@@ -338,17 +435,10 @@ class Lowerer {
                                c->root_sign);
       }
     }
-    ctx.for_each([&](idx_t it, idx_t off) {
-      for (idx_t l = 0; l < sz; ++l) {
-        const auto idx = checked_index(off + l * es);
-        s.in_map[static_cast<std::size_t>(it * sz + l)] = idx;
-        s.out_map[static_cast<std::size_t>(it * sz + l)] = idx;
-        s.in_scale[static_cast<std::size_t>(it * sz + l)] =
-            diag[static_cast<std::size_t>(l)];
-      }
-    });
-    s.label = stage_label(f, ctx);
-    list_.stages.push_back(std::move(s));
+    emit_scale(f, ctx, std::move(diag),
+               (f->kind == Kind::kDirectSumPar)
+                   ? static_cast<idx_t>(f->arity())
+                   : ctx.parallel_p);
   }
 
   static std::string stage_label(const FormulaPtr& f, const LoopCtx& ctx) {
@@ -358,15 +448,16 @@ class Lowerer {
     return os.str();
   }
 
-  StageList list_;
+  bool bits_;
+  bool failed_ = false;
+  std::vector<LoweredStage> stages_;
 };
 
 std::atomic<LoweringObserver> g_lowering_observer{nullptr};
 std::atomic<std::int32_t> g_affine_stride_mutation{0};
 
 /// Fits an affine pattern base + it*iter_stride + l*elem_stride to a
-/// materialized map, verifying every entry. O(iters*cn), run once at
-/// lowering time.
+/// materialized map, verifying every entry. O(iters*cn).
 bool detect_affine(const std::vector<std::int32_t>& map, idx_t iters,
                    idx_t cn, AffineMap* out) {
   if (map.empty() || iters <= 0 || cn <= 0) return false;
@@ -386,6 +477,67 @@ bool detect_affine(const std::vector<std::int32_t>& map, idx_t iters,
   }
   *out = a;
   return true;
+}
+
+/// The same fit on a bit-stride map, in O(log n): affine iff the element
+/// bits and the iteration bits each double a single stride.
+bool detect_affine(const BitStrideMap& m, idx_t iters, idx_t cn,
+                   AffineMap* out) {
+  const int c = util::log2_exact(cn);
+  const auto& s = m.strides();
+  AffineMap a;
+  a.base = m.base();
+  a.elem_stride = cn > 1 ? s[0] : 0;
+  a.iter_stride = iters > 1 ? s[static_cast<std::size_t>(c)] : 0;
+  for (std::size_t b = 0; b < s.size(); ++b) {
+    const int ib = static_cast<int>(b);
+    const idx_t want = ib < c ? a.elem_stride << ib : a.iter_stride << (ib - c);
+    if (s[b] != want) return false;
+  }
+  *out = a;
+  return true;
+}
+
+/// Affine fit of one stage side, whichever encoding it carries.
+bool detect_affine(const Stage& s, bool input, AffineMap* out) {
+  if (input ? s.in_bit_encoded : s.out_bit_encoded) {
+    return detect_affine(input ? s.in_bits : s.out_bits, s.iters, s.cn, out);
+  }
+  return detect_affine(input ? s.in_map : s.out_map, s.iters, s.cn, out);
+}
+
+/// The program as executed: symbolic diagonals written out as tables.
+StageList materialize(idx_t n, std::vector<LoweredStage> lowered) {
+  StageList list;
+  list.n = n;
+  list.stages.reserve(lowered.size());
+  for (auto& ls : lowered) {
+    list.stages.push_back(materialize_scales(std::move(ls)));
+  }
+  return list;
+}
+
+/// Normalizes and lowers: bit-stride stages for 2-power transforms whose
+/// leaves all have a bit-stride form, int32 tables otherwise.
+std::vector<LoweredStage> lower_stages(const FormulaPtr& f, idx_t* n) {
+  FormulaPtr g = normalize(f);
+  // Fail loudly before building maps that int32 cannot address (the
+  // checked_index casts are the backstop; this catches the whole-transform
+  // case before any allocation).
+  require(g->size <= kMaxIndexableElems,
+          "lower: transform size exceeds the int32 index-map limit (2^31 "
+          "elements)");
+  *n = g->size;
+  for (const bool bits : {true, false}) {
+    if (bits && !util::is_pow2(g->size)) continue;
+    Lowerer lw(bits);
+    lw.walk(g, LoopCtx{});
+    // Formula was the identity: emit an explicit copy stage.
+    if (!lw.failed() && lw.empty()) lw.emit_identity(g->size);
+    if (!lw.failed()) return std::move(lw).take();
+  }
+  require(false, "lower: table lowering failed");
+  return {};
 }
 
 }  // namespace
@@ -432,14 +584,16 @@ int compact_affine(StageList& list) {
   int dropped = 0;
   for (auto& s : list.stages) {
     AffineMap a;
-    if (!s.in_affine && detect_affine(s.in_map, s.iters, s.cn, &a)) {
+    if (!s.in_affine && detect_affine(s, true, &a)) {
       s.in_affine = true;
       s.in_aff = a;
       s.in_map.clear();
       s.in_map.shrink_to_fit();
+      s.in_bit_encoded = false;
+      s.in_bits = {};
       ++dropped;
     }
-    if (!s.out_affine && detect_affine(s.out_map, s.iters, s.cn, &a)) {
+    if (!s.out_affine && detect_affine(s, false, &a)) {
       if (mutate != 0) {
         // Seeded defect (see set_affine_stride_mutation): skew the stride
         // that actually participates in addressing for this stage shape.
@@ -459,6 +613,8 @@ int compact_affine(StageList& list) {
       s.out_aff = a;
       s.out_map.clear();
       s.out_map.shrink_to_fit();
+      s.out_bit_encoded = false;
+      s.out_bits = {};
       ++dropped;
     }
   }
@@ -474,40 +630,21 @@ FormulaPtr normalize(const FormulaPtr& f) {
 }
 
 StageList lower(const FormulaPtr& f) {
-  FormulaPtr g = normalize(f);
-  // Fail loudly before materializing maps that int32 cannot address (the
-  // per-entry checked_index casts below are the backstop; this catches the
-  // whole-transform case before any allocation).
-  require(g->size <= kMaxIndexableElems,
-          "lower: transform size exceeds the int32 index-map limit (2^31 "
-          "elements)");
-  Lowerer lw(g->size);
-  lw.walk(g, LoopCtx{});
-  StageList list = std::move(lw).take();
-  if (list.stages.empty()) {
-    // Formula was the identity: emit an explicit copy stage.
-    Stage s;
-    s.iters = g->size;
-    s.cn = 1;
-    s.is_compute = false;
-    s.in_map.resize(static_cast<std::size_t>(g->size));
-    s.out_map.resize(s.in_map.size());
-    for (idx_t i = 0; i < g->size; ++i) {
-      s.in_map[static_cast<std::size_t>(i)] = checked_index(i);
-      s.out_map[static_cast<std::size_t>(i)] = checked_index(i);
-    }
-    s.label = "I";
-    list.stages.push_back(std::move(s));
-  }
+  idx_t n = 0;
+  std::vector<LoweredStage> st = lower_stages(f, &n);
+  StageList list = materialize(n, std::move(st));
   if (auto* obs = lowering_observer()) obs(list);
   return list;
 }
 
 StageList lower_fused(const FormulaPtr& f) {
-  StageList list = lower(f);
-  fuse(list);
+  idx_t n = 0;
+  std::vector<LoweredStage> st = lower_stages(f, &n);
+  if (auto* obs = lowering_observer()) obs(materialize(n, st));
+  fuse_lowered(st);
+  StageList list = materialize(n, std::move(st));
   // Fusion scrambles maps where it merges permutations; whatever stayed a
-  // plain stride pattern now sheds its index tables for good.
+  // plain stride pattern now sheds its index maps for good.
   compact_affine(list);
   if (twiddle_mutation()) {
     // Seeded defect (see set_twiddle_mutation): wrong twiddle tables with

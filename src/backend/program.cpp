@@ -40,69 +40,8 @@ void run_chunk(const Stage& s, const simd::StagePlan* sp, const cplx* src,
                cplx* dst, idx_t lo, idx_t hi) {
   if (sp != nullptr) {
     simd::run_stage_simd(s, *sp, src, dst, lo, hi);
-    return;
-  }
-  if (s.is_compute) {
-    const idx_t cn = s.cn;
-    for (idx_t it = lo; it < hi; ++it) {
-      CodeletIo io;
-      // Affine-compacted sides address through base pointer + stride (the
-      // codelets' strided fast path); materialized sides stream the int32
-      // gather/scatter tables.
-      if (s.in_affine) {
-        io.x = src + s.in_aff.base + it * s.in_aff.iter_stride;
-        io.in_stride = s.in_aff.elem_stride;
-      } else {
-        io.x = src;
-        io.in_map = s.in_map.data() + it * cn;
-      }
-      if (s.out_affine) {
-        io.y = dst + s.out_aff.base + it * s.out_aff.iter_stride;
-        io.out_stride = s.out_aff.elem_stride;
-      } else {
-        io.y = dst;
-        io.out_map = s.out_map.data() + it * cn;
-      }
-      io.in_scale =
-          s.in_scale.empty() ? nullptr : s.in_scale.data() + it * cn;
-      io.out_scale =
-          s.out_scale.empty() ? nullptr : s.out_scale.data() + it * cn;
-      if (s.wht) {
-        wht_codelet(cn, io);
-      } else {
-        dft_codelet(cn, s.sign, io);
-      }
-    }
-    return;
-  }
-  // Pure data stage (cn == 1).
-  if (s.in_affine && s.out_affine) {
-    const cplx* in = src + s.in_aff.base;
-    cplx* out = dst + s.out_aff.base;
-    const idx_t is = s.in_aff.iter_stride;
-    const idx_t os = s.out_aff.iter_stride;
-    if (s.in_scale.empty()) {
-      if (is == 1 && os == 1) {
-        std::copy(in + lo, in + hi, out + lo);
-      } else {
-        for (idx_t j = lo; j < hi; ++j) out[j * os] = in[j * is];
-      }
-    } else {
-      for (idx_t j = lo; j < hi; ++j) {
-        out[j * os] = s.in_scale[std::size_t(j)] * in[j * is];
-      }
-    }
-    return;
-  }
-  if (s.in_scale.empty()) {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] = src[s.in_index(j, 0)];
-    }
   } else {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] =
-          s.in_scale[std::size_t(j)] * src[s.in_index(j, 0)];
-    }
+    run_stage_scalar(s, src, dst, lo, hi);
   }
 }
 

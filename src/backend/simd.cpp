@@ -95,54 +95,6 @@ PackFn resolve_pack_fn(idx_t width, Isa isa) {
   return nullptr;
 }
 
-/// Scalar execution of iterations [lo, hi) — the head/tail path around
-/// the lane-batched middle. Mirrors the interpreter's per-iteration
-/// CodeletIo setup (backend/program.cpp run_chunk) for the stage shapes
-/// plan_stage accepts.
-void run_iterations_scalar(const Stage& s, const cplx* src, cplx* dst,
-                           idx_t lo, idx_t hi) {
-  if (s.is_compute) {
-    const idx_t cn = s.cn;
-    for (idx_t it = lo; it < hi; ++it) {
-      CodeletIo io;
-      if (s.in_affine) {
-        io.x = src + s.in_aff.base + it * s.in_aff.iter_stride;
-        io.in_stride = s.in_aff.elem_stride;
-      } else {
-        io.x = src;
-        io.in_map = s.in_map.data() + it * cn;
-      }
-      if (s.out_affine) {
-        io.y = dst + s.out_aff.base + it * s.out_aff.iter_stride;
-        io.out_stride = s.out_aff.elem_stride;
-      } else {
-        io.y = dst;
-        io.out_map = s.out_map.data() + it * cn;
-      }
-      io.in_scale = s.in_scale.empty() ? nullptr : s.in_scale.data() + it * cn;
-      io.out_scale =
-          s.out_scale.empty() ? nullptr : s.out_scale.data() + it * cn;
-      if (s.wht) {
-        wht_codelet(cn, io);
-      } else {
-        dft_codelet(cn, s.sign, io);
-      }
-    }
-    return;
-  }
-  // Pure data stage (cn == 1).
-  if (s.in_scale.empty()) {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] = src[s.in_index(j, 0)];
-    }
-  } else {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] =
-          s.in_scale[static_cast<std::size_t>(j)] * src[s.in_index(j, 0)];
-    }
-  }
-}
-
 /// Splits a fused scale table into pack-major split-lane layout:
 /// out_re/out_im[(pack*cn + l)*W + v] = scale[(pack*W + v)*cn + l].
 void split_scale(const util::cvec& scale, idx_t cn, idx_t w, util::dvec& out_re,
@@ -235,9 +187,9 @@ void run_stage_simd(const Stage& s, const StagePlan& plan, const cplx* src,
   // bounds runs a scalar head/tail.
   const idx_t a = std::min(((lo + w - 1) / w) * w, hi);
   const idx_t b = std::max((hi / w) * w, a);
-  if (lo < a) run_iterations_scalar(s, src, dst, lo, a);
+  if (lo < a) run_stage_scalar(s, src, dst, lo, a);
   if (a < b) plan.fn(s, plan, src, dst, a, b);
-  if (b < hi) run_iterations_scalar(s, src, dst, b, hi);
+  if (b < hi) run_stage_scalar(s, src, dst, b, hi);
 }
 
 PackFn pack_fn_generic(idx_t width) { return generic::pack_fn(width); }

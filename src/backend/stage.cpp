@@ -6,6 +6,35 @@
 
 namespace spiral::backend {
 
+BitStrideMap::BitStrideMap(idx_t base, std::vector<idx_t> strides)
+    : base_(base), strides_(std::move(strides)) {
+  util::require(base_ >= 0, "bit-stride map: negative base");
+  idx_t top = base_;
+  for (const idx_t s : strides_) {
+    util::require(s >= 0, "bit-stride map: negative stride");
+    top += s;
+  }
+  // Every table entry and every sum of a lo and a hi entry is at most the
+  // largest reachable index, so this one check guards them all.
+  checked_index(top);
+  const int b = bits();
+  lo_bits_ = b / 2;
+  lo_mask_ = (idx_t{1} << lo_bits_) - 1;
+  // Entry j = entry (j without its lowest set bit) + that bit's stride.
+  auto fill = [this](std::vector<std::int32_t>& t, int first, int count,
+                     idx_t start) {
+    t.assign(std::size_t{1} << count, 0);
+    t[0] = static_cast<std::int32_t>(start);
+    for (std::size_t j = 1; j < t.size(); ++j) {
+      const int low = __builtin_ctzll(j);
+      t[j] = static_cast<std::int32_t>(
+          t[j & (j - 1)] + strides_[static_cast<std::size_t>(first + low)]);
+    }
+  };
+  fill(lo_, 0, lo_bits_, 0);
+  fill(hi_, lo_bits_, b - lo_bits_, base_);
+}
+
 double Stage::flops() const {
   double f = 0.0;
   if (is_compute) {

@@ -77,19 +77,65 @@ VecForm one_map_form(const MapFn& map, idx_t iters, idx_t cn, idx_t nu) {
   return VecForm::kNone;
 }
 
+/// The same forms on a bit-stride side, proven on its strides in
+/// O(log n) with exactly the table check's verdict. The nu lanes of a
+/// pack occupy log2(nu) consecutive position bits from `first` (the
+/// iteration bits for the across-iterations shapes, the element bits
+/// for within-codelet), so lane v sits v * lane_stride from lane 0 iff
+/// those bits carry strides lane_stride * 2^j; lane 0 is nu-aligned for
+/// every pack iff the base and all other strides are multiples of nu.
+bool bit_lanes_ok(const BitStrideMap& m, int first, int w, idx_t lane_stride,
+                  bool aligned) {
+  const auto& st = m.strides();
+  const idx_t nu = idx_t{1} << w;
+  if (first + w > m.bits()) return false;
+  for (int j = 0; j < w; ++j) {
+    if (st[static_cast<std::size_t>(first + j)] != lane_stride << j) {
+      return false;
+    }
+  }
+  if (!aligned) return true;
+  if (m.base() % nu != 0) return false;
+  for (int b = 0; b < m.bits(); ++b) {
+    if ((b < first || b >= first + w) &&
+        st[static_cast<std::size_t>(b)] % nu != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+VecForm bit_map_form(const BitStrideMap& m, idx_t cn, idx_t nu) {
+  const int c = util::log2_exact(cn);
+  const int w = util::log2_exact(nu);
+  if (bit_lanes_ok(m, c, w, 1, true)) return VecForm::kAcrossIterations;
+  if (w <= c && bit_lanes_ok(m, 0, w, 1, true)) return VecForm::kWithinCodelet;
+  if (bit_lanes_ok(m, c, w, nu, false)) return VecForm::kStridedLanes;
+  return VecForm::kNone;
+}
+
+/// Shape of one side of a stage at width nu, whichever encoding it has.
+VecForm side_form(const Stage& s, bool input, idx_t nu) {
+  if (input ? (!s.in_affine && s.in_bit_encoded)
+            : (!s.out_affine && s.out_bit_encoded)) {
+    return bit_map_form(input ? s.in_bits : s.out_bits, s.cn, nu);
+  }
+  if (input) {
+    return one_map_form([&s](idx_t k) { return s.in_index(k / s.cn, k % s.cn); },
+                        s.iters, s.cn, nu);
+  }
+  return one_map_form([&s](idx_t k) { return s.out_index(k / s.cn, k % s.cn); },
+                      s.iters, s.cn, nu);
+}
+
 }  // namespace
 
 VecInfo stage_vector_info(const Stage& s, idx_t max_nu) {
   util::require(util::is_pow2(max_nu), "vector width must be a 2-power");
-  const auto in_at = [&s](idx_t k) { return s.in_index(k / s.cn, k % s.cn); };
-  const auto out_at = [&s](idx_t k) {
-    return s.out_index(k / s.cn, k % s.cn);
-  };
   for (idx_t nu = max_nu; nu >= 2; nu /= 2) {
-    const VecForm fin = one_map_form(in_at, s.iters, s.cn, nu);
-    const VecForm fout = (fin == VecForm::kNone)
-                             ? VecForm::kNone
-                             : one_map_form(out_at, s.iters, s.cn, nu);
+    const VecForm fin = side_form(s, true, nu);
+    const VecForm fout =
+        (fin == VecForm::kNone) ? VecForm::kNone : side_form(s, false, nu);
     if (fin != VecForm::kNone && fout != VecForm::kNone) {
       // Report the "weakest" of the two forms (shuffles dominate cost).
       VecForm form = fin;
@@ -106,14 +152,10 @@ VecInfo stage_vector_info(const Stage& s, idx_t max_nu) {
 
 SideVecInfo stage_vector_sides(const Stage& s, idx_t max_nu) {
   util::require(util::is_pow2(max_nu), "vector width must be a 2-power");
-  const auto in_at = [&s](idx_t k) { return s.in_index(k / s.cn, k % s.cn); };
-  const auto out_at = [&s](idx_t k) {
-    return s.out_index(k / s.cn, k % s.cn);
-  };
   for (idx_t nu = max_nu; nu >= 2; nu /= 2) {
-    const VecForm fin = one_map_form(in_at, s.iters, s.cn, nu);
+    const VecForm fin = side_form(s, true, nu);
     if (fin == VecForm::kNone) continue;
-    const VecForm fout = one_map_form(out_at, s.iters, s.cn, nu);
+    const VecForm fout = side_form(s, false, nu);
     if (fout == VecForm::kNone) continue;
     return {fin, fout, nu};
   }

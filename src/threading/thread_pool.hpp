@@ -9,10 +9,14 @@
 //   * `p-1` workers are created once (the caller is participant 0);
 //   * run(fn) makes all p participants execute fn(task_id) and returns
 //     when every participant has finished (barrier semantics);
-//   * dispatch and completion use the sense-reversing spin barrier.
+//   * dispatch bumps an epoch counter that idle workers spin on for at
+//     most kParkAfter, then sleep on (C++20 atomic::wait), so an idle
+//     pool costs no CPU; completion uses the sense-reversing spin
+//     barrier.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -54,10 +58,23 @@ class ThreadPool {
   void parallel_for(idx_t count, const std::function<void(idx_t)>& fn);
 
  private:
+  /// How long an idle worker spins on the epoch before it parks. It
+  /// must cover the gaps between the transforms of a burst (a warm p=4
+  /// pool then answers in ~µs), and it bounds the CPU an idle pool
+  /// burns to this much per worker after its last run().
+  static constexpr std::chrono::microseconds kParkAfter{1000};
+  /// Epoch polls before the spin starts yielding and reading the clock.
+  static constexpr int kSpinLimit = 1 << 12;
+
   void worker_loop(int id);
+  /// Returns the first epoch different from `seen`: spins, then parks.
+  std::uint32_t await_epoch(std::uint32_t seen);
 
   const int threads_;
-  SpinBarrier start_barrier_;
+  /// Dispatch counter: run() increments it once per job.
+  alignas(kDestructiveInterferenceSize) std::atomic<std::uint32_t> epoch_{0};
+  /// Workers asleep in epoch_.wait(); run() notifies only when non-zero.
+  alignas(kDestructiveInterferenceSize) std::atomic<int> parked_{0};
   SpinBarrier done_barrier_;
   const std::function<void(int)>* job_ = nullptr;  // valid between barriers
   std::atomic<bool> shutdown_{false};

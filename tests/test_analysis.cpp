@@ -49,11 +49,12 @@ int first_parallel_stage(const StageList& list) {
   return -1;
 }
 
-/// Re-materializes the index tables of an affine-compacted stage so the
-/// negative tests can corrupt individual entries again.
+/// Re-materializes the index tables of an untabulated (affine-compacted
+/// or bit-stride encoded) stage so the negative tests can corrupt
+/// individual entries again.
 void materialize(Stage& s) {
   const auto esz = static_cast<std::size_t>(s.iters * s.cn);
-  if (s.in_affine) {
+  if (s.in_map.empty()) {
     s.in_map.resize(esz);
     for (idx_t it = 0; it < s.iters; ++it) {
       for (idx_t l = 0; l < s.cn; ++l) {
@@ -62,8 +63,9 @@ void materialize(Stage& s) {
       }
     }
     s.in_affine = false;
+    s.in_bit_encoded = false;
   }
-  if (s.out_affine) {
+  if (s.out_map.empty()) {
     s.out_map.resize(esz);
     for (idx_t it = 0; it < s.iters; ++it) {
       for (idx_t l = 0; l < s.cn; ++l) {
@@ -72,6 +74,7 @@ void materialize(Stage& s) {
       }
     }
     s.out_affine = false;
+    s.out_bit_encoded = false;
   }
 }
 
@@ -422,6 +425,7 @@ TEST(VerifyLoweringHook, CorruptedProgramThrowsAtPlanTime) {
   const int si = first_parallel_stage(corrupted);
   ASSERT_GE(si, 0);
   auto& s = corrupted.stages[static_cast<std::size_t>(si)];
+  materialize(s);
   s.out_map[0] = s.out_map[s.out_map.size() - 1];
 
   auto formula = core::planner_formula(n, opt);

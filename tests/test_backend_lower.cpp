@@ -293,6 +293,122 @@ TEST(Affine, StrideMutationIsCaughtByVerifier) {
   EXPECT_FALSE(rep.ok()) << "skewed stride not flagged:\n" << rep.to_string();
 }
 
+/// A random bit permutation of [0, 2^bits): strides are the powers of
+/// two in shuffled order.
+BitStrideMap random_bit_permutation(int bits, util::Rng& rng) {
+  std::vector<idx_t> s;
+  for (int b = 0; b < bits; ++b) s.push_back(idx_t{1} << b);
+  for (int b = bits - 1; b > 0; --b) {
+    std::swap(s[static_cast<std::size_t>(b)],
+              s[static_cast<std::size_t>(rng.uniform_int(0, b))]);
+  }
+  return BitStrideMap(0, std::move(s));
+}
+
+std::vector<idx_t> table_of(const BitStrideMap& m) {
+  std::vector<idx_t> t(std::size_t{1} << m.bits());
+  for (std::size_t k = 0; k < t.size(); ++k) t[k] = m.at(idx_t(k));
+  return t;
+}
+
+TEST(BitStride, EvaluatesTheStrideSum) {
+  const BitStrideMap m(5, {3, 0, 8, 1, 2});
+  for (idx_t k = 0; k < 32; ++k) {
+    idx_t want = 5;
+    for (int b = 0; b < 5; ++b) {
+      if ((k >> b) & 1) want += m.strides()[static_cast<std::size_t>(b)];
+    }
+    EXPECT_EQ(m.at(k), want) << "k=" << k;
+  }
+  EXPECT_FALSE(is_bit_permutation(m));
+  // The int32 guard covers the largest reachable index.
+  EXPECT_THROW(BitStrideMap(0, {idx_t{1} << 30, idx_t{1} << 30}),
+               std::overflow_error);
+}
+
+TEST(BitStride, InvertMatchesTableInverse) {
+  util::Rng rng(0xb175);
+  for (int bits = 0; bits <= 14; ++bits) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const BitStrideMap m = random_bit_permutation(bits, rng);
+      ASSERT_TRUE(is_bit_permutation(m));
+      const auto t = table_of(m);
+      std::vector<idx_t> inv(t.size());
+      for (std::size_t k = 0; k < t.size(); ++k) {
+        inv[static_cast<std::size_t>(t[k])] = idx_t(k);
+      }
+      EXPECT_EQ(table_of(invert(m)), inv) << "bits=" << bits;
+    }
+  }
+}
+
+TEST(BitStride, ComposeMatchesTableComposition) {
+  util::Rng rng(0xc0de);
+  for (int bits = 0; bits <= 14; ++bits) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const BitStrideMap inner = random_bit_permutation(bits, rng);
+      // outer: a permutation, or a general map with a base and scaled,
+      // repeated strides (compose only needs inner to be a permutation).
+      BitStrideMap outer = random_bit_permutation(bits, rng);
+      if (trial % 2 == 1) {
+        std::vector<idx_t> s = outer.strides();
+        for (auto& v : s) v = 3 * v + rng.uniform_int(0, 2);
+        outer = BitStrideMap(rng.uniform_int(0, 7), std::move(s));
+      }
+      const auto to = table_of(outer);
+      const auto ti = table_of(inner);
+      std::vector<idx_t> want(ti.size());
+      for (std::size_t k = 0; k < ti.size(); ++k) {
+        want[k] = to[static_cast<std::size_t>(ti[k])];
+      }
+      EXPECT_EQ(table_of(compose(outer, inner)), want) << "bits=" << bits;
+    }
+  }
+}
+
+TEST(BitStride, TwoPowerDftPlansMaterializeNoIndexMap) {
+  // Every side of a 2-power DFT program is affine or bit-stride encoded,
+  // before and after fusion: no O(n) int32 map anywhere. (The lowering
+  // observer is off here; this pins the representation, not the
+  // verifier, and keeps the 2^20 plans quick.)
+  const LoweringObserver saved = lowering_observer();
+  set_lowering_observer(nullptr);
+  for (int k = 10; k <= 20; ++k) {
+    for (int p : {1, 4}) {
+      for (idx_t nu : {0, 4}) {
+        core::PlannerOptions opt;
+        opt.threads = p;
+        opt.vector_nu = nu;
+        opt.verify_lowering = false;
+        const auto f = core::planner_formula(idx_t{1} << k, opt);
+        for (const StageList& list : {lower(f), lower_fused(f)}) {
+          for (const Stage& s : list.stages) {
+            EXPECT_TRUE(s.in_map.empty() && s.out_map.empty())
+                << "n=2^" << k << " p=" << p << " nu=" << nu << ": "
+                << s.label;
+            EXPECT_TRUE(s.in_affine || s.in_bit_encoded) << s.label;
+            EXPECT_TRUE(s.out_affine || s.out_bit_encoded) << s.label;
+          }
+        }
+      }
+    }
+  }
+  set_lowering_observer(saved);
+}
+
+TEST(BitStride, MixedRadixKeepsTables) {
+  // 3 * 64 elements: not a 2-power, so lowering takes the table path.
+  const auto f = Builder::tensor(I(3), rewrite::cooley_tukey(8, 8));
+  const StageList list = lower_fused(f);
+  bool tabulated = false;
+  for (const Stage& s : list.stages) {
+    EXPECT_FALSE(s.in_bit_encoded || s.out_bit_encoded) << s.label;
+    tabulated = tabulated || !s.in_map.empty() || !s.out_map.empty();
+  }
+  EXPECT_TRUE(tabulated);
+  expect_program_matches_formula(f, list, 5);
+}
+
 TEST(StageTest, FlopsAccounting) {
   auto list = lower_fused(rewrite::cooley_tukey(8, 8));
   EXPECT_GT(list.flops(), 0.0);

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <ctime>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "backend/exec_context.hpp"
@@ -165,6 +168,25 @@ TEST(ThreadPool, DestructionWithNoWorkIsClean) {
     ThreadPool pool(3);
   }
   SUCCEED();
+}
+
+TEST(Threading, IdlePoolSleeps) {
+  // A warm pool between calls must park its workers: over one idle
+  // second the process may spend only the bounded spin window (1 ms per
+  // worker) plus noise, not a core per worker.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  pool.run([&](int) { ran.fetch_add(1); });
+  ASSERT_EQ(ran.load(), 4);
+  const std::clock_t c0 = std::clock();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle_cpu_s =
+      static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
+  EXPECT_LT(idle_cpu_s, 0.1) << "idle workers kept spinning";
+  // A run() after the workers parked still wakes every participant.
+  std::vector<int> seen(4, 0);
+  pool.run([&](int id) { seen[static_cast<std::size_t>(id)] = 1; });
+  EXPECT_EQ(std::accumulate(seen.begin(), seen.end(), 0), 4);
 }
 
 TEST(PoolRegistry, ReacquiringSameSizeSpawnsNoThreads) {
