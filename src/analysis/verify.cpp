@@ -141,7 +141,7 @@ void verify_stage(const backend::StageList& program, int si,
                                   const backend::BitStrideMap& bits,
                                   const std::vector<std::int32_t>& map) {
     if (affine) return expected;
-    if (bit_encoded) return idx_t{1} << bits.bits();
+    if (bit_encoded) return bits.positions();
     return static_cast<idx_t>(map.size());
   };
   const idx_t in_entries =

@@ -118,20 +118,6 @@ void dft_pow2_inplace(idx_t n, int sign, cplx* a) {
   }
 }
 
-/// Direct O(n^2) evaluation for non-power-of-two sizes.
-void dft_direct_inplace(idx_t n, int sign, cplx* a) {
-  std::array<cplx, 64> out;
-  util::require(n <= 64, "direct codelet limited to n <= 64");
-  for (idx_t kk = 0; kk < n; ++kk) {
-    cplx acc{0.0, 0.0};
-    for (idx_t l = 0; l < n; ++l) {
-      acc += spl::root_of_unity(n, kk * l, sign) * a[l];
-    }
-    out[static_cast<std::size_t>(kk)] = acc;
-  }
-  for (idx_t i = 0; i < n; ++i) a[i] = out[static_cast<std::size_t>(i)];
-}
-
 }  // namespace
 
 CodeletTables codelet_tables(idx_t n, int sign) {
@@ -149,7 +135,8 @@ CodeletTables codelet_tables(idx_t n, int sign) {
 
 void dft_codelet(idx_t n, int sign, const CodeletIo& io) {
   std::array<cplx, 64> buf;
-  util::require(n >= 1 && n <= 64, "codelet size out of range");
+  util::require(n >= 1 && n <= 64 && util::is_pow2(n),
+                "DFT codelet needs a 2-power size <= 64");
   gather(n, io, buf.data());
   switch (n) {
     case 1:
@@ -175,11 +162,7 @@ void dft_codelet(idx_t n, int sign, const CodeletIo& io) {
       break;
     }
     default:
-      if (util::is_pow2(n)) {
-        dft_pow2_inplace(n, sign, buf.data());
-      } else {
-        dft_direct_inplace(n, sign, buf.data());
-      }
+      dft_pow2_inplace(n, sign, buf.data());
       break;
   }
   scatter(n, io, buf.data());
@@ -207,15 +190,12 @@ void wht_codelet(idx_t n, const CodeletIo& io) {
 
 double codelet_flops(idx_t n) {
   if (n <= 1) return 0.0;
-  if (util::is_pow2(n)) {
-    // log2(n) stages of n/2 butterflies: one complex mul (6 flops) and two
-    // complex adds (4 flops) each. (The unrolled 2/4 cases do strictly
-    // fewer multiplications; this is the upper-bound model the machine
-    // simulator uses uniformly.)
-    const double k = static_cast<double>(util::log2_exact(n));
-    return k * static_cast<double>(n) / 2.0 * 10.0;
-  }
-  return 8.0 * static_cast<double>(n) * static_cast<double>(n);
+  // log2(n) stages of n/2 butterflies: one complex mul (6 flops) and two
+  // complex adds (4 flops) each. (The unrolled 2/4 cases do strictly
+  // fewer multiplications; this is the upper-bound model the machine
+  // simulator uses uniformly.)
+  const double k = static_cast<double>(util::log2_exact(n));
+  return k * static_cast<double>(n) / 2.0 * 10.0;
 }
 
 double wht_codelet_flops(idx_t n) {

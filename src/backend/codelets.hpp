@@ -6,9 +6,9 @@
 // paper Section 3.1 / the loop-merging framework [11]), optionally
 // multiplied by fused diagonal entries (twiddles) on load.
 //
-// Sizes 2, 4, 8 are hand-unrolled (radix-2 DIT); other powers of two up
-// to 32 use an in-register iterative radix-2; non-powers of two fall back
-// to direct summation (needed only for completeness on odd sizes).
+// Sizes 2 and 4 are hand-unrolled (radix-2 DIT); the other powers of two
+// up to 64 use an in-register iterative radix-2. Lowering emits no other
+// size.
 #pragma once
 
 #include "util/aligned_vector.hpp"
@@ -38,7 +38,7 @@ struct CodeletIo {
   const cplx* out_scale = nullptr;
 };
 
-/// Computes y = DFT_n(x) with the given addressing.
+/// Computes y = DFT_n(x) with the given addressing. n a power of 2.
 /// sign = -1: forward transform (w = e^{-2 pi i / n}); +1: inverse
 /// (unscaled).
 void dft_codelet(idx_t n, int sign, const CodeletIo& io);
@@ -73,8 +73,8 @@ struct Stage;
 void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
                       idx_t hi);
 
-/// Real flop count of the codelet implementation for size n (used by the
-/// machine model; matches the actual arithmetic performed).
+/// Real flop count of the codelet implementation for 2-power size n
+/// (used by the machine model; matches the actual arithmetic performed).
 [[nodiscard]] double codelet_flops(idx_t n);
 
 /// Flop count of the WHT codelet (2 real adds per complex add).

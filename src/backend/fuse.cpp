@@ -10,6 +10,7 @@ namespace spiral::backend {
 bool is_bit_permutation(const BitStrideMap& m) {
   if (m.base() != 0) return false;
   const idx_t all = (idx_t{1} << m.bits()) - 1;
+  if (m.outer_count() > 1 && m.outer_stride() != all + 1) return false;
   idx_t seen = 0;
   for (const idx_t s : m.strides()) {
     if (!util::is_pow2(s) || s > all || (seen & s) != 0) return false;
@@ -25,21 +26,23 @@ BitStrideMap invert(const BitStrideMap& m) {
     inv[static_cast<std::size_t>(util::log2_exact(m.strides()[b]))] =
         idx_t{1} << b;
   }
-  return BitStrideMap(0, std::move(inv));
+  return BitStrideMap(0, std::move(inv), m.outer_count(), m.outer_stride());
 }
 
 BitStrideMap compose(const BitStrideMap& outer, const BitStrideMap& inner) {
-  util::require(is_bit_permutation(inner) && inner.bits() == outer.bits(),
+  util::require(is_bit_permutation(inner) && inner.bits() == outer.bits() &&
+                    inner.outer_count() == outer.outer_count(),
                 "compose: inner map is not a bit permutation of outer's "
                 "positions");
   // Bit b of k lands on bit log2(inner.strides[b]) of inner(k), which
-  // outer scales by its stride for that bit.
+  // outer scales by its stride for that bit; the outer digit stays put.
   std::vector<idx_t> s(inner.strides().size());
   for (std::size_t b = 0; b < s.size(); ++b) {
     s[b] = outer.strides()[static_cast<std::size_t>(
         util::log2_exact(inner.strides()[b]))];
   }
-  return BitStrideMap(outer.base(), std::move(s));
+  return BitStrideMap(outer.base(), std::move(s), outer.outer_count(),
+                      outer.outer_stride());
 }
 
 namespace {
@@ -79,104 +82,90 @@ void multiply(BitDiag& acc, const util::cvec& f, const std::vector<int>& fbits) 
   acc = BitDiag{std::move(out), std::move(uni)};
 }
 
-/// Execution-order table of a diagonal over 2^total_bits positions.
-util::cvec diag_table(BitDiag&& d, int total_bits) {
+/// Number of position bits of a stage of `positions` = q * 2^B
+/// positions, q odd. Diagonals never depend on the outer digit.
+int position_bits(idx_t positions) {
+  return __builtin_ctzll(static_cast<unsigned long long>(positions));
+}
+
+/// Execution-order table of a diagonal over a stage's positions: the
+/// 2^B-entry period, repeated over the outer digit.
+util::cvec diag_table(BitDiag&& d, idx_t positions) {
   if (d.values.empty()) return {};
-  bool identity = static_cast<int>(d.bits.size()) == total_bits;
+  const int b = position_bits(positions);
+  bool identity = static_cast<int>(d.bits.size()) == b;
   for (std::size_t i = 0; identity && i < d.bits.size(); ++i) {
     identity = d.bits[i] == static_cast<int>(i);
   }
-  if (identity) return std::move(d.values);
-  const BitStrideMap g = bit_gather(d.bits, total_bits);
-  util::cvec t(std::size_t{1} << total_bits);
-  for (std::size_t k = 0; k < t.size(); ++k) {
-    t[k] = d.values[static_cast<std::size_t>(g.at(static_cast<idx_t>(k)))];
+  util::cvec t;
+  if (identity) {
+    t = std::move(d.values);
+  } else {
+    const BitStrideMap g = bit_gather(d.bits, b);
+    t.resize(std::size_t{1} << b);
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      t[k] = d.values[static_cast<std::size_t>(g.at(static_cast<idx_t>(k)))];
+    }
   }
+  const std::size_t period = t.size();
+  t.resize(static_cast<std::size_t>(positions));
+  for (std::size_t k = period; k < t.size(); ++k) t[k] = t[k - period];
   return t;
 }
 
-int total_bits(const Stage& s) { return util::log2_exact(s.total_elems()); }
+/// A materialized diagonal as a BitDiag over all position bits (the
+/// inverse of diag_table); it must repeat over the outer digit.
+BitDiag lift(util::cvec&& t) {
+  if (t.empty()) return {};
+  const auto period = std::size_t{1}
+                      << position_bits(static_cast<idx_t>(t.size()));
+  for (std::size_t k = period; k < t.size(); ++k) {
+    util::require(t[k] == t[k - period],
+                  "fuse: scale table varies over the outer digit");
+  }
+  t.resize(period);
+  BitDiag d{std::move(t), {}};
+  for (int b = 0; (std::size_t{1} << b) < period; ++b) d.bits.push_back(b);
+  return d;
+}
 
-// ---------------------------------------------------------------------------
-// The two representations fusion works on. A fold of pure stage `p` into
-// side `side` of a neighbour goes through the position map
-//   pos = through(side, via) = via^-1 o side
-// (via = p's side facing the neighbour), after which the side becomes
-// gather(p's far side, pos) and p's diagonal, read at pos, multiplies in.
-
-/// Mixed-radix programs: int32 tables, composed entry by entry.
-struct TablePath {
-  using Map = std::vector<std::int32_t>;
-  static constexpr bool kBits = false;
-  static Map& in(Stage& s) { return s.in_map; }
-  static Map& out(Stage& s) { return s.out_map; }
-  static util::cvec& in_scale(LoweredStage& ls) { return ls.stage.in_scale; }
-  static util::cvec& out_scale(LoweredStage& ls) { return ls.stage.out_scale; }
-
-  static Map through(const Map& side, const Map& via) {
-    Map inv(via.size());
-    for (std::size_t k = 0; k < via.size(); ++k) {
-      inv[static_cast<std::size_t>(via[k])] = static_cast<std::int32_t>(k);
+/// Folds a pure stage's diagonal f, read at position map pos
+/// (pos == nullptr: the identity), into acc: f's bits are renamed
+/// through pos, then multiplied in.
+void scale_by(BitDiag& acc, const BitDiag& f, const BitStrideMap* pos) {
+  if (f.values.empty()) return;
+  std::vector<int> fbits = f.bits;
+  if (pos != nullptr) {
+    // Bit q of pos(j) is bit b of j where pos.strides[b] == 2^q.
+    std::vector<int> from(pos->strides().size());
+    for (std::size_t b = 0; b < from.size(); ++b) {
+      from[static_cast<std::size_t>(util::log2_exact(pos->strides()[b]))] =
+          static_cast<int>(b);
     }
-    Map pos(side.size());
-    for (std::size_t j = 0; j < side.size(); ++j) {
-      pos[j] = inv[static_cast<std::size_t>(side[j])];
-    }
-    return pos;
+    for (int& q : fbits) q = from[static_cast<std::size_t>(q)];
   }
-  static Map gather(const Map& map, const Map& pos) {
-    Map out(pos.size());
-    for (std::size_t j = 0; j < pos.size(); ++j) {
-      out[j] = map[static_cast<std::size_t>(pos[j])];
-    }
-    return out;
-  }
-  /// acc[j] *= f[pos[j]] (pos == nullptr: identity); acc starts at ones.
-  static void scale_by(util::cvec& acc, const util::cvec& f, const Map* pos,
-                       std::size_t total) {
-    if (f.empty()) return;
-    if (acc.empty()) acc.assign(total, cplx{1.0, 0.0});
-    for (std::size_t j = 0; j < total; ++j) {
-      acc[j] *= f[pos != nullptr ? static_cast<std::size_t>((*pos)[j]) : j];
-    }
-  }
-};
+  multiply(acc, f.values, fbits);
+}
 
-/// 2-power programs: bit permutations and symbolic diagonals.
-struct BitPath {
-  using Map = BitStrideMap;
-  static constexpr bool kBits = true;
-  static Map& in(Stage& s) { return s.in_bits; }
-  static Map& out(Stage& s) { return s.out_bits; }
-  static BitDiag& in_scale(LoweredStage& ls) { return ls.in_diag; }
-  static BitDiag& out_scale(LoweredStage& ls) { return ls.out_diag; }
+/// Whether fusion may touch a stage: both sides bit-encoded. Affine
+/// sides (normally produced only after fusion by compact_affine) and
+/// tables are left alone.
+bool fusable(const Stage& s) { return s.in_bit_encoded && s.out_bit_encoded; }
 
-  static Map through(const Map& side, const Map& via) {
-    return compose(invert(via), side);
-  }
-  static Map gather(const Map& map, const Map& pos) {
-    return compose(map, pos);
-  }
-  /// acc(j) *= f(pos(j)): f's bits renamed through pos, then multiplied.
-  static void scale_by(BitDiag& acc, const BitDiag& f, const Map* pos,
-                       std::size_t /*total*/) {
-    if (f.values.empty()) return;
-    std::vector<int> fbits = f.bits;
-    if (pos != nullptr) {
-      // Bit q of pos(j) is bit b of j where pos.strides[b] == 2^q.
-      std::vector<int> from(pos->strides().size());
-      for (std::size_t b = 0; b < from.size(); ++b) {
-        from[static_cast<std::size_t>(util::log2_exact(pos->strides()[b]))] =
-            static_cast<int>(b);
-      }
-      for (int& q : fbits) q = from[static_cast<std::size_t>(q)];
-    }
-    multiply(acc, f.values, fbits);
-  }
-};
+}  // namespace
 
-template <class P>
-int fuse_with(std::vector<LoweredStage>& st) {
+Stage materialize_scales(LoweredStage&& ls) {
+  Stage s = std::move(ls.stage);
+  if (!ls.in_diag.values.empty()) {
+    s.in_scale = diag_table(std::move(ls.in_diag), s.total_elems());
+  }
+  if (!ls.out_diag.values.empty()) {
+    s.out_scale = diag_table(std::move(ls.out_diag), s.total_elems());
+  }
+  return s;
+}
+
+int fuse_lowered(std::vector<LoweredStage>& st) {
   int eliminated = 0;
 
   // Largest vector width fusion must preserve (see the lane-safe guard
@@ -194,16 +183,16 @@ int fuse_with(std::vector<LoweredStage>& st) {
     widths.erase(widths.begin() + static_cast<std::ptrdiff_t>(i));
   };
 
-  // Folds a pure stage into side `side` of compute stage st[ci]: `via`
-  // is the pure stage's side facing st[ci], `far` its other side. With
-  // `lane_safe`, the fold is tried in place and undone when it would
-  // shrink st[ci]'s proven vector width. Returns whether it was kept,
-  // and the position map its diagonal is read through.
-  auto fold = [&](std::size_t ci, typename P::Map& side,
-                  const typename P::Map& via, const typename P::Map& far,
-                  bool lane_safe) {
-    const typename P::Map pos = P::through(side, via);
-    typename P::Map next = P::gather(far, pos);
+  // A fold of pure stage p into side `side` of a neighbour goes through
+  // the position map pos = via^-1 o side (via = p's side facing the
+  // neighbour), after which the side becomes far o pos (far = p's other
+  // side) and p's diagonal, read at pos, multiplies in. With `lane_safe`,
+  // the fold is tried in place and undone when it would shrink st[ci]'s
+  // proven vector width. Returns whether it was kept, and pos.
+  auto fold = [&](std::size_t ci, BitStrideMap& side, const BitStrideMap& via,
+                  const BitStrideMap& far, bool lane_safe) {
+    const BitStrideMap pos = compose(invert(via), side);
+    BitStrideMap next = compose(far, pos);
     if (lane_safe) {
       const idx_t before = width(ci);
       std::swap(side, next);
@@ -232,26 +221,19 @@ int fuse_with(std::vector<LoweredStage>& st) {
   // across a block boundary into a neighbouring loop's gather and break
   // its SIMD lanes. Unconditional fusion remains as a fallback so fused
   // programs never have more data passes than before.
-  // Affine-compacted stages (normally produced only *after* fusion by
-  // compact_affine) are left alone.
-  auto compacted = [](const Stage& s) { return s.in_affine || s.out_affine; };
-
   auto try_level = [&](int level) -> bool {
     for (std::size_t i = 0; i + 1 < st.size(); ++i) {
       LoweredStage& left = st[i];
       LoweredStage& right = st[i + 1];
-      if (compacted(left.stage) || compacted(right.stage)) continue;
-      const auto total = static_cast<std::size_t>(left.stage.total_elems());
-      const auto right_total =
-          static_cast<std::size_t>(right.stage.total_elems());
+      if (!fusable(left.stage) || !fusable(right.stage)) continue;
       if ((level == 0 || level == 3) && left.stage.is_compute &&
           !right.stage.is_compute) {
         // right applies first: left now reads through right's maps.
         const auto [ok, pos] =
-            fold(i, P::in(left.stage), P::out(right.stage),
-                 P::in(right.stage), level == 0 && width(i) > 1);
+            fold(i, left.stage.in_bits, right.stage.out_bits,
+                 right.stage.in_bits, level == 0 && width(i) > 1);
         if (!ok) continue;
-        P::scale_by(P::in_scale(left), P::in_scale(right), &pos, total);
+        scale_by(left.in_diag, right.in_diag, &pos);
         left.stage.label += " o " + right.stage.label;
         erase(i + 1);
         return true;
@@ -260,10 +242,10 @@ int fuse_with(std::vector<LoweredStage>& st) {
           right.stage.is_compute) {
         // left applies after: right now writes through left's maps.
         const auto [ok, pos] =
-            fold(i + 1, P::out(right.stage), P::in(left.stage),
-                 P::out(left.stage), level == 1 && width(i + 1) > 1);
+            fold(i + 1, right.stage.out_bits, left.stage.in_bits,
+                 left.stage.out_bits, level == 1 && width(i + 1) > 1);
         if (!ok) continue;
-        P::scale_by(P::out_scale(right), P::in_scale(left), &pos, right_total);
+        scale_by(right.out_diag, left.in_diag, &pos);
         right.stage.label = left.stage.label + " o " + right.stage.label;
         erase(i);
         return true;
@@ -277,13 +259,13 @@ int fuse_with(std::vector<LoweredStage>& st) {
         s.is_compute = false;
         s.parallel_p = std::max(left.stage.parallel_p, right.stage.parallel_p);
         s.label = left.stage.label + " o " + right.stage.label;
-        s.in_bit_encoded = s.out_bit_encoded = P::kBits;
-        const typename P::Map pos =
-            P::through(P::in(left.stage), P::out(right.stage));
-        P::in(s) = P::gather(P::in(right.stage), pos);
-        P::out(s) = std::move(P::out(left.stage));
-        P::scale_by(P::in_scale(c), P::in_scale(left), nullptr, total);
-        P::scale_by(P::in_scale(c), P::in_scale(right), &pos, total);
+        s.in_bit_encoded = s.out_bit_encoded = true;
+        const BitStrideMap pos =
+            compose(invert(right.stage.out_bits), left.stage.in_bits);
+        s.in_bits = compose(right.stage.in_bits, pos);
+        s.out_bits = std::move(left.stage.out_bits);
+        scale_by(c.in_diag, left.in_diag, nullptr);
+        scale_by(c.in_diag, right.in_diag, &pos);
         left = std::move(c);
         widths[i] = 0;
         erase(i + 1);
@@ -307,68 +289,19 @@ int fuse_with(std::vector<LoweredStage>& st) {
   return eliminated;
 }
 
-/// Turns a bit-encoded lowered stage into the table representation.
-void tabulate(LoweredStage& ls) {
-  Stage& s = ls.stage;
-  const auto tab = [&s](const BitStrideMap& m) {
-    std::vector<std::int32_t> t(static_cast<std::size_t>(s.total_elems()));
-    for (std::size_t k = 0; k < t.size(); ++k) {
-      t[k] = static_cast<std::int32_t>(m.at(static_cast<idx_t>(k)));
-    }
-    return t;
-  };
-  if (s.in_bit_encoded) {
-    s.in_map = tab(s.in_bits);
-    s.in_bits = {};
-    s.in_bit_encoded = false;
-  }
-  if (s.out_bit_encoded) {
-    s.out_map = tab(s.out_bits);
-    s.out_bits = {};
-    s.out_bit_encoded = false;
-  }
-  ls.stage = materialize_scales(std::move(ls));
-  ls.in_diag = {};
-  ls.out_diag = {};
-}
-
-}  // namespace
-
-Stage materialize_scales(LoweredStage&& ls) {
-  Stage s = std::move(ls.stage);
-  if (!ls.in_diag.values.empty()) {
-    s.in_scale = diag_table(std::move(ls.in_diag), total_bits(s));
-  }
-  if (!ls.out_diag.values.empty()) {
-    s.out_scale = diag_table(std::move(ls.out_diag), total_bits(s));
-  }
-  return s;
-}
-
-int fuse_lowered(std::vector<LoweredStage>& stages) {
-  // Bit path only when every fusable stage is a pair of bit permutations
-  // (a complete 2-power program) with its diagonals still symbolic;
-  // anything else is composed as tables.
-  const bool bits = std::all_of(
-      stages.begin(), stages.end(), [](const LoweredStage& ls) {
-        const Stage& s = ls.stage;
-        return s.in_affine || s.out_affine ||
-               (s.in_bit_encoded && s.out_bit_encoded &&
-                is_bit_permutation(s.in_bits) &&
-                is_bit_permutation(s.out_bits) && s.in_scale.empty() &&
-                s.out_scale.empty());
-      });
-  if (bits) return fuse_with<BitPath>(stages);
-  for (auto& ls : stages) {
-    if (!ls.stage.in_affine && !ls.stage.out_affine) tabulate(ls);
-  }
-  return fuse_with<TablePath>(stages);
-}
-
 int fuse(StageList& list) {
   std::vector<LoweredStage> lowered;
   lowered.reserve(list.stages.size());
-  for (auto& s : list.stages) lowered.push_back({std::move(s), {}, {}});
+  for (auto& s : list.stages) {
+    LoweredStage ls{std::move(s), {}, {}};
+    if (fusable(ls.stage)) {
+      ls.in_diag = lift(std::move(ls.stage.in_scale));
+      ls.out_diag = lift(std::move(ls.stage.out_scale));
+      ls.stage.in_scale.clear();
+      ls.stage.out_scale.clear();
+    }
+    lowered.push_back(std::move(ls));
+  }
   const int eliminated = fuse_lowered(lowered);
   list.stages.clear();
   for (auto& ls : lowered) {

@@ -4,12 +4,11 @@
 // as in Spiral-generated code — "permutations are usually not performed
 // explicitly" (paper, Section 3.1).
 //
-// Two representations, one fusion loop. A 2-power program's maps are bit
-// permutations (BitStrideMap), so a fold is a composition of log n
-// strides and its twiddles travel as a small diagonal plus a bit
-// projection (BitDiag), written out as an execution-order table once, at
-// the end. Mixed-radix programs keep int32 tables composed entry by
-// entry: their digit permutations do not compose in general.
+// Every lowered map is a bit permutation (BitStrideMap, with the odd
+// outer digit of a batch count kept as the identity), so a fold is a
+// composition of log n strides and its twiddles travel as a small
+// diagonal plus a bit projection (BitDiag), written out as an
+// execution-order table once, at the end.
 #pragma once
 
 #include "backend/stage.hpp"
@@ -23,19 +22,24 @@ namespace spiral::backend {
 ///   3. a pure stage directly left of a compute stage (applied after it)
 ///      is folded into its output maps/scales.
 /// Pure stages with no compute neighbour (e.g. a program that is a single
-/// permutation) survive. Returns the number of stages eliminated.
+/// permutation) survive, as do stages with an affine or tabulated side.
+/// Materialized scale tables are lifted into BitDiags over all position
+/// bits and written back after fusion. Returns the number of stages
+/// eliminated.
 int fuse(StageList& list);
 
-/// True iff m is a bit permutation of [0, 2^bits): base 0 and strides a
-/// permutation of 1, 2, 4, ..., 2^(bits-1). Every side of a complete
-/// 2-power program has this form.
+/// True iff m is a bit permutation of [0, q * 2^bits): base 0, strides a
+/// permutation of 1, 2, 4, ..., 2^(bits-1), and the outer digit (if any)
+/// the identity, stride 2^bits. Every side of a complete lowered program
+/// has this form.
 [[nodiscard]] bool is_bit_permutation(const BitStrideMap& m);
 
 /// Inverse of a bit permutation: invert(m).at(m.at(k)) == k. O(log n).
 [[nodiscard]] BitStrideMap invert(const BitStrideMap& m);
 
 /// outer o inner: compose(outer, inner).at(k) == outer.at(inner.at(k)).
-/// inner must be a bit permutation over outer's position bits. O(log n).
+/// inner must be a bit permutation over outer's positions (same bits,
+/// same outer count). O(log n).
 [[nodiscard]] BitStrideMap compose(const BitStrideMap& outer,
                                    const BitStrideMap& inner);
 
@@ -46,15 +50,15 @@ int fuse(StageList& list);
 ///
 /// A twiddle leaf D_{m,n} inside a loop nest is a |D|-entry diagonal
 /// projected on the low bits of k; folding it through a permutation only
-/// renames the bits. Empty `values` means no diagonal.
+/// renames the bits. No diagonal depends on the outer digit. Empty
+/// `values` means no diagonal.
 struct BitDiag {
   util::cvec values;
   std::vector<int> bits;
 };
 
-/// A stage between lowering and the end of fusion. Bit-encoded stages
-/// carry their diagonals here (stage.in_scale/out_scale stay empty);
-/// table stages carry them in the stage itself.
+/// A stage between lowering and the end of fusion: its diagonals live
+/// here (stage.in_scale/out_scale stay empty).
 struct LoweredStage {
   Stage stage;
   BitDiag in_diag;

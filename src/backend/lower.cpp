@@ -3,11 +3,9 @@
 #include <atomic>
 #include <sstream>
 
-#include "backend/codelets.hpp"
 #include "backend/fuse.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/simplify.hpp"
-#include "spl/dense.hpp"
 #include "spl/printer.hpp"
 #include "spl/twiddle.hpp"
 
@@ -132,40 +130,34 @@ struct LoopCtx {
     return t;
   }
 
-  /// Invokes fn(iteration_index, base_offset) for every iteration of the
-  /// nest, outer dimension slowest (iteration order == memory order of
-  /// the skeleton loop); inner_dims iterate fastest.
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    std::vector<Dim> all = dims;
-    all.insert(all.end(), inner_dims.begin(), inner_dims.end());
-    const idx_t total = total_iters();
-    for (idx_t it = 0; it < total; ++it) {
-      idx_t rem = it;
-      idx_t off = base;
-      // Decompose `it` into the mixed-radix digits of the dims.
-      idx_t scale = total;
-      for (const auto& d : all) {
-        scale /= d.count;
-        const idx_t digit = rem / scale;
-        rem %= scale;
-        off += digit * d.stride;
-      }
-      fn(it, off);
-    }
-  }
-
   /// Bit strides of the flattened iteration index, lowest bit first (the
-  /// fastest dimension owns the low bits). False when a dimension count
-  /// is not a power of two.
-  [[nodiscard]] bool iteration_strides(std::vector<idx_t>& out) const {
+  /// fastest dimension owns the low bits), appended to `out`. The first
+  /// loop whose count is not a power of two, and every loop outside it
+  /// whose stride continues it (I_2 (x)|| (I_3 (x) A)), form one linear
+  /// digit; its 2-power factor becomes more bits and the odd rest is
+  /// returned as the map's outer digit {count, stride} ({1, 0}: none).
+  [[nodiscard]] Dim iteration_strides(std::vector<idx_t>& out) const {
     std::vector<Dim> all = dims;
     all.insert(all.end(), inner_dims.begin(), inner_dims.end());
+    Dim digit{1, 0};
     for (auto d = all.rbegin(); d != all.rend(); ++d) {
-      if (!util::is_pow2(d->count)) return false;
-      for (idx_t c = 1; c < d->count; c *= 2) out.push_back(c * d->stride);
+      if (digit.count == 1 && util::is_pow2(d->count)) {
+        for (idx_t c = 1; c < d->count; c *= 2) out.push_back(c * d->stride);
+      } else if (digit.count == 1) {
+        digit = *d;
+      } else if (d->count > 1) {
+        if (d->stride != digit.count * digit.stride) {
+          throw std::invalid_argument(
+              "lower: a loop of count " + std::to_string(digit.count) +
+              " is not outermost; it has no bit-stride form");
+        }
+        digit.count *= d->count;
+      }
     }
-    return true;
+    for (; digit.count % 2 == 0; digit.count /= 2, digit.stride *= 2) {
+      out.push_back(digit.stride);
+    }
+    return digit;
   }
 };
 
@@ -173,7 +165,7 @@ struct LoopCtx {
 /// value strides[b]; appended to `out`), read off the formula in
 /// O(log n). False for sizes that are not powers of two and for
 /// constructs outside the stride-permutation family the rewriting
-/// emits; the program then takes the table path.
+/// emits.
 bool permutation_bits(const FormulaPtr& f, std::vector<idx_t>& out) {
   if (!util::is_pow2(f->size)) return false;
   // Appends a child's strides scaled by `scale` (its block's weight).
@@ -217,16 +209,11 @@ bool permutation_bits(const FormulaPtr& f, std::vector<idx_t>& out) {
   }
 }
 
-/// Emits a formula's leaves as stages. For 2-power transforms
-/// (`bits`), every index map is a BitStrideMap and every diagonal a
-/// symbolic BitDiag; a leaf without a bit-stride form marks the lowering
-/// failed() and the caller lowers again with tables. The table mode is
-/// the mixed-radix path: materialized int32 maps and scale tables.
+/// Emits a formula's leaves as stages: every index map a BitStrideMap,
+/// every diagonal a symbolic BitDiag. A leaf without a bit-stride form
+/// (a non-2-power codelet, diagonal or permutation) throws.
 class Lowerer {
  public:
-  explicit Lowerer(bool bits) : bits_(bits) {}
-
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
   [[nodiscard]] bool empty() const noexcept { return stages_.empty(); }
   std::vector<LoweredStage> take() && { return std::move(stages_); }
 
@@ -309,14 +296,17 @@ class Lowerer {
     require(false, "lower: unhandled construct");
   }
 
-  /// The explicit copy stage of an identity formula I_n.
+  /// The explicit copy stage of an identity formula I_n: a loop of n
+  /// one-element copies, so an odd n becomes the outer digit.
   void emit_identity(idx_t n) {
     Stage s;
     s.iters = n;
     s.cn = 1;
     s.is_compute = false;
     s.label = "I";
-    set_maps(s, LoopCtx{}, n, nullptr);
+    LoopCtx ctx;
+    ctx.dims.push_back({n, 1});
+    set_maps(s, ctx, 1, nullptr);
   }
 
  private:
@@ -326,53 +316,32 @@ class Lowerer {
   void set_maps(Stage& s, const LoopCtx& ctx, idx_t sz, const FormulaPtr* perm,
                 BitDiag diag = {}) {
     const idx_t es = ctx.elem_stride;
-    if (bits_) {
-      std::vector<idx_t> in;
-      std::vector<idx_t> out;
-      if (perm != nullptr) {
-        if (!permutation_bits(*perm, in)) {
-          failed_ = true;
-          return;
-        }
-        for (auto& v : in) v *= es;
-      }
-      if (!util::is_pow2(sz)) {
-        failed_ = true;
-        return;
-      }
-      for (idx_t c = 1; c < sz; c *= 2) out.push_back(c * es);
-      if (perm == nullptr) in = out;
-      std::vector<idx_t> it;
-      if (!ctx.iteration_strides(it)) {
-        failed_ = true;
-        return;
-      }
-      in.insert(in.end(), it.begin(), it.end());
-      out.insert(out.end(), it.begin(), it.end());
-      s.in_bits = BitStrideMap(ctx.base, std::move(in));
-      s.out_bits = BitStrideMap(ctx.base, std::move(out));
-      s.in_bit_encoded = s.out_bit_encoded = true;
-      stages_.push_back(LoweredStage{std::move(s), std::move(diag), {}});
-      return;
+    if (!util::is_pow2(sz)) {
+      throw std::invalid_argument("lower: " + s.label + " has size " +
+                                  std::to_string(sz) +
+                                  ", not a power of two; no bit-stride form");
     }
-    std::vector<idx_t> table;
-    if (perm != nullptr) table = spl::permutation_table(*perm);
-    s.in_map.resize(static_cast<std::size_t>(s.iters * s.cn));
-    s.out_map.resize(s.in_map.size());
-    if (!diag.values.empty()) s.in_scale.resize(s.in_map.size());
-    ctx.for_each([&](idx_t it, idx_t off) {
-      for (idx_t l = 0; l < sz; ++l) {
-        const auto k = static_cast<std::size_t>(it * sz + l);
-        const idx_t from =
-            table.empty() ? l : table[static_cast<std::size_t>(l)];
-        s.out_map[k] = checked_index(off + l * es);
-        s.in_map[k] = checked_index(off + from * es);
-        if (!diag.values.empty()) {
-          s.in_scale[k] = diag.values[static_cast<std::size_t>(l)];
-        }
+    std::vector<idx_t> in;
+    std::vector<idx_t> out;
+    if (perm != nullptr) {
+      if (!permutation_bits(*perm, in)) {
+        throw std::invalid_argument("lower: permutation " + s.label +
+                                    " has no bit-stride form");
       }
-    });
-    stages_.push_back(LoweredStage{std::move(s), {}, {}});
+      for (auto& v : in) v *= es;
+    }
+    for (idx_t c = 1; c < sz; c *= 2) out.push_back(c * es);
+    if (perm == nullptr) in = out;
+    std::vector<idx_t> it;
+    const LoopCtx::Dim outer = ctx.iteration_strides(it);
+    in.insert(in.end(), it.begin(), it.end());
+    out.insert(out.end(), it.begin(), it.end());
+    s.in_bits =
+        BitStrideMap(ctx.base, std::move(in), outer.count, outer.stride);
+    s.out_bits =
+        BitStrideMap(ctx.base, std::move(out), outer.count, outer.stride);
+    s.in_bit_encoded = s.out_bit_encoded = true;
+    stages_.push_back(LoweredStage{std::move(s), std::move(diag), {}});
   }
 
   void emit_compute(const FormulaPtr& f, const LoopCtx& ctx) {
@@ -410,7 +379,7 @@ class Lowerer {
     s.is_compute = false;
     s.parallel_p = parallel_p;
     s.label = stage_label(f, ctx);
-    // The entry index is the low log2(sz) position bits (bit mode).
+    // The entry index is the low log2(sz) position bits.
     std::vector<int> low;
     for (int b = 0; (idx_t{1} << b) < sz; ++b) low.push_back(b);
     set_maps(s, ctx, sz, nullptr, BitDiag{std::move(diag), std::move(low)});
@@ -448,8 +417,6 @@ class Lowerer {
     return os.str();
   }
 
-  bool bits_;
-  bool failed_ = false;
   std::vector<LoweredStage> stages_;
 };
 
@@ -457,30 +424,8 @@ std::atomic<LoweringObserver> g_lowering_observer{nullptr};
 std::atomic<std::int32_t> g_affine_stride_mutation{0};
 
 /// Fits an affine pattern base + it*iter_stride + l*elem_stride to a
-/// materialized map, verifying every entry. O(iters*cn).
-bool detect_affine(const std::vector<std::int32_t>& map, idx_t iters,
-                   idx_t cn, AffineMap* out) {
-  if (map.empty() || iters <= 0 || cn <= 0) return false;
-  AffineMap a;
-  a.base = map[0];
-  a.elem_stride = cn > 1 ? idx_t{map[1]} - map[0] : 0;
-  a.iter_stride =
-      iters > 1 ? idx_t{map[static_cast<std::size_t>(cn)]} - map[0] : 0;
-  for (idx_t it = 0; it < iters; ++it) {
-    const idx_t row = a.base + it * a.iter_stride;
-    for (idx_t l = 0; l < cn; ++l) {
-      if (map[static_cast<std::size_t>(it * cn + l)] !=
-          row + l * a.elem_stride) {
-        return false;
-      }
-    }
-  }
-  *out = a;
-  return true;
-}
-
-/// The same fit on a bit-stride map, in O(log n): affine iff the element
-/// bits and the iteration bits each double a single stride.
+/// bit-stride map in O(log n): affine iff the element bits, then the
+/// iteration bits and the outer digit, each double a single stride.
 bool detect_affine(const BitStrideMap& m, idx_t iters, idx_t cn,
                    AffineMap* out) {
   const int c = util::log2_exact(cn);
@@ -488,22 +433,21 @@ bool detect_affine(const BitStrideMap& m, idx_t iters, idx_t cn,
   AffineMap a;
   a.base = m.base();
   a.elem_stride = cn > 1 ? s[0] : 0;
-  a.iter_stride = iters > 1 ? s[static_cast<std::size_t>(c)] : 0;
+  if (iters > 1) {
+    a.iter_stride =
+        c < m.bits() ? s[static_cast<std::size_t>(c)] : m.outer_stride();
+  }
   for (std::size_t b = 0; b < s.size(); ++b) {
     const int ib = static_cast<int>(b);
     const idx_t want = ib < c ? a.elem_stride << ib : a.iter_stride << (ib - c);
     if (s[b] != want) return false;
   }
+  if (m.outer_count() > 1 &&
+      m.outer_stride() != a.iter_stride << (m.bits() - c)) {
+    return false;
+  }
   *out = a;
   return true;
-}
-
-/// Affine fit of one stage side, whichever encoding it carries.
-bool detect_affine(const Stage& s, bool input, AffineMap* out) {
-  if (input ? s.in_bit_encoded : s.out_bit_encoded) {
-    return detect_affine(input ? s.in_bits : s.out_bits, s.iters, s.cn, out);
-  }
-  return detect_affine(input ? s.in_map : s.out_map, s.iters, s.cn, out);
 }
 
 /// The program as executed: symbolic diagonals written out as tables.
@@ -517,8 +461,7 @@ StageList materialize(idx_t n, std::vector<LoweredStage> lowered) {
   return list;
 }
 
-/// Normalizes and lowers: bit-stride stages for 2-power transforms whose
-/// leaves all have a bit-stride form, int32 tables otherwise.
+/// Normalizes and lowers to bit-stride stages.
 std::vector<LoweredStage> lower_stages(const FormulaPtr& f, idx_t* n) {
   FormulaPtr g = normalize(f);
   // Fail loudly before building maps that int32 cannot address (the
@@ -528,16 +471,11 @@ std::vector<LoweredStage> lower_stages(const FormulaPtr& f, idx_t* n) {
           "lower: transform size exceeds the int32 index-map limit (2^31 "
           "elements)");
   *n = g->size;
-  for (const bool bits : {true, false}) {
-    if (bits && !util::is_pow2(g->size)) continue;
-    Lowerer lw(bits);
-    lw.walk(g, LoopCtx{});
-    // Formula was the identity: emit an explicit copy stage.
-    if (!lw.failed() && lw.empty()) lw.emit_identity(g->size);
-    if (!lw.failed()) return std::move(lw).take();
-  }
-  require(false, "lower: table lowering failed");
-  return {};
+  Lowerer lw;
+  lw.walk(g, LoopCtx{});
+  // Formula was the identity: emit an explicit copy stage.
+  if (lw.empty()) lw.emit_identity(g->size);
+  return std::move(lw).take();
 }
 
 }  // namespace
@@ -584,7 +522,8 @@ int compact_affine(StageList& list) {
   int dropped = 0;
   for (auto& s : list.stages) {
     AffineMap a;
-    if (!s.in_affine && detect_affine(s, true, &a)) {
+    if (!s.in_affine && s.in_bit_encoded &&
+        detect_affine(s.in_bits, s.iters, s.cn, &a)) {
       s.in_affine = true;
       s.in_aff = a;
       s.in_map.clear();
@@ -593,7 +532,8 @@ int compact_affine(StageList& list) {
       s.in_bits = {};
       ++dropped;
     }
-    if (!s.out_affine && detect_affine(s, false, &a)) {
+    if (!s.out_affine && s.out_bit_encoded &&
+        detect_affine(s.out_bits, s.iters, s.cn, &a)) {
       if (mutate != 0) {
         // Seeded defect (see set_affine_stride_mutation): skew the stride
         // that actually participates in addressing for this stage shape.

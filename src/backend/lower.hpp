@@ -8,8 +8,9 @@
 //          I_p (x)|| (A.B) -> (I_p (x)|| A).(I_p (x)|| B)
 //   2. lower(): walk each factor, accumulating the loop nest context
 //      (iteration counts and strides from enclosing tensor constructs),
-//      and materialize one Stage per compute/permutation/diagonal leaf
-//      with explicit absolute index maps.
+//      and emit one Stage per compute/permutation/diagonal leaf whose
+//      absolute index maps are bit-stride functions (BitStrideMap); an
+//      odd batch count is the maps' outer digit.
 //   3. fuse() (see fuse.hpp): merge permutation and diagonal stages into
 //      the neighbouring compute loops — the loop merging of [11] that
 //      makes Spiral's permutations free.
@@ -25,19 +26,20 @@ namespace spiral::backend {
 
 /// Steps 1+2: produces the unfused stage list. Throws std::invalid_argument
 /// on constructs the backend cannot execute (e.g. a DFT nonterminal larger
-/// than 64, which should have been expanded by the rewriting level).
+/// than 64, which should have been expanded by the rewriting level) and
+/// on leaves without a bit-stride form (a non-2-power codelet, diagonal or
+/// stride permutation, or an odd loop that is not outermost).
 [[nodiscard]] StageList lower(const spl::FormulaPtr& f);
 
 /// Full pipeline: normalize, lower, fuse and affine-compact.
 [[nodiscard]] StageList lower_fused(const spl::FormulaPtr& f);
 
-/// Affine addressing compaction: for every stage whose in_map/out_map is
-/// an affine pattern base + it*iter_stride + l*elem_stride, drops the
-/// materialized table and records the descriptor (Stage::in_aff/out_aff)
-/// instead. Removes ~8 bytes/element of index traffic from the hot loop
-/// and lets the codelets run their strided fast paths. Returns the number
-/// of map tables dropped. Safe to call repeatedly; lower_fused() runs it
-/// after fusion.
+/// Affine addressing compaction: for every bit-stride side that is an
+/// affine pattern base + it*iter_stride + l*elem_stride, drops the
+/// bit-stride map and records the descriptor (Stage::in_aff/out_aff)
+/// instead, so the codelets run their strided fast paths. Returns the
+/// number of sides compacted. Safe to call repeatedly; lower_fused() runs
+/// it after fusion.
 int compact_affine(StageList& list);
 
 /// Test hook for mutation-testing the lowering verifier: when delta != 0,

@@ -147,7 +147,7 @@ StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   if (max_nu < 2 || isa == Isa::kScalar || s.iters < 2) return p;
   if (s.is_compute) {
     // The vector network is the iterative radix-2 (plus the WHT
-    // butterflies); non-2-power codelets keep the scalar direct path.
+    // butterflies), as the scalar codelets.
     if (!util::is_pow2(s.cn) || s.cn > 64) return p;
   } else if (s.cn != 1) {
     return p;

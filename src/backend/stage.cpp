@@ -6,10 +6,17 @@
 
 namespace spiral::backend {
 
-BitStrideMap::BitStrideMap(idx_t base, std::vector<idx_t> strides)
-    : base_(base), strides_(std::move(strides)) {
+BitStrideMap::BitStrideMap(idx_t base, std::vector<idx_t> strides,
+                           idx_t outer_count, idx_t outer_stride)
+    : base_(base),
+      strides_(std::move(strides)),
+      outer_count_(outer_count),
+      outer_stride_(outer_count == 1 ? 0 : outer_stride) {
   util::require(base_ >= 0, "bit-stride map: negative base");
-  idx_t top = base_;
+  util::require(outer_count_ >= 1 && outer_count_ % 2 == 1,
+                "bit-stride map: the outer count must be odd");
+  util::require(outer_stride_ >= 0, "bit-stride map: negative outer stride");
+  idx_t top = base_ + (outer_count_ - 1) * outer_stride_;
   for (const idx_t s : strides_) {
     util::require(s >= 0, "bit-stride map: negative stride");
     top += s;
@@ -33,6 +40,12 @@ BitStrideMap::BitStrideMap(idx_t base, std::vector<idx_t> strides)
   };
   fill(lo_, 0, lo_bits_, 0);
   fill(hi_, lo_bits_, b - lo_bits_, base_);
+  // The outer digit repeats the high block, one outer stride further each.
+  const std::size_t block = hi_.size();
+  hi_.resize(block * static_cast<std::size_t>(outer_count_));
+  for (std::size_t j = block; j < hi_.size(); ++j) {
+    hi_[j] = static_cast<std::int32_t>(hi_[j - block] + outer_stride_);
+  }
 }
 
 double Stage::flops() const {

@@ -41,45 +41,56 @@ inline std::int32_t checked_index(idx_t v) {
 ///
 /// When a stage's gather/scatter footprint is a plain stride pattern —
 /// which it is for every loop the lowering emits before permutations get
-/// fused in, and stays for many stages after fusion — materializing an
-/// int32 index table costs ~8 bytes of memory traffic per complex element
-/// for information three integers already encode. compact_affine()
-/// (lower.hpp) detects the pattern and drops the table; the executor,
-/// codelets, verifier, simulator and C emitter all consume the descriptor
-/// directly.
+/// fused in, and stays for many stages after fusion — three integers
+/// encode the whole side. compact_affine() (lower.hpp) detects the
+/// pattern on a bit-stride side and replaces it; the executor, codelets,
+/// verifier, simulator and C emitter all consume the descriptor directly.
 struct AffineMap {
   idx_t base = 0;
   idx_t iter_stride = 0;  ///< stride between consecutive iterations
   idx_t elem_stride = 0;  ///< stride between a codelet's elements
 };
 
-/// Bit-stride addressing for one side of a stage whose element count
-/// iters*cn is a power of two (loop merging made symbolic, as the index
-/// functions of [11]):
+/// Bit-stride addressing for one side of a stage (loop merging made
+/// symbolic, as the index functions of [11]). A side over
+/// iters*cn = q * 2^B positions, q odd, maps the flattened position
+/// k = it*cn + l to
 ///
-///   index(k) = base + sum_b bit_b(k) * strides[b],   k = it*cn + l
+///   index(k) = base + sum_{b<B} bit_b(k) * strides[b]
+///                   + floor(k / 2^B) * outer_stride
 ///
-/// Every map the lowering emits for a 2-power transform has this form
-/// (stride permutations are bit rotations, loop nests are bit fields),
-/// and fusion composes such maps by composing their strides in O(log n)
-/// (backend/fuse). Evaluation goes through two half-width lookup tables
-/// — the low and the high half of k's bits, base folded into the high
-/// one — so a side at n = 2^22 costs 2 * 2^11 int32 entries instead of
-/// a 2^22-entry table. The constructor range-checks every entry and the
+/// Every map the lowering emits has this form: stride permutations are
+/// bit rotations, 2-power loop nests are bit fields, and the loops of an
+/// odd batch count fold into the outer digit. Fusion composes such maps
+/// by composing their strides in O(log n) (backend/fuse). Evaluation goes
+/// through two lookup tables — the low half of the bits, and the high
+/// half together with the outer digit, base folded into the high one —
+/// so a side at n = 2^22 costs 2 * 2^11 int32 entries instead of a
+/// 2^22-entry table. The constructor range-checks every entry and the
 /// largest reachable index through checked_index, so at() always yields
 /// an index the int32 maps could hold.
 class BitStrideMap {
  public:
   BitStrideMap() = default;
-  BitStrideMap(idx_t base, std::vector<idx_t> strides);
+  /// outer_count must be odd; with outer_count == 1 there is no outer
+  /// digit and outer_stride is ignored (stored as 0).
+  BitStrideMap(idx_t base, std::vector<idx_t> strides, idx_t outer_count = 1,
+               idx_t outer_stride = 0);
 
   [[nodiscard]] idx_t base() const noexcept { return base_; }
   [[nodiscard]] const std::vector<idx_t>& strides() const noexcept {
     return strides_;
   }
-  /// Number of position bits: the side addresses 2^bits() positions.
+  /// Number of position bits B.
   [[nodiscard]] int bits() const noexcept {
     return static_cast<int>(strides_.size());
+  }
+  /// The outer digit: its (odd) count q and its stride.
+  [[nodiscard]] idx_t outer_count() const noexcept { return outer_count_; }
+  [[nodiscard]] idx_t outer_stride() const noexcept { return outer_stride_; }
+  /// Number of positions the side addresses: q * 2^B.
+  [[nodiscard]] idx_t positions() const noexcept {
+    return outer_count_ << bits();
   }
   [[nodiscard]] idx_t at(idx_t k) const {
     return idx_t{lo_[static_cast<std::size_t>(k & lo_mask_)]} +
@@ -103,6 +114,8 @@ class BitStrideMap {
  private:
   idx_t base_ = 0;
   std::vector<idx_t> strides_;
+  idx_t outer_count_ = 1;
+  idx_t outer_stride_ = 0;
   int lo_bits_ = 0;
   idx_t lo_mask_ = 0;
   std::vector<std::int32_t> lo_{0}, hi_{0};
@@ -133,9 +146,11 @@ struct Stage {
   idx_t sched_block = 0;
 
   /// Absolute input element index for (iteration i, element l), laid out
-  /// as in_map[i*cn + l]; size iters*cn == N. Empty when the side is not
-  /// tabulated: affine-compacted (in_affine) or bit-stride encoded
-  /// (in_bit_encoded) — use in_index() to read any representation.
+  /// as in_map[i*cn + l]; size iters*cn == N. Lowering never fills it:
+  /// its sides are bit-stride encoded (in_bit_encoded) or affine
+  /// (in_affine). Tables come only from callers that rebuild a program
+  /// entry by entry (e.g. the emitted-C checker) — use in_index() to read
+  /// any representation.
   std::vector<std::int32_t> in_map;
   /// Absolute output element index, same layout (empty when untabulated).
   std::vector<std::int32_t> out_map;
@@ -147,9 +162,9 @@ struct Stage {
   AffineMap in_aff;
   AffineMap out_aff;
   /// When set (and the side is not affine), addressing comes from the
-  /// bit-stride map and the table is empty. 2-power programs are lowered
-  /// in this form; affine compaction later turns the plain-stride ones
-  /// into AffineMaps.
+  /// bit-stride map and the table is empty. Lowering emits every side in
+  /// this form; affine compaction later turns the plain-stride ones into
+  /// AffineMaps.
   bool in_bit_encoded = false;
   bool out_bit_encoded = false;
   BitStrideMap in_bits;

@@ -83,7 +83,9 @@ VecForm one_map_form(const MapFn& map, idx_t iters, idx_t cn, idx_t nu) {
 /// iteration bits for the across-iterations shapes, the element bits
 /// for within-codelet), so lane v sits v * lane_stride from lane 0 iff
 /// those bits carry strides lane_stride * 2^j; lane 0 is nu-aligned for
-/// every pack iff the base and all other strides are multiples of nu.
+/// every pack iff the base, all other strides and the outer stride are
+/// multiples of nu. The outer count is odd, so when nu divides the
+/// iteration count a pack never spans the outer digit.
 bool bit_lanes_ok(const BitStrideMap& m, int first, int w, idx_t lane_stride,
                   bool aligned) {
   const auto& st = m.strides();
@@ -95,7 +97,7 @@ bool bit_lanes_ok(const BitStrideMap& m, int first, int w, idx_t lane_stride,
     }
   }
   if (!aligned) return true;
-  if (m.base() % nu != 0) return false;
+  if (m.base() % nu != 0 || m.outer_stride() % nu != 0) return false;
   for (int b = 0; b < m.bits(); ++b) {
     if ((b < first || b >= first + w) &&
         st[static_cast<std::size_t>(b)] % nu != 0) {

@@ -58,8 +58,7 @@ TEST_P(CodeletSizes, RoundTripRecoversInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, CodeletSizes,
-                         ::testing::Values<idx_t>(1, 2, 3, 4, 5, 6, 7, 8, 12,
-                                                  16, 24, 31, 32, 64));
+                         ::testing::Values<idx_t>(1, 2, 4, 8, 16, 32, 64));
 
 TEST(Codelets, StridedInput) {
   // Read every 3rd element of a larger buffer.
@@ -162,7 +161,6 @@ TEST(Codelets, FlopCountMonotoneAndPositive) {
     prev = f;
   }
   EXPECT_DOUBLE_EQ(codelet_flops(1), 0.0);
-  EXPECT_GT(codelet_flops(3), 0.0);  // non-pow2 path
 }
 
 }  // namespace
