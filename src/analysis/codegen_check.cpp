@@ -1424,7 +1424,7 @@ void diff_stage(Ctx& cx, int sid, const Stage& src, const PStage& ps) {
 
 /// Rebuilds a backend::Stage from the parsed body so the reconstructed
 /// program can be re-run through analysis::verify and the vectorizability
-/// prover. Returns false when tampered tables cannot be represented.
+/// prover. Returns false when tampered indices cannot be represented.
 bool build_recon(const PStage& ps, const Stage& src, int sid, Stage* out) {
   Stage s;
   s.iters = static_cast<idx_t>(ps.iters >= 0 ? ps.iters : src.iters);
@@ -1434,24 +1434,20 @@ bool build_recon(const PStage& ps, const Stage& src, int sid, Stage* out) {
   s.wht = ps.has_codelet && ps.wht;
   s.parallel_p = static_cast<idx_t>(ps.sp > 1 ? ps.sp : 0);
   s.sched_block = 0;
+  // Both side forms come back as tables; an affine side (which parsed no
+  // table) is evaluated at every (it, l).
   auto side = [&](const PSide& es, bool input) -> bool {
+    std::vector<long long> entries = es.table;
     if (es.affine) {
-      backend::AffineMap a;
-      a.base = static_cast<idx_t>(es.base);
-      a.iter_stride = static_cast<idx_t>(es.it_stride);
-      a.elem_stride = static_cast<idx_t>(es.el_stride);
-      if (input) {
-        s.in_affine = true;
-        s.in_aff = a;
-      } else {
-        s.out_affine = true;
-        s.out_aff = a;
+      for (idx_t it = 0; it < s.iters; ++it) {
+        for (idx_t l = 0; l < s.cn; ++l) {
+          entries.push_back(emitted_index(es, s.cn, it, l));
+        }
       }
-      return true;
     }
     std::vector<std::int32_t> m;
-    m.reserve(es.table.size());
-    for (long long e : es.table) {
+    m.reserve(entries.size());
+    for (long long e : entries) {
       if (e < 0 || e >= backend::kMaxIndexableElems) return false;
       m.push_back(static_cast<std::int32_t>(e));
     }

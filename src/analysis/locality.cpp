@@ -105,9 +105,10 @@ class Fenwick {
 /// contiguously. cn is capped by the codelet table size (64), well
 /// under the tracker's capacity even with both sides plus twiddles
 /// live at once.
-bool side_streaming(bool affine, const backend::AffineMap& a, idx_t cn,
+bool side_streaming(bool affine, const backend::BitStrideMap& m, idx_t cn,
                     idx_t mu_elems) {
   if (!affine) return false;
+  const backend::AffineMap a = m.affine(cn).value();
   if (cn == 1) return a.iter_stride == 1 || a.iter_stride == -1;
   if (a.elem_stride == 1 && a.iter_stride == cn) return true;  // one stream
   return a.iter_stride >= 1 && a.iter_stride <= mu_elems;  // cn lane streams
@@ -234,9 +235,9 @@ LocalityReport analyze_locality(const backend::StageList& program,
         const std::int64_t cap2 =
             cfg.l2_shared && p_eff > 1 ? l2_lines / p_eff : l2_lines;
         const bool in_stream =
-            side_streaming(s.in_affine, s.in_aff, cn, mu_elems);
+            side_streaming(s.in_affine, s.in_bits, cn, mu_elems);
         const bool out_stream =
-            side_streaming(s.out_affine, s.out_aff, cn, mu_elems);
+            side_streaming(s.out_affine, s.out_bits, cn, mu_elems);
         const double iter_flop_cycles =
             cfg.flop_cycles *
             ((s.is_compute ? (s.wht ? backend::wht_codelet_flops(cn)

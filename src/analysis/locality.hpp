@@ -3,8 +3,8 @@
 // analysis/verify.hpp proves a program *correct* (races, coverage, load
 // balance); this pass predicts what the program will *cost* on a shared
 // memory machine — without executing or simulating it access by access
-// through cache models. From each stage's affine (or tabulated) index
-// maps and its iteration-to-thread schedule it computes:
+// through cache models. From each stage's index maps and its
+// iteration-to-thread schedule it computes:
 //
 //   * per-thread per-stage cache-line working sets (in / out / twiddle
 //     footprints, balance across threads);

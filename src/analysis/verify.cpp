@@ -132,22 +132,16 @@ void verify_stage(const backend::StageList& program, int si,
   };
 
   // -- Well-formedness that later checks depend on: map/scale lengths.
-  //    An affine-compacted side carries no table (its addressing is total
-  //    by construction); a bit-stride side must span exactly iters*cn
-  //    positions, and a materialized side must have iters*cn entries.
+  //    A bit-stride side must span exactly iters*cn positions, and a
+  //    table side must have iters*cn entries.
   const idx_t expected = s.iters * s.cn;
   const auto esz = static_cast<std::size_t>(expected);
-  const auto entries = [expected](bool affine, bool bit_encoded,
-                                  const backend::BitStrideMap& bits,
-                                  const std::vector<std::int32_t>& map) {
-    if (affine) return expected;
-    if (bit_encoded) return bits.positions();
-    return static_cast<idx_t>(map.size());
+  const auto entries = [](const backend::BitStrideMap& bits,
+                          const std::vector<std::int32_t>& map) {
+    return map.empty() ? bits.positions() : static_cast<idx_t>(map.size());
   };
-  const idx_t in_entries =
-      entries(s.in_affine, s.in_bit_encoded, s.in_bits, s.in_map);
-  const idx_t out_entries =
-      entries(s.out_affine, s.out_bit_encoded, s.out_bits, s.out_map);
+  const idx_t in_entries = entries(s.in_bits, s.in_map);
+  const idx_t out_entries = entries(s.out_bits, s.out_map);
   bool maps_ok = true;
   if (s.iters < 0 || s.cn < 1 || in_entries != expected ||
       out_entries != expected) {
@@ -175,9 +169,9 @@ void verify_stage(const backend::StageList& program, int si,
   }
   if (!maps_ok) return;  // the maps cannot be traversed safely
 
-  // -- Bounds: every addressed element (table entry or affine-evaluated
-  //    index — wrong compacted strides surface right here) must fall in
-  //    the n-element buffers.
+  // -- Bounds: every addressed element (table entry or map-evaluated
+  //    index — skewed affine strides surface right here) must fall in the
+  //    n-element buffers.
   std::int64_t in_oob = 0, out_oob = 0;
   std::int64_t first_in = -1, first_in_val = 0;
   std::int64_t first_out = -1, first_out_val = 0;

@@ -10,7 +10,7 @@
 // silently reintroduce races or cache-line ping-pong.
 //
 // For each stage the verifier computes the exact per-thread read/write
-// footprints from in_map/out_map plus the stage's schedule (parallel_p,
+// footprints from its index maps plus the stage's schedule (parallel_p,
 // sched_block — the same iteration-to-thread mapping Program::run_stage
 // uses) and reports typed diagnostics:
 //

@@ -12,7 +12,7 @@ namespace spiral::backend {
 namespace {
 
 /// Gathers the n input values (applying map/stride and fused scale) into
-/// the stack buffer. Affine-compacted stages take the strided branches;
+/// the stack buffer. Uniform-stride sides take the strided branches;
 /// the unit-stride case is a straight contiguous copy the compiler can
 /// turn into wide loads.
 inline void gather(idx_t n, const CodeletIo& io, cplx* buf) {
@@ -207,9 +207,9 @@ double wht_codelet_flops(idx_t n) {
 
 namespace {
 
-/// The stride between a codelet's elements on a bit-stride side whose
-/// element bits double one stride (0 when they do not). Such a side is
-/// addressed like an affine one, from the row base at(it*cn), so the
+/// The stride between a codelet's elements on a side whose element bits
+/// double one stride (0 when they do not). Such a side — every affine
+/// one among them — is addressed from the row base at(it*cn), so the
 /// codelet runs its strided path.
 idx_t element_stride(const BitStrideMap& m, idx_t cn) {
   const int c = util::log2_exact(cn);
@@ -228,44 +228,29 @@ void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
   if (s.is_compute) {
     const idx_t cn = s.cn;
     constexpr idx_t kRowMax = 64;  // largest codelet the lowering emits
-    const bool in_row = !s.in_affine && s.in_bit_encoded;
-    const bool out_row = !s.out_affine && s.out_bit_encoded;
-    util::require(cn <= kRowMax || (!in_row && !out_row),
-                  "run_stage_scalar: bit-stride codelet wider than 64");
-    const idx_t in_es = in_row ? element_stride(s.in_bits, cn) : 0;
-    const idx_t out_es = out_row ? element_stride(s.out_bits, cn) : 0;
+    util::require(cn <= kRowMax, "run_stage_scalar: codelet wider than 64");
+    const idx_t in_es = element_stride(s.in_bits, cn);
+    const idx_t out_es = element_stride(s.out_bits, cn);
     std::array<std::int32_t, kRowMax> in_idx{};
     std::array<std::int32_t, kRowMax> out_idx{};
     for (idx_t it = lo; it < hi; ++it) {
       CodeletIo io;
-      if (s.in_affine) {
-        io.x = src + s.in_aff.base + it * s.in_aff.iter_stride;
-        io.in_stride = s.in_aff.elem_stride;
-      } else if (in_es != 0) {
+      if (in_es != 0) {
         io.x = src + s.in_bits.at(it * cn);
         io.in_stride = in_es;
-      } else if (in_row) {
+      } else {
         // BitStrideMap's constructor range-checked every reachable index.
         s.in_bits.row(it * cn, cn, in_idx.data());
         io.x = src;
         io.in_map = in_idx.data();
-      } else {
-        io.x = src;
-        io.in_map = s.in_map.data() + it * cn;
       }
-      if (s.out_affine) {
-        io.y = dst + s.out_aff.base + it * s.out_aff.iter_stride;
-        io.out_stride = s.out_aff.elem_stride;
-      } else if (out_es != 0) {
+      if (out_es != 0) {
         io.y = dst + s.out_bits.at(it * cn);
         io.out_stride = out_es;
-      } else if (out_row) {
+      } else {
         s.out_bits.row(it * cn, cn, out_idx.data());
         io.y = dst;
         io.out_map = out_idx.data();
-      } else {
-        io.y = dst;
-        io.out_map = s.out_map.data() + it * cn;
       }
       io.in_scale = s.in_scale.empty() ? nullptr : s.in_scale.data() + it * cn;
       io.out_scale =
@@ -279,32 +264,14 @@ void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
     return;
   }
   // Pure data stage (cn == 1).
-  if (s.in_affine && s.out_affine) {
-    const cplx* in = src + s.in_aff.base;
-    cplx* out = dst + s.out_aff.base;
-    const idx_t is = s.in_aff.iter_stride;
-    const idx_t os = s.out_aff.iter_stride;
-    if (s.in_scale.empty()) {
-      if (is == 1 && os == 1) {
-        std::copy(in + lo, in + hi, out + lo);
-      } else {
-        for (idx_t j = lo; j < hi; ++j) out[j * os] = in[j * is];
-      }
-    } else {
-      for (idx_t j = lo; j < hi; ++j) {
-        out[j * os] = s.in_scale[static_cast<std::size_t>(j)] * in[j * is];
-      }
-    }
-    return;
-  }
   if (s.in_scale.empty()) {
     for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] = src[s.in_index(j, 0)];
+      dst[s.out_bits.at(j)] = src[s.in_bits.at(j)];
     }
   } else {
     for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_index(j, 0)] =
-          s.in_scale[static_cast<std::size_t>(j)] * src[s.in_index(j, 0)];
+      dst[s.out_bits.at(j)] =
+          s.in_scale[static_cast<std::size_t>(j)] * src[s.in_bits.at(j)];
     }
   }
 }

@@ -1,10 +1,12 @@
 // Unrolled DFT codelets — the base cases of the generated programs.
 //
 // A codelet computes one DFT_n (n small) with fully general addressing:
-// input elements come either from a strided location or through an
-// absolute index map (the result of fusing permutations into the loop,
-// paper Section 3.1 / the loop-merging framework [11]), optionally
-// multiplied by fused diagonal entries (twiddles) on load.
+// input elements come either from a strided location (a stage side whose
+// element bits keep one stride, e.g. an affine one) or through a row of
+// absolute indices read off a bit-stride map (the result of fusing
+// permutations into the loop, paper Section 3.1 / the loop-merging
+// framework [11]), optionally multiplied by fused diagonal entries
+// (twiddles) on load.
 //
 // Sizes 2 and 4 are hand-unrolled (radix-2 DIT); the other powers of two
 // up to 64 use an in-register iterative radix-2. Lowering emits no other
@@ -65,11 +67,11 @@ struct Stage;
 
 /// Runs iterations [lo, hi) of a stage through the scalar codelets (or
 /// the copy/scale loop of a pure data stage): the interpreter's scalar
-/// path and the head/tail around the SIMD drivers' packs. Affine sides,
-/// and bit-stride sides whose element bits keep one stride, use the
-/// codelets' strided addressing; tables are passed through; any other
-/// bit-stride side hands the codelet one row of cn indices per
-/// iteration.
+/// path and the head/tail around the SIMD drivers' packs. A side whose
+/// element bits keep one stride (every affine side does) uses the
+/// codelets' strided addressing; any other hands the codelet one row of
+/// cn indices per iteration. Addressing reads the bit-stride maps only:
+/// the stage must carry no table, as Program requires.
 void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
                       idx_t hi);
 

@@ -147,11 +147,6 @@ void scale_by(BitDiag& acc, const BitDiag& f, const BitStrideMap* pos) {
   multiply(acc, f.values, fbits);
 }
 
-/// Whether fusion may touch a stage: both sides bit-encoded. Affine
-/// sides (normally produced only after fusion by compact_affine) and
-/// tables are left alone.
-bool fusable(const Stage& s) { return s.in_bit_encoded && s.out_bit_encoded; }
-
 }  // namespace
 
 Stage materialize_scales(LoweredStage&& ls) {
@@ -225,7 +220,6 @@ int fuse_lowered(std::vector<LoweredStage>& st) {
     for (std::size_t i = 0; i + 1 < st.size(); ++i) {
       LoweredStage& left = st[i];
       LoweredStage& right = st[i + 1];
-      if (!fusable(left.stage) || !fusable(right.stage)) continue;
       if ((level == 0 || level == 3) && left.stage.is_compute &&
           !right.stage.is_compute) {
         // right applies first: left now reads through right's maps.
@@ -259,7 +253,6 @@ int fuse_lowered(std::vector<LoweredStage>& st) {
         s.is_compute = false;
         s.parallel_p = std::max(left.stage.parallel_p, right.stage.parallel_p);
         s.label = left.stage.label + " o " + right.stage.label;
-        s.in_bit_encoded = s.out_bit_encoded = true;
         const BitStrideMap pos =
             compose(invert(right.stage.out_bits), left.stage.in_bits);
         s.in_bits = compose(right.stage.in_bits, pos);
@@ -294,12 +287,10 @@ int fuse(StageList& list) {
   lowered.reserve(list.stages.size());
   for (auto& s : list.stages) {
     LoweredStage ls{std::move(s), {}, {}};
-    if (fusable(ls.stage)) {
-      ls.in_diag = lift(std::move(ls.stage.in_scale));
-      ls.out_diag = lift(std::move(ls.stage.out_scale));
-      ls.stage.in_scale.clear();
-      ls.stage.out_scale.clear();
-    }
+    ls.in_diag = lift(std::move(ls.stage.in_scale));
+    ls.out_diag = lift(std::move(ls.stage.out_scale));
+    ls.stage.in_scale.clear();
+    ls.stage.out_scale.clear();
     lowered.push_back(std::move(ls));
   }
   const int eliminated = fuse_lowered(lowered);

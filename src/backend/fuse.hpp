@@ -22,10 +22,10 @@ namespace spiral::backend {
 ///   3. a pure stage directly left of a compute stage (applied after it)
 ///      is folded into its output maps/scales.
 /// Pure stages with no compute neighbour (e.g. a program that is a single
-/// permutation) survive, as do stages with an affine or tabulated side.
-/// Materialized scale tables are lifted into BitDiags over all position
-/// bits and written back after fusion. Returns the number of stages
-/// eliminated.
+/// permutation) survive. The stages must come from lower() (bit-stride
+/// sides, no tables); their affine flags are left as found. Materialized
+/// scale tables are lifted into BitDiags over all position bits and
+/// written back after fusion. Returns the number of stages eliminated.
 int fuse(StageList& list);
 
 /// True iff m is a bit permutation of [0, q * 2^bits): base 0, strides a

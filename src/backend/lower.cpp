@@ -340,7 +340,6 @@ class Lowerer {
         BitStrideMap(ctx.base, std::move(in), outer.count, outer.stride);
     s.out_bits =
         BitStrideMap(ctx.base, std::move(out), outer.count, outer.stride);
-    s.in_bit_encoded = s.out_bit_encoded = true;
     stages_.push_back(LoweredStage{std::move(s), std::move(diag), {}});
   }
 
@@ -422,33 +421,8 @@ class Lowerer {
 
 std::atomic<LoweringObserver> g_lowering_observer{nullptr};
 std::atomic<std::int32_t> g_affine_stride_mutation{0};
-
-/// Fits an affine pattern base + it*iter_stride + l*elem_stride to a
-/// bit-stride map in O(log n): affine iff the element bits, then the
-/// iteration bits and the outer digit, each double a single stride.
-bool detect_affine(const BitStrideMap& m, idx_t iters, idx_t cn,
-                   AffineMap* out) {
-  const int c = util::log2_exact(cn);
-  const auto& s = m.strides();
-  AffineMap a;
-  a.base = m.base();
-  a.elem_stride = cn > 1 ? s[0] : 0;
-  if (iters > 1) {
-    a.iter_stride =
-        c < m.bits() ? s[static_cast<std::size_t>(c)] : m.outer_stride();
-  }
-  for (std::size_t b = 0; b < s.size(); ++b) {
-    const int ib = static_cast<int>(b);
-    const idx_t want = ib < c ? a.elem_stride << ib : a.iter_stride << (ib - c);
-    if (s[b] != want) return false;
-  }
-  if (m.outer_count() > 1 &&
-      m.outer_stride() != a.iter_stride << (m.bits() - c)) {
-    return false;
-  }
-  *out = a;
-  return true;
-}
+std::atomic<idx_t> g_batch_stride_mutation{0};
+std::atomic<bool> g_twiddle_mutation{false};
 
 /// The program as executed: symbolic diagonals written out as tables.
 StageList materialize(idx_t n, std::vector<LoweredStage> lowered) {
@@ -478,6 +452,50 @@ std::vector<LoweredStage> lower_stages(const FormulaPtr& f, idx_t* n) {
   return std::move(lw).take();
 }
 
+/// The map base + it*a.iter_stride + l*a.elem_stride over m's positions
+/// and codelets of 2-power cn. A seeded stride mutation is rebuilt into
+/// the map this way, since the map is what execution, the verifier and
+/// the emitter read.
+BitStrideMap affine_bits(const BitStrideMap& m, idx_t cn, const AffineMap& a) {
+  const int c = util::log2_exact(cn);
+  std::vector<idx_t> st;
+  for (int b = 0; b < m.bits(); ++b) {
+    st.push_back(b < c ? a.elem_stride << b : a.iter_stride << (b - c));
+  }
+  return BitStrideMap(a.base, std::move(st), m.outer_count(),
+                      a.iter_stride << (m.bits() - c));
+}
+
+/// Records which sides are plain stride patterns (Stage::in_affine /
+/// out_affine), applying the seeded stride mutations to affine out-sides.
+void mark_affine(StageList& list) {
+  const std::int32_t mutate = affine_stride_mutation();
+  const idx_t batch_mutate = batch_stride_mutation();
+  for (auto& s : list.stages) {
+    s.in_affine = s.in_bits.affine(s.cn).has_value();
+    const auto out = s.out_bits.affine(s.cn);
+    s.out_affine = out.has_value();
+    if (!out || (mutate == 0 && batch_mutate == 0)) continue;
+    AffineMap a = *out;
+    if (mutate != 0) {
+      // Seeded defect (see set_affine_stride_mutation): skew the stride
+      // that actually participates in addressing for this stage shape.
+      if (s.cn > 1) {
+        a.elem_stride += mutate;
+      } else {
+        a.iter_stride += mutate;
+      }
+    }
+    if (batch_mutate != 0 && s.is_compute && s.cn > 1 && s.iters > 1) {
+      // Seeded batch-stride defect (see set_batch_stride_mutation):
+      // consecutive coalesced transforms land batch_mutate elements
+      // apart from where they should.
+      a.iter_stride += batch_mutate;
+    }
+    s.out_bits = affine_bits(s.out_bits, s.cn, a);
+  }
+}
+
 }  // namespace
 
 void set_lowering_observer(LoweringObserver obs) noexcept {
@@ -492,10 +510,6 @@ std::int32_t affine_stride_mutation() noexcept {
   return g_affine_stride_mutation.load(std::memory_order_acquire);
 }
 
-namespace {
-std::atomic<idx_t> g_batch_stride_mutation{0};
-}  // namespace
-
 void set_batch_stride_mutation(idx_t delta) noexcept {
   g_batch_stride_mutation.store(delta, std::memory_order_release);
 }
@@ -504,61 +518,12 @@ idx_t batch_stride_mutation() noexcept {
   return g_batch_stride_mutation.load(std::memory_order_acquire);
 }
 
-namespace {
-std::atomic<bool> g_twiddle_mutation{false};
-}  // namespace
-
 void set_twiddle_mutation(bool enabled) noexcept {
   g_twiddle_mutation.store(enabled, std::memory_order_release);
 }
 
 bool twiddle_mutation() noexcept {
   return g_twiddle_mutation.load(std::memory_order_acquire);
-}
-
-int compact_affine(StageList& list) {
-  const std::int32_t mutate = affine_stride_mutation();
-  const idx_t batch_mutate = batch_stride_mutation();
-  int dropped = 0;
-  for (auto& s : list.stages) {
-    AffineMap a;
-    if (!s.in_affine && s.in_bit_encoded &&
-        detect_affine(s.in_bits, s.iters, s.cn, &a)) {
-      s.in_affine = true;
-      s.in_aff = a;
-      s.in_map.clear();
-      s.in_map.shrink_to_fit();
-      s.in_bit_encoded = false;
-      s.in_bits = {};
-      ++dropped;
-    }
-    if (!s.out_affine && s.out_bit_encoded &&
-        detect_affine(s.out_bits, s.iters, s.cn, &a)) {
-      if (mutate != 0) {
-        // Seeded defect (see set_affine_stride_mutation): skew the stride
-        // that actually participates in addressing for this stage shape.
-        if (s.cn > 1) {
-          a.elem_stride += mutate;
-        } else {
-          a.iter_stride += mutate;
-        }
-      }
-      if (batch_mutate != 0 && s.is_compute && s.cn > 1 && s.iters > 1) {
-        // Seeded batch-stride defect (see set_batch_stride_mutation):
-        // consecutive coalesced transforms land batch_mutate elements
-        // apart from where they should.
-        a.iter_stride += batch_mutate;
-      }
-      s.out_affine = true;
-      s.out_aff = a;
-      s.out_map.clear();
-      s.out_map.shrink_to_fit();
-      s.out_bit_encoded = false;
-      s.out_bits = {};
-      ++dropped;
-    }
-  }
-  return dropped;
 }
 
 LoweringObserver lowering_observer() noexcept {
@@ -583,9 +548,7 @@ StageList lower_fused(const FormulaPtr& f) {
   if (auto* obs = lowering_observer()) obs(materialize(n, st));
   fuse_lowered(st);
   StageList list = materialize(n, std::move(st));
-  // Fusion scrambles maps where it merges permutations; whatever stayed a
-  // plain stride pattern now sheds its index maps for good.
-  compact_affine(list);
+  mark_affine(list);
   if (twiddle_mutation()) {
     // Seeded defect (see set_twiddle_mutation): wrong twiddle tables with
     // perfectly intact structure.

@@ -31,38 +31,32 @@ namespace spiral::backend {
 /// stride permutation, or an odd loop that is not outermost).
 [[nodiscard]] StageList lower(const spl::FormulaPtr& f);
 
-/// Full pipeline: normalize, lower, fuse and affine-compact.
+/// Full pipeline: normalize, lower and fuse, then record which sides
+/// are plain stride patterns (Stage::in_affine/out_affine, read off
+/// BitStrideMap::affine).
 [[nodiscard]] StageList lower_fused(const spl::FormulaPtr& f);
 
-/// Affine addressing compaction: for every bit-stride side that is an
-/// affine pattern base + it*iter_stride + l*elem_stride, drops the
-/// bit-stride map and records the descriptor (Stage::in_aff/out_aff)
-/// instead, so the codelets run their strided fast paths. Returns the
-/// number of sides compacted. Safe to call repeatedly; lower_fused() runs
-/// it after fusion.
-int compact_affine(StageList& list);
-
 /// Test hook for mutation-testing the lowering verifier: when delta != 0,
-/// compact_affine() corrupts every out-side affine descriptor it produces
-/// by adding delta to the stride (elem_stride for compute stages,
-/// iter_stride for cn == 1 data stages). The resulting program writes the
-/// wrong elements, which analysis::verify must flag (bounds / coverage /
-/// races) — proving the verifier actually guards the compaction. Never
-/// set outside tests and spiral-lint's --mutate-affine gate.
+/// lower_fused() rebuilds every affine out-side map with delta added to
+/// the stride (elem_stride for compute stages, iter_stride for cn == 1
+/// data stages). The resulting program writes the wrong elements, which
+/// analysis::verify must flag (bounds / coverage / races) — proving the
+/// verifier actually guards the affine sides. Never set outside tests
+/// and spiral-lint's --mutate-affine gate.
 void set_affine_stride_mutation(std::int32_t delta) noexcept;
 [[nodiscard]] std::int32_t affine_stride_mutation() noexcept;
 
 /// Mutation-testing hook for coalesced batch programs (spiral-lint
-/// --mutate-batch-stride): when delta != 0, compact_affine() skews the
-/// out-side ITERATION stride of every compute stage it compacts —
-/// modelling a batch executor that packed k transforms with the wrong
-/// per-transform stride, so consecutive transforms' outputs overlap (or
-/// leave gaps). Unlike --mutate-affine this leaves the within-codelet
-/// element stride intact; the defect is between loop iterations, which
-/// for an I_k (x) DFT_n stage is between the k coalesced transforms.
-/// analysis::verify must flag it (duplicate writes / lost elements /
-/// bounds) and --check-exec must fail parity. Never set outside tests
-/// and spiral-lint's WILL_FAIL gate.
+/// --mutate-batch-stride): when delta != 0, lower_fused() skews the
+/// out-side ITERATION stride of every compute stage whose out-side is
+/// affine — modelling a batch executor that packed k transforms with the
+/// wrong per-transform stride, so consecutive transforms' outputs
+/// overlap (or leave gaps). Unlike --mutate-affine this leaves the
+/// within-codelet element stride intact; the defect is between loop
+/// iterations, which for an I_k (x) DFT_n stage is between the k
+/// coalesced transforms. analysis::verify must flag it (duplicate
+/// writes / lost elements / bounds) and --check-exec must fail parity.
+/// Never set outside tests and spiral-lint's WILL_FAIL gate.
 void set_batch_stride_mutation(idx_t delta) noexcept;
 [[nodiscard]] idx_t batch_stride_mutation() noexcept;
 

@@ -1,6 +1,7 @@
 #include "backend/program.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "backend/codelets.hpp"
 
@@ -27,6 +28,10 @@ bool pingpong_mutation() noexcept { return g_pingpong_mutation; }
 Program::Program(StageList stages, ExecPolicy policy)
     : list_(std::move(stages)), policy_(policy) {
   for (const auto& s : list_.stages) {
+    if (!s.in_map.empty() || !s.out_map.empty()) {
+      throw std::invalid_argument("Program: stage '" + s.label +
+                                  "' is addressed through an index table");
+    }
     max_p_ = std::max(max_p_, static_cast<int>(s.parallel_p));
   }
 }

@@ -48,6 +48,8 @@ class Program {
   /// Takes ownership of the (fused) stage list. The program owns no
   /// worker threads: parallel execution runs on the pool of the caller's
   /// ExecContext (ExecContext::set_pool overrides the registry lease).
+  /// Throws std::invalid_argument on a stage addressed through an int32
+  /// table: execution reads the bit-stride maps only.
   Program(StageList stages, ExecPolicy policy);
 
   /// y = program(x) using the caller-supplied context. Out-of-place;

@@ -118,15 +118,15 @@ inline typename VecT<W>::type bcast(double x) {
 }
 
 /// Loads one side of a pack (iterations [it, it+W), element l) into
-/// split-lane registers, addressed BY THE RECORDED FORM: the base lane
-/// comes from the exact stage map, the remaining lanes from the form's
-/// lane stride. (kWithinCodelet has no lane stride — every lane goes
-/// through the exact map, which is always correct.)
-template <int W, bool kIn>
-inline void load_lanes(const Stage& s, VecForm form, const cplx* src,
-                       idx_t it, idx_t l, typename VecT<W>::type& re,
+/// split-lane registers, addressed BY THE RECORDED FORM: the base lane a0
+/// comes from the exact stage map `m`, the remaining lanes from the
+/// form's lane stride. (kWithinCodelet has no lane stride — every lane
+/// goes through the exact map, which is always correct.)
+template <int W>
+inline void load_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
+                       const cplx* src, idx_t it, idx_t l, idx_t a0,
+                       typename VecT<W>::type& re,
                        typename VecT<W>::type& im) {
-  const idx_t a0 = kIn ? s.in_index(it, l) : s.out_index(it, l);
   if (form == VecForm::kAcrossIterations) {
     const double* p = reinterpret_cast<const double*>(src + a0);
     const auto x0 = Ops<W>::loadu(p);
@@ -143,7 +143,7 @@ inline void load_lanes(const Stage& s, VecForm form, const cplx* src,
     return;
   }
   for (int v = 0; v < W; ++v) {
-    const idx_t a = kIn ? s.in_index(it + v, l) : s.out_index(it + v, l);
+    const idx_t a = m.at((it + v) * cn + l);
     re[v] = src[a].real();
     im[v] = src[a].imag();
   }
@@ -152,10 +152,10 @@ inline void load_lanes(const Stage& s, VecForm form, const cplx* src,
 /// Stores one pack element back through the output map (mirror of
 /// load_lanes).
 template <int W>
-inline void store_lanes(const Stage& s, VecForm form, cplx* dst, idx_t it,
-                        idx_t l, typename VecT<W>::type re,
+inline void store_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
+                        cplx* dst, idx_t it, idx_t l, idx_t a0,
+                        typename VecT<W>::type re,
                         typename VecT<W>::type im) {
-  const idx_t a0 = s.out_index(it, l);
   if (form == VecForm::kAcrossIterations) {
     typename VecT<W>::type y0, y1;
     Ops<W>::interleave(re, im, y0, y1);
@@ -171,7 +171,7 @@ inline void store_lanes(const Stage& s, VecForm form, cplx* dst, idx_t it,
     return;
   }
   for (int v = 0; v < W; ++v) {
-    dst[s.out_index(it + v, l)] = cplx(re[v], im[v]);
+    dst[m.at((it + v) * cn + l)] = cplx(re[v], im[v]);
   }
 }
 
@@ -187,10 +187,14 @@ void run_packs(const Stage& s, const StagePlan& plan, const cplx* src,
   const bool has_iscl = !plan.in_scale_re.empty();
   const bool has_oscl = !plan.out_scale_re.empty();
   V re[64], im[64];
+  // Lane 0's addresses, one map row per side and pack.
+  std::int32_t in_row[64], out_row[64];
   for (idx_t it = it0; it < it1; it += W) {
     const idx_t pack_base = (it / W) * cn * W;
+    s.in_bits.row(it * cn, cn, in_row);
     for (idx_t l = 0; l < cn; ++l) {
-      load_lanes<W, true>(s, plan.in_form, src, it, l, re[l], im[l]);
+      load_lanes<W>(s.in_bits, cn, plan.in_form, src, it, l, in_row[l], re[l],
+                    im[l]);
     }
     if (has_iscl) {
       for (idx_t l = 0; l < cn; ++l) {
@@ -255,8 +259,10 @@ void run_packs(const Stage& s, const StagePlan& plan, const cplx* src,
         re[l] = nr;
       }
     }
+    s.out_bits.row(it * cn, cn, out_row);
     for (idx_t l = 0; l < cn; ++l) {
-      store_lanes<W>(s, plan.out_form, dst, it, l, re[l], im[l]);
+      store_lanes<W>(s.out_bits, cn, plan.out_form, dst, it, l, out_row[l],
+                     re[l], im[l]);
     }
   }
 }

@@ -48,6 +48,35 @@ BitStrideMap::BitStrideMap(idx_t base, std::vector<idx_t> strides,
   }
 }
 
+std::optional<AffineMap> BitStrideMap::affine(idx_t cn) const {
+  util::require(cn >= 1 && positions() % cn == 0,
+                "bit-stride map: the codelet size must divide the positions");
+  // Digit d < B is position bit d, digit B the outer digit. The pattern
+  // gives element digit d the stride elem_stride * 2^d and iteration
+  // digit d the stride iter_stride * 2^(d - c): a 2-power cn = 2^c splits
+  // the digits at c. An odd factor of cn splits no digit, so the pattern
+  // must then be linear in k (the step from k = 2^d - 1 to 2^d never
+  // crosses a codelet boundary and must add elem_stride): every digit is
+  // an element digit and iter_stride = cn * elem_stride.
+  const int b_all = bits();
+  const int c = util::is_pow2(cn) ? util::log2_exact(cn) : b_all + 1;
+  auto stride = [this, b_all](int d) {
+    return d < b_all ? strides_[static_cast<std::size_t>(d)] : outer_stride_;
+  };
+  AffineMap a;
+  a.base = base_;
+  if (cn > 1) a.elem_stride = stride(0);
+  if (positions() > cn) {
+    a.iter_stride = c > b_all ? cn * a.elem_stride : stride(c);
+  }
+  const int digits = outer_count_ > 1 ? b_all + 1 : b_all;
+  for (int d = 0; d < digits; ++d) {
+    const idx_t want = d < c ? a.elem_stride << d : a.iter_stride << (d - c);
+    if (stride(d) != want) return std::nullopt;
+  }
+  return a;
+}
+
 double Stage::flops() const {
   double f = 0.0;
   if (is_compute) {

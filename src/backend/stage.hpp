@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,16 +36,14 @@ inline std::int32_t checked_index(idx_t v) {
   return static_cast<std::int32_t>(v);
 }
 
-/// Affine (map-free) addressing for one side of a stage:
+/// The closed form of an affine stage side,
 ///
-///   index(it, l) = base + it * iter_stride + l * elem_stride
+///   index(it, l) = base + it * iter_stride + l * elem_stride,
 ///
-/// When a stage's gather/scatter footprint is a plain stride pattern —
-/// which it is for every loop the lowering emits before permutations get
-/// fused in, and stays for many stages after fusion — three integers
-/// encode the whole side. compact_affine() (lower.hpp) detects the
-/// pattern on a bit-stride side and replaces it; the executor, codelets,
-/// verifier, simulator and C emitter all consume the descriptor directly.
+/// as BitStrideMap::affine() reads it off a map's strides. Code that
+/// prints or models a plain stride pattern (the C emitter, the locality
+/// model) takes it from there; addressing itself always goes through
+/// the map.
 struct AffineMap {
   idx_t base = 0;
   idx_t iter_stride = 0;  ///< stride between consecutive iterations
@@ -92,6 +91,10 @@ class BitStrideMap {
   [[nodiscard]] idx_t positions() const noexcept {
     return outer_count_ << bits();
   }
+  /// The side as base + it*iter_stride + l*elem_stride over codelets of
+  /// cn positions (cn must divide positions()), or nullopt when it is
+  /// not that pattern. O(log n): see stage.cpp.
+  [[nodiscard]] std::optional<AffineMap> affine(idx_t cn) const;
   [[nodiscard]] idx_t at(idx_t k) const {
     return idx_t{lo_[static_cast<std::size_t>(k & lo_mask_)]} +
            hi_[static_cast<std::size_t>(k >> lo_bits_)];
@@ -145,30 +148,21 @@ struct Stage {
   /// ignores the cache line length and can false-share.
   idx_t sched_block = 0;
 
-  /// Absolute input element index for (iteration i, element l), laid out
-  /// as in_map[i*cn + l]; size iters*cn == N. Lowering never fills it:
-  /// its sides are bit-stride encoded (in_bit_encoded) or affine
-  /// (in_affine). Tables come only from callers that rebuild a program
-  /// entry by entry (e.g. the emitted-C checker) — use in_index() to read
-  /// any representation.
-  std::vector<std::int32_t> in_map;
-  /// Absolute output element index, same layout (empty when untabulated).
-  std::vector<std::int32_t> out_map;
-  /// When set, the corresponding map vector is dropped and addressing is
-  /// computed from the affine descriptor. Scales (in_scale/out_scale) stay
-  /// materialized and keep their i*cn + l layout regardless.
-  bool in_affine = false;
-  bool out_affine = false;
-  AffineMap in_aff;
-  AffineMap out_aff;
-  /// When set (and the side is not affine), addressing comes from the
-  /// bit-stride map and the table is empty. Lowering emits every side in
-  /// this form; affine compaction later turns the plain-stride ones into
-  /// AffineMaps.
-  bool in_bit_encoded = false;
-  bool out_bit_encoded = false;
+  /// Addressing of the input and output sides. A lowered side is its
+  /// BitStrideMap; the int32 tables (element (it, l) at [it*cn + l]) are
+  /// empty. Only callers that rebuild a program entry by entry (hand-made
+  /// verifier inputs, the emitted-C checker) fill a table, which then
+  /// takes precedence; Program rejects such stages. Read either through
+  /// in_index()/out_index().
   BitStrideMap in_bits;
   BitStrideMap out_bits;
+  std::vector<std::int32_t> in_map;
+  std::vector<std::int32_t> out_map;
+  /// Set by lower_fused() when the side's map is a plain stride pattern
+  /// (in_bits.affine(cn) holds): a fact about the map, recorded for the
+  /// emitter, the locality model and the plan statistics.
+  bool in_affine = false;
+  bool out_affine = false;
   /// Optional fused diagonal applied on load (same layout); empty if none.
   util::cvec in_scale;
   /// Optional fused diagonal applied on store; empty if none.
@@ -179,24 +173,15 @@ struct Stage {
 
   [[nodiscard]] idx_t total_elems() const { return iters * cn; }
 
-  /// Input element index of (iteration it, element l), whichever
-  /// representation the stage carries. Analyses should address stages
-  /// through these accessors so affine-compacted programs verify and
-  /// simulate exactly like materialized ones.
+  /// Input element index of (iteration it, element l): the table entry
+  /// when there is one, else the bit-stride map.
   [[nodiscard]] idx_t in_index(idx_t it, idx_t l) const {
-    if (in_affine) {
-      return in_aff.base + it * in_aff.iter_stride + l * in_aff.elem_stride;
-    }
-    if (in_bit_encoded) return in_bits.at(it * cn + l);
+    if (in_map.empty()) return in_bits.at(it * cn + l);
     return in_map[static_cast<std::size_t>(it * cn + l)];
   }
   /// Output element index of (iteration it, element l).
   [[nodiscard]] idx_t out_index(idx_t it, idx_t l) const {
-    if (out_affine) {
-      return out_aff.base + it * out_aff.iter_stride +
-             l * out_aff.elem_stride;
-    }
-    if (out_bit_encoded) return out_bits.at(it * cn + l);
+    if (out_map.empty()) return out_bits.at(it * cn + l);
     return out_map[static_cast<std::size_t>(it * cn + l)];
   }
 

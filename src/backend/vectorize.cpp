@@ -14,9 +14,9 @@ const char* to_string(VecForm f) {
 
 namespace {
 
-/// Checks the lane-structured shape on one map (given as a flat accessor
-/// k -> index, so materialized tables and affine-compacted stages share
-/// one implementation): for every nu-pack of iterations, lane v
+/// Checks the lane-structured shape on one int32 table (given as a flat
+/// accessor k -> index; only rebuilt programs carry tables, lowered sides
+/// take the bit-stride proof below): for every nu-pack of iterations, lane v
 /// reads/writes address(lane 0) + v*lane_stride, with lane 0 nu-aligned.
 /// lane_stride == 1 is the plain A (x) I_nu shape; lane_stride == nu is
 /// the fused in-register-transpose shape.
@@ -116,18 +116,16 @@ VecForm bit_map_form(const BitStrideMap& m, idx_t cn, idx_t nu) {
   return VecForm::kNone;
 }
 
-/// Shape of one side of a stage at width nu, whichever encoding it has.
+/// Shape of one side of a stage at width nu: proven on its bit-stride
+/// map, or walked entry by entry on a table.
 VecForm side_form(const Stage& s, bool input, idx_t nu) {
-  if (input ? (!s.in_affine && s.in_bit_encoded)
-            : (!s.out_affine && s.out_bit_encoded)) {
+  const auto& table = input ? s.in_map : s.out_map;
+  if (table.empty()) {
     return bit_map_form(input ? s.in_bits : s.out_bits, s.cn, nu);
   }
-  if (input) {
-    return one_map_form([&s](idx_t k) { return s.in_index(k / s.cn, k % s.cn); },
-                        s.iters, s.cn, nu);
-  }
-  return one_map_form([&s](idx_t k) { return s.out_index(k / s.cn, k % s.cn); },
-                      s.iters, s.cn, nu);
+  return one_map_form(
+      [&table](idx_t k) { return idx_t{table[static_cast<std::size_t>(k)]}; },
+      s.iters, s.cn, nu);
 }
 
 }  // namespace

@@ -49,32 +49,16 @@ int first_parallel_stage(const StageList& list) {
   return -1;
 }
 
-/// Re-materializes the index tables of an untabulated (affine-compacted
-/// or bit-stride encoded) stage so the negative tests can corrupt
-/// individual entries again.
+/// Tabulates the index maps of a lowered stage so the negative tests can
+/// corrupt individual entries (a table takes precedence over the map).
 void materialize(Stage& s) {
   const auto esz = static_cast<std::size_t>(s.iters * s.cn);
-  if (s.in_map.empty()) {
-    s.in_map.resize(esz);
-    for (idx_t it = 0; it < s.iters; ++it) {
-      for (idx_t l = 0; l < s.cn; ++l) {
-        s.in_map[static_cast<std::size_t>(it * s.cn + l)] =
-            static_cast<std::int32_t>(s.in_index(it, l));
-      }
-    }
-    s.in_affine = false;
-    s.in_bit_encoded = false;
-  }
-  if (s.out_map.empty()) {
-    s.out_map.resize(esz);
-    for (idx_t it = 0; it < s.iters; ++it) {
-      for (idx_t l = 0; l < s.cn; ++l) {
-        s.out_map[static_cast<std::size_t>(it * s.cn + l)] =
-            static_cast<std::int32_t>(s.out_index(it, l));
-      }
-    }
-    s.out_affine = false;
-    s.out_bit_encoded = false;
+  s.in_map.resize(esz);
+  s.out_map.resize(esz);
+  for (std::size_t k = 0; k < esz; ++k) {
+    const auto pos = static_cast<idx_t>(k);
+    s.in_map[k] = static_cast<std::int32_t>(s.in_bits.at(pos));
+    s.out_map[k] = static_cast<std::int32_t>(s.out_bits.at(pos));
   }
 }
 
@@ -230,9 +214,9 @@ TEST(AnalysisNegative, MapSizeMismatch) {
 }
 
 TEST(AnalysisNegative, AffineOutOfBounds) {
-  // Hand-built affine-compacted copy stage whose output stride walks past
-  // the end of the buffer: the verifier must evaluate the affine
-  // expressions, not just the (absent) tables.
+  // Hand-built affine copy stage whose output stride walks past the end
+  // of the buffer: the verifier must evaluate the bit-stride maps, not
+  // just the (absent) tables.
   StageList list;
   list.n = 16;
   Stage s;
@@ -240,10 +224,10 @@ TEST(AnalysisNegative, AffineOutOfBounds) {
   s.iters = 16;
   s.cn = 1;
   s.parallel_p = 1;
-  s.in_affine = true;
-  s.in_aff = {0, 1, 0};
-  s.out_affine = true;
-  s.out_aff = {0, 2, 0};  // writes 0,2,..,30: top half out of bounds
+  s.in_bits = backend::BitStrideMap(0, {1, 2, 4, 8});
+  // Writes 0,2,..,30: the top half is out of bounds.
+  s.out_bits = backend::BitStrideMap(0, {2, 4, 8, 16});
+  s.in_affine = s.out_affine = true;
   list.stages.push_back(s);
   const Report rep = analysis::verify(list);
   EXPECT_TRUE(has_kind(rep, Diag::kIndexOutOfBounds)) << rep.to_string();
@@ -262,10 +246,10 @@ TEST(AnalysisNegative, AffineWriteWriteRace) {
   s.cn = 4;
   s.is_compute = true;
   s.parallel_p = 4;
-  s.in_affine = true;
-  s.in_aff = {0, 4, 1};
-  s.out_affine = true;
-  s.out_aff = {0, 0, 1};  // all iterations write elements [0, 4)
+  s.in_bits = backend::BitStrideMap(0, {1, 2, 4, 8});
+  // All iterations write elements [0, 4).
+  s.out_bits = backend::BitStrideMap(0, {1, 2, 0, 0});
+  s.in_affine = s.out_affine = true;
   list.stages.push_back(s);
   const Report rep = analysis::verify(list);
   EXPECT_TRUE(has_kind(rep, Diag::kRaceWriteWrite)) << rep.to_string();
@@ -425,8 +409,15 @@ TEST(VerifyLoweringHook, CorruptedProgramThrowsAtPlanTime) {
   const int si = first_parallel_stage(corrupted);
   ASSERT_GE(si, 0);
   auto& s = corrupted.stages[static_cast<std::size_t>(si)];
-  materialize(s);
-  s.out_map[0] = s.out_map[s.out_map.size() - 1];
+  // The top position bit (the one the threads split) takes the lowest
+  // bit's stride: threads write each other's elements. The corruption
+  // stays in the map, which Program executes; it rejects tables.
+  std::vector<idx_t> st = s.out_bits.strides();
+  ASSERT_GE(st.size(), 2u);
+  st.back() = st.front();
+  s.out_bits = backend::BitStrideMap(s.out_bits.base(), std::move(st),
+                                     s.out_bits.outer_count(),
+                                     s.out_bits.outer_stride());
 
   auto formula = core::planner_formula(n, opt);
   StageList copy = corrupted;

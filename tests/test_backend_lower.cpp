@@ -217,59 +217,56 @@ TEST(Fuse, SequentialExpansionMatchesDftUpTo1024) {
   }
 }
 
-TEST(Affine, CompactionDropsMapsAndPreservesSemantics) {
-  // Affine-detectable sides lose their materialized tables entirely; the
-  // accessor-driven executor must still compute the same transform.
+TEST(Affine, MarkedSidesKeepTheirMapsAndPreserveSemantics) {
+  // lower_fused() marks the sides that are plain stride patterns exactly
+  // when their map's affine view holds; marked or not, every side keeps
+  // its bit-stride map, no table appears, and the program computes the
+  // formula.
   auto f = rewrite::cooley_tukey(8, 8);
-  auto fused = lower(f);
-  fuse(fused);
-  auto compacted = fused;
-  const int sides = compact_affine(compacted);
-  EXPECT_GT(sides, 0) << compacted.summary();
-  bool any_empty = false;
-  for (const auto& s : compacted.stages) {
-    if (s.in_affine) {
-      EXPECT_TRUE(s.in_map.empty()) << s.label;
-      any_empty = true;
-    }
-    if (s.out_affine) {
-      EXPECT_TRUE(s.out_map.empty()) << s.label;
-      any_empty = true;
-    }
+  const auto list = lower_fused(f);
+  int sides = 0;
+  for (const auto& s : list.stages) {
+    EXPECT_EQ(s.in_affine, s.in_bits.affine(s.cn).has_value()) << s.label;
+    EXPECT_EQ(s.out_affine, s.out_bits.affine(s.cn).has_value()) << s.label;
+    EXPECT_TRUE(s.in_map.empty() && s.out_map.empty()) << s.label;
+    EXPECT_EQ(s.in_bits.positions(), s.total_elems()) << s.label;
+    EXPECT_EQ(s.out_bits.positions(), s.total_elems()) << s.label;
+    sides += (s.in_affine ? 1 : 0) + (s.out_affine ? 1 : 0);
   }
-  EXPECT_TRUE(any_empty);
-  expect_program_matches_formula(f, compacted, 31);
+  EXPECT_GT(sides, 0) << list.summary();
+  expect_program_matches_formula(f, list, 31);
 }
 
-TEST(Affine, AccessorsMatchMaterializedMaps) {
-  // in_index/out_index on the compacted program must reproduce the
-  // materialized tables of the uncompacted twin, entry by entry.
+TEST(Affine, ClosedFormMatchesTheMap) {
+  // On every marked side, base + it*iter_stride + l*elem_stride from the
+  // map's affine view reproduces in_index/out_index entry by entry.
   auto f = rewrite::derive_multicore_ct(1 << 8, 1 << 4, 2, 2);
-  auto g = rewrite::expand_dfts_balanced(f, 8);
-  auto plain = lower(g);
-  fuse(plain);
-  auto compacted = plain;
-  compact_affine(compacted);
-  ASSERT_EQ(plain.stages.size(), compacted.stages.size());
-  for (std::size_t si = 0; si < plain.stages.size(); ++si) {
-    const Stage& a = plain.stages[si];
-    const Stage& b = compacted.stages[si];
-    for (idx_t it = 0; it < a.iters; ++it) {
-      for (idx_t l = 0; l < a.cn; ++l) {
-        ASSERT_EQ(a.in_index(it, l), b.in_index(it, l))
-            << "stage " << si << " in(" << it << "," << l << ")";
-        ASSERT_EQ(a.out_index(it, l), b.out_index(it, l))
-            << "stage " << si << " out(" << it << "," << l << ")";
+  const auto list = lower_fused(rewrite::expand_dfts_balanced(f, 8));
+  int sides = 0;
+  for (std::size_t si = 0; si < list.stages.size(); ++si) {
+    const Stage& s = list.stages[si];
+    for (const bool input : {true, false}) {
+      if (!(input ? s.in_affine : s.out_affine)) continue;
+      ++sides;
+      const AffineMap a = (input ? s.in_bits : s.out_bits).affine(s.cn).value();
+      for (idx_t it = 0; it < s.iters; ++it) {
+        for (idx_t l = 0; l < s.cn; ++l) {
+          ASSERT_EQ(a.base + it * a.iter_stride + l * a.elem_stride,
+                    input ? s.in_index(it, l) : s.out_index(it, l))
+              << "stage " << si << (input ? " in(" : " out(") << it << ","
+              << l << ")";
+        }
       }
     }
   }
+  EXPECT_GT(sides, 0) << list.summary();
 }
 
-TEST(Affine, PlannerSweepCompactsAndVerifiesClean) {
-  // Acceptance sweep 2^4..2^16 x p in {2,4,8}: planner programs are
-  // affine-compacted somewhere in the range and every one passes the
-  // static verifier (test_analysis runs the same sweep; here we
-  // additionally pin that compaction actually engages).
+TEST(Affine, PlannerSweepHasAffineSidesAndVerifiesClean) {
+  // Acceptance sweep 2^4..2^16 x p in {2,4,8}: planner programs have
+  // affine sides somewhere in the range and every one passes the static
+  // verifier (test_analysis runs the same sweep; here we additionally pin
+  // that the affine marking actually engages).
   int affine_sides = 0;
   for (int k = 4; k <= 16; k += 2) {
     for (int p : {2, 4, 8}) {
@@ -286,20 +283,26 @@ TEST(Affine, PlannerSweepCompactsAndVerifiesClean) {
           << "n=2^" << k << " p=" << p << "\n" << rep.to_string();
     }
   }
-  EXPECT_GT(affine_sides, 0) << "affine compaction never engaged";
+  EXPECT_GT(affine_sides, 0) << "no planner program has an affine side";
 }
 
 TEST(Affine, StrideMutationIsCaughtByVerifier) {
   // Mutation test of the verifier itself: a wrong affine stride must
-  // produce bounds/coverage findings, never a silent pass. The hook is
-  // applied to a standalone compact_affine call so the suite's lowering
-  // observer (which verifies every lower_fused product) stays untriggered.
-  auto f = rewrite::derive_multicore_ct(1 << 8, 1 << 4, 2, 2);
-  auto list = lower(rewrite::expand_dfts_balanced(f, 8));
-  fuse(list);
+  // produce bounds/coverage findings, never a silent pass. lower_fused()
+  // rebuilds the skewed out-side maps, which is what execution, the
+  // verifier and the emitter read. The suite's lowering observer
+  // (which verifies every lower_fused product) is off while the hook is
+  // set.
+  auto g = rewrite::expand_dfts_balanced(
+      rewrite::derive_multicore_ct(1 << 8, 1 << 4, 2, 2), 8);
+  const LoweringObserver saved = lowering_observer();
+  set_lowering_observer(nullptr);
   set_affine_stride_mutation(1);
-  const int sides = compact_affine(list);
+  const StageList list = lower_fused(g);
   set_affine_stride_mutation(0);
+  set_lowering_observer(saved);
+  int sides = 0;
+  for (const auto& s : list.stages) sides += s.out_affine ? 1 : 0;
   ASSERT_GT(sides, 0);
   const auto rep = analysis::verify(list);
   EXPECT_FALSE(rep.ok()) << "skewed stride not flagged:\n" << rep.to_string();
@@ -321,6 +324,69 @@ std::vector<idx_t> table_of(const BitStrideMap& m) {
   std::vector<idx_t> t(static_cast<std::size_t>(m.positions()));
   for (std::size_t k = 0; k < t.size(); ++k) t[k] = m.at(idx_t(k));
   return t;
+}
+
+TEST(BitStride, AffineViewMatchesBruteForceFit) {
+  // affine(cn) holds exactly when some base + it*is + l*es reproduces the
+  // map at every position (the only candidate takes es from the first
+  // step and is from the first codelet boundary), and its closed form is
+  // then the map. Random bit permutations, affine stride patterns, the
+  // same with one digit disturbed, and random strides; outer counts 1, 3
+  // and 5; every codelet size up to 32 that divides the positions.
+  util::Rng rng(0xaff1);
+  int holds = 0;
+  int fails = 0;
+  for (const idx_t q : {1, 3, 5}) {
+    for (int bits = 0; bits <= 7; ++bits) {
+      for (int trial = 0; trial < 12; ++trial) {
+        BitStrideMap m = random_bit_permutation(bits, rng, q);
+        if (trial % 4 != 0) {
+          const int c = static_cast<int>(rng.uniform_int(0, bits));
+          const idx_t es = rng.uniform_int(0, 3);
+          const idx_t is = rng.uniform_int(0, 9);
+          std::vector<idx_t> st;
+          for (int b = 0; b < bits; ++b) {
+            st.push_back(trial % 4 == 3 ? rng.uniform_int(0, 9)
+                         : b < c        ? es << b
+                                        : is << (b - c));
+          }
+          idx_t os = is << (bits - c);
+          if (trial % 4 == 2) {
+            const auto d = static_cast<std::size_t>(rng.uniform_int(0, bits));
+            (d < st.size() ? st[d] : os) += rng.uniform_int(1, 3);
+          }
+          m = BitStrideMap(rng.uniform_int(0, 5), std::move(st), q, os);
+        }
+        for (idx_t cn = 1; cn <= 32; ++cn) {
+          if (m.positions() % cn != 0) continue;
+          const idx_t iters = m.positions() / cn;
+          const idx_t es = cn > 1 ? m.at(1) - m.at(0) : 0;
+          const idx_t is = iters > 1 ? m.at(cn) - m.at(0) : 0;
+          bool fit = true;
+          for (idx_t k = 0; k < m.positions(); ++k) {
+            fit = fit && m.at(k) == m.at(0) + (k / cn) * is + (k % cn) * es;
+          }
+          const auto a = m.affine(cn);
+          ASSERT_EQ(a.has_value(), fit)
+              << "q=" << q << " bits=" << bits << " trial=" << trial
+              << " cn=" << cn;
+          if (!a) {
+            ++fails;
+            continue;
+          }
+          ++holds;
+          for (idx_t k = 0; k < m.positions(); ++k) {
+            ASSERT_EQ(a->base + (k / cn) * a->iter_stride +
+                          (k % cn) * a->elem_stride,
+                      m.at(k))
+                << "q=" << q << " bits=" << bits << " cn=" << cn << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(holds, 0);
+  EXPECT_GT(fails, 0);
 }
 
 TEST(BitStride, EvaluatesTheStrideSum) {
@@ -390,8 +456,8 @@ TEST(BitStride, ComposeMatchesTableComposition) {
 }
 
 TEST(BitStride, TwoPowerDftPlansMaterializeNoIndexMap) {
-  // Every side of a 2-power DFT program is affine or bit-stride encoded,
-  // before and after fusion: no O(n) int32 map anywhere. (The lowering
+  // Every side of a 2-power DFT program is bit-stride encoded, before
+  // and after fusion: no O(n) int32 map anywhere. (The lowering
   // observer is off here; this pins the representation, not the
   // verifier, and keeps the 2^20 plans quick.)
   const LoweringObserver saved = lowering_observer();
@@ -409,8 +475,8 @@ TEST(BitStride, TwoPowerDftPlansMaterializeNoIndexMap) {
             EXPECT_TRUE(s.in_map.empty() && s.out_map.empty())
                 << "n=2^" << k << " p=" << p << " nu=" << nu << ": "
                 << s.label;
-            EXPECT_TRUE(s.in_affine || s.in_bit_encoded) << s.label;
-            EXPECT_TRUE(s.out_affine || s.out_bit_encoded) << s.label;
+            EXPECT_EQ(s.in_bits.positions(), s.total_elems()) << s.label;
+            EXPECT_EQ(s.out_bits.positions(), s.total_elems()) << s.label;
           }
         }
       }
@@ -438,8 +504,8 @@ TEST(BitStride, OddBatchesFoldIntoTheOuterDigit) {
     for (const StageList& list : {lower(f), lower_fused(f), refused}) {
       for (const Stage& s : list.stages) {
         EXPECT_TRUE(s.in_map.empty() && s.out_map.empty()) << s.label;
-        EXPECT_TRUE(s.in_affine || s.in_bit_encoded) << s.label;
-        EXPECT_TRUE(s.out_affine || s.out_bit_encoded) << s.label;
+        EXPECT_EQ(s.in_bits.positions(), s.total_elems()) << s.label;
+        EXPECT_EQ(s.out_bits.positions(), s.total_elems()) << s.label;
       }
       expect_program_matches_formula(f, list, 5);
     }

@@ -95,6 +95,25 @@ TEST(Program, SingleStageInPlace) {
   EXPECT_LT(max_diff(x, ref), 1e-15);
 }
 
+TEST(Program, RejectsTableAddressedStages) {
+  // Execution reads the bit-stride maps only; an int32 table on either
+  // side (as the analyses' rebuilt programs carry) is refused up front.
+  const auto list = lower_fused(spl::L(64, 8));
+  ASSERT_EQ(list.stages.size(), 1u);
+  for (const bool input : {true, false}) {
+    StageList tabled = list;
+    Stage& s = tabled.stages.front();
+    const BitStrideMap& map = input ? s.in_bits : s.out_bits;
+    auto& table = input ? s.in_map : s.out_map;
+    for (idx_t k = 0; k < s.total_elems(); ++k) {
+      table.push_back(static_cast<std::int32_t>(map.at(k)));
+    }
+    EXPECT_THROW(Program(tabled, ExecPolicy::kSequential),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(Program(list, ExecPolicy::kSequential));
+}
+
 TEST(Program, RepeatedExecutionIsDeterministic) {
   const idx_t n = 512;
   auto list = multicore_program(n, 2, 4);

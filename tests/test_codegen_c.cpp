@@ -151,8 +151,8 @@ TEST(CodegenC, WhtProgramSelfTests) {
 TEST(CodegenC, EmitsTablesAndCodelets) {
   auto f = rewrite::formula_from_ruletree(rewrite::default_ruletree(64, 8));
   const std::string src = emit_c(lower_fused(f));
-  // Stage 0's input side is either a materialized table or (after affine
-  // compaction) an inline base + it*stride expression marked by comment.
+  // Stage 0's input side is either an emitted table or (when affine) an
+  // inline base + it*stride expression marked by comment.
   const bool has_table =
       src.find("static const int s0_in") != std::string::npos;
   const bool has_affine = src.find("s0_in: affine") != std::string::npos;

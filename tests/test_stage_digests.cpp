@@ -86,9 +86,14 @@ core::PlannerOptions options(int p, idx_t nu) {
 
 void add_line(std::ostringstream& os, const std::string& name,
               const core::FftPlan& plan) {
-  // Lowering tabulates no index map: every side is affine or bit-stride.
+  // Lowering tabulates no index map: every side is bit-stride, and the
+  // affine flags are exactly what the maps' affine views say.
   for (const Stage& s : plan.stages().stages) {
     EXPECT_TRUE(s.in_map.empty() && s.out_map.empty())
+        << name << ": " << s.label;
+    EXPECT_EQ(s.in_affine, s.in_bits.affine(s.cn).has_value())
+        << name << ": " << s.label;
+    EXPECT_EQ(s.out_affine, s.out_bits.affine(s.cn).has_value())
         << name << ": " << s.label;
   }
   os << name << " " << std::hex << digest(plan.stages()) << std::dec << "\n";

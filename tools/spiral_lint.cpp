@@ -305,15 +305,15 @@ int run(const spiral::util::CliArgs& args) {
   base.verify_lowering = false;
 
   if (args.has("mutate-affine")) {
-    // Mutation-testing mode: skew the stride of every affine-compacted
-    // output side during lowering. The verifier must flag the resulting
+    // Mutation-testing mode: skew the stride of every affine output side
+    // during lowering. The verifier must flag the resulting
     // programs (bounds/coverage/races) — CI gates on this exiting nonzero
     // to prove the affine checks are live, not vacuously green.
     backend::set_affine_stride_mutation(
         static_cast<std::int32_t>(args.get_int("mutate-affine", 1)));
   }
   if (args.has("mutate-batch-stride")) {
-    // Skew the out-side ITERATION stride of every compacted compute stage
+    // Skew the out-side ITERATION stride of every affine compute stage
     // — the batch-coalescing failure mode, where the k transforms of an
     // I_k (x) DFT_n program land at the wrong per-transform offsets and
     // overlap. The verifier must flag it (duplicate writes / coverage)
