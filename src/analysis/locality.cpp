@@ -142,6 +142,17 @@ LocalityReport analyze_locality(const backend::StageList& program,
   rep.threads = opt.threads;
   rep.machine = cfg.name;
   rep.mu = mu_elems;
+  rep.groups = backend::find_stage_groups(program);
+  // Per stage (list index): is its input / output side internal to a
+  // group, i.e. a block in the worker's scratch rather than a buffer?
+  std::vector<char> in_resident(S, 0), out_resident(S, 0);
+  for (const auto& g : rep.groups) {
+    for (std::size_t m = 0; m < g.count; ++m) {
+      const std::size_t k = g.stage(m, S);
+      in_resident[k] = m > 0;
+      out_resident[k] = m + 1 < g.count;
+    }
+  }
 
   std::vector<RegionState> regions(4 + S);
   // Running per-stage union footprints: prefix[id] = lines touched by all
@@ -310,7 +321,8 @@ LocalityReport analyze_locality(const backend::StageList& program,
           std::int64_t mem = 0;
           double cyc = iter_flop_cycles * static_cast<double>(its.size());
 
-          auto access = [&](int reg, idx_t line, bool streaming) {
+          auto access = [&](int reg, idx_t line, bool streaming,
+                            bool resident) {
             if (line < 0 || line >= lines_n) return;  // malformed program
             const RegionState& R = regions[static_cast<std::size_t>(reg)];
             const std::int64_t key =
@@ -327,6 +339,7 @@ LocalityReport analyze_locality(const backend::StageList& program,
               cls = dist < cap1 ? 0 : (dist < cap2 ? 1 : 2);
               fen.add(static_cast<std::size_t>(itp->second), -1);
             }
+            if (resident && cls == 2) cls = 1;  // a block in L2
             fen.add(static_cast<std::size_t>(pos), 1);
             last_pos[key] = pos;
             ++pos;
@@ -343,11 +356,13 @@ LocalityReport analyze_locality(const backend::StageList& program,
 
           for (const idx_t it : its) {
             for (idx_t l = 0; l < cn; ++l) {
-              access(src, s.in_index(it, l) / mu_elems, in_stream);
-              if (has_tw) access(twr, (it * cn + l) / mu_elems, true);
+              access(src, s.in_index(it, l) / mu_elems, in_stream,
+                     in_resident[k] != 0);
+              if (has_tw) access(twr, (it * cn + l) / mu_elems, true, false);
             }
             for (idx_t l = 0; l < cn; ++l) {
-              access(dst, s.out_index(it, l) / mu_elems, out_stream);
+              access(dst, s.out_index(it, l) / mu_elems, out_stream,
+                     out_resident[k] != 0);
             }
           }
           model_cycles[static_cast<std::size_t>(t)] = cyc;
@@ -531,6 +546,11 @@ std::string LocalityReport::to_string() const {
      << pred_mem_lines << " cycles=";
   std::snprintf(buf, sizeof(buf), "%.3e", pred_cycles);
   os << buf << "\n";
+  for (const auto& g : groups) {
+    os << "  group: stages " << g.first << "-" << g.first + g.count - 1
+       << " run block by block, " << backend::kGroupBlock
+       << "-element blocks\n";
+  }
   for (const auto& s : stages) {
     os << "  stage " << s.stage << " [" << s.label << "] p="
        << s.parallel_used << " iters=" << s.iters << "\n";
@@ -572,7 +592,13 @@ std::string LocalityReport::to_json() const {
   std::snprintf(buf, sizeof(buf), "%.6e", pred_cycles);
   os << ",\"pred_cycles\":" << buf;
   std::snprintf(buf, sizeof(buf), "%.6e", pred_seconds);
-  os << ",\"pred_seconds\":" << buf << ",\"stages\":[";
+  os << ",\"pred_seconds\":" << buf << ",\"groups\":[";
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    os << (i > 0 ? "," : "") << "{\"first\":" << groups[i].first
+       << ",\"count\":" << groups[i].count << ",\"block\":"
+       << backend::kGroupBlock << "}";
+  }
+  os << "],\"stages\":[";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const auto& s = stages[i];
     if (i > 0) os << ",";

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "backend/stage.hpp"
+#include "backend/stage_group.hpp"
 #include "machine/config.hpp"
 
 namespace spiral::analysis {
@@ -90,7 +91,10 @@ struct StageLocality {
 
   // Analytic model (LocalityOptions::predict).
   std::int64_t pred_l1_misses = 0;  ///< accesses missing L1 (fill from L2+)
-  std::int64_t pred_mem_lines = 0;  ///< lines predicted to come from memory
+  /// Lines predicted to come from memory. A side inside a stage group
+  /// (a member's read of its predecessor's block, or its write for its
+  /// successor) stays in the worker's block scratch and never counts.
+  std::int64_t pred_mem_lines = 0;
   double pred_cycles = 0.0;
   bool bandwidth_bound = false;  ///< predicted bus occupancy > compute
 };
@@ -102,6 +106,8 @@ struct LocalityReport {
   std::string machine;
   idx_t mu = 0;  ///< cache line length in complex elements
   std::vector<StageLocality> stages;
+  /// The stage groups the executor runs block by block (execution order).
+  std::vector<backend::StageGroup> groups;
 
   // Exact totals (final pass).
   std::int64_t accesses = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "backend/stage_group.hpp"
+
 namespace spiral::analysis {
 
 const char* to_string(Diag d) {
@@ -17,6 +19,7 @@ const char* to_string(Diag d) {
     case Diag::kRaceReadWrite: return "race-read-write";
     case Diag::kFalseSharing: return "false-sharing";
     case Diag::kLoadImbalance: return "load-imbalance";
+    case Diag::kGroupLeak: return "group-leak";
   }
   return "?";
 }
@@ -355,6 +358,59 @@ void verify_stage(const backend::StageList& program, int si,
   }
 }
 
+/// The group check: at every boundary a -> b inside a stage group,
+/// block j of b must read exactly the elements block j of a wrote. Both
+/// stages cover n positions, so it suffices that every read lands on an
+/// element its own block wrote.
+void verify_groups(const backend::StageList& program, Scratch& sc,
+                   Report& rep) {
+  const idx_t n = program.n;
+  const std::size_t count = program.stages.size();
+  for (const backend::StageGroup& g : backend::find_stage_groups(program)) {
+    for (std::size_t m = 0; m + 1 < g.count; ++m) {
+      const std::size_t ai = g.stage(m, count);
+      const Stage& a = program.stages[ai];
+      const Stage& b = program.stages[ai - 1];
+      sc.writer.assign(static_cast<std::size_t>(n), kNoTask);
+      for (idx_t k = 0; k < a.iters * a.cn; ++k) {
+        const idx_t e = a.out_index(k / a.cn, k % a.cn);
+        if (e >= 0 && e < n) {
+          sc.writer[static_cast<std::size_t>(e)] =
+              static_cast<std::int32_t>(k / backend::kGroupBlock);
+        }
+      }
+      std::int64_t leaks = 0;
+      idx_t leak_pos = -1, leak_elem = -1;
+      for (idx_t k = 0; k < b.iters * b.cn; ++k) {
+        const idx_t e = b.in_index(k / b.cn, k % b.cn);
+        if (e < 0 || e >= n ||
+            sc.writer[static_cast<std::size_t>(e)] != k / backend::kGroupBlock) {
+          if (leaks++ == 0) {
+            leak_pos = k;
+            leak_elem = e;
+          }
+        }
+      }
+      if (leaks > 0) {
+        std::ostringstream os;
+        os << plural(leaks, "element") << " read by a block of this stage "
+           << "were not written by the same block of stage "
+           << static_cast<int>(ai) << " in its group (e.g. position "
+           << leak_pos << " of block " << leak_pos / backend::kGroupBlock
+           << " reads element " << leak_elem << ")";
+        Finding f;
+        f.kind = Diag::kGroupLeak;
+        f.severity = severity_of(f.kind);
+        f.stage = static_cast<int>(ai - 1);
+        f.stage_label = b.label;
+        f.message = os.str();
+        f.count = leaks;
+        rep.findings.push_back(std::move(f));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Report verify(const backend::StageList& program, const Options& opt) {
@@ -380,6 +436,9 @@ Report verify(const backend::StageList& program, const Options& opt) {
   for (int si = 0; si < rep.stages; ++si) {
     verify_stage(program, si, opt, sc, rep);
   }
+  // Groups are found on well-formed stages only, so their maps can be
+  // walked whatever the per-stage findings were.
+  verify_groups(program, sc, rep);
   return rep;
 }
 

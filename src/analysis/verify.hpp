@@ -29,6 +29,11 @@
 //                        maps (lost or doubly-written elements),
 //                        scale-vector length mismatches, and transform
 //                        sizes the int32 index maps cannot address.
+//   * group leaks      — a stage group (backend/stage_group) whose
+//                        blocks are not closed: recomputed entry by
+//                        entry, each block's reads in one stage must be
+//                        exactly its writes in the stage before, else
+//                        the block-by-block schedule computes garbage.
 //
 // Everything is deterministic and purely static: no execution, no
 // allocation proportional to anything but the transform size.
@@ -55,6 +60,7 @@ enum class Diag {
   kRaceReadWrite,      ///< a thread reads what another writes (aliased bufs)
   kFalseSharing,       ///< two threads write disjoint parts of one mu-line
   kLoadImbalance,      ///< per-thread codelet counts beyond the threshold
+  kGroupLeak,          ///< a group block reads what another block wrote
 };
 
 enum class Severity {

@@ -223,32 +223,33 @@ idx_t element_stride(const BitStrideMap& m, idx_t cn) {
 
 }  // namespace
 
-void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
-                      idx_t hi) {
+void run_stage_scalar(const Stage& s, const BitStrideMap& in,
+                      const BitStrideMap& out, const cplx* src, cplx* dst,
+                      idx_t lo, idx_t hi) {
   if (s.is_compute) {
     const idx_t cn = s.cn;
     constexpr idx_t kRowMax = 64;  // largest codelet the lowering emits
     util::require(cn <= kRowMax, "run_stage_scalar: codelet wider than 64");
-    const idx_t in_es = element_stride(s.in_bits, cn);
-    const idx_t out_es = element_stride(s.out_bits, cn);
+    const idx_t in_es = element_stride(in, cn);
+    const idx_t out_es = element_stride(out, cn);
     std::array<std::int32_t, kRowMax> in_idx{};
     std::array<std::int32_t, kRowMax> out_idx{};
     for (idx_t it = lo; it < hi; ++it) {
       CodeletIo io;
       if (in_es != 0) {
-        io.x = src + s.in_bits.at(it * cn);
+        io.x = src + in.at(it * cn);
         io.in_stride = in_es;
       } else {
         // BitStrideMap's constructor range-checked every reachable index.
-        s.in_bits.row(it * cn, cn, in_idx.data());
+        in.row(it * cn, cn, in_idx.data());
         io.x = src;
         io.in_map = in_idx.data();
       }
       if (out_es != 0) {
-        io.y = dst + s.out_bits.at(it * cn);
+        io.y = dst + out.at(it * cn);
         io.out_stride = out_es;
       } else {
-        s.out_bits.row(it * cn, cn, out_idx.data());
+        out.row(it * cn, cn, out_idx.data());
         io.y = dst;
         io.out_map = out_idx.data();
       }
@@ -265,13 +266,10 @@ void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
   }
   // Pure data stage (cn == 1).
   if (s.in_scale.empty()) {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_bits.at(j)] = src[s.in_bits.at(j)];
-    }
+    for (idx_t j = lo; j < hi; ++j) dst[out.at(j)] = src[in.at(j)];
   } else {
     for (idx_t j = lo; j < hi; ++j) {
-      dst[s.out_bits.at(j)] =
-          s.in_scale[static_cast<std::size_t>(j)] * src[s.in_bits.at(j)];
+      dst[out.at(j)] = s.in_scale[static_cast<std::size_t>(j)] * src[in.at(j)];
     }
   }
 }

@@ -64,16 +64,20 @@ struct CodeletTables {
 [[nodiscard]] CodeletTables codelet_tables(idx_t n, int sign);
 
 struct Stage;
+class BitStrideMap;
 
 /// Runs iterations [lo, hi) of a stage through the scalar codelets (or
 /// the copy/scale loop of a pure data stage): the interpreter's scalar
-/// path and the head/tail around the SIMD drivers' packs. A side whose
-/// element bits keep one stride (every affine side does) uses the
+/// path and the head/tail around the SIMD drivers' packs. The sides are
+/// addressed through `in` and `out` — the stage's own maps, or a stage
+/// group's block-rebased ones (backend/stage_group) — while codelet,
+/// sign and scales come from `s`, indexed by the global iteration. A side
+/// whose element bits keep one stride (every affine side does) uses the
 /// codelets' strided addressing; any other hands the codelet one row of
-/// cn indices per iteration. Addressing reads the bit-stride maps only:
-/// the stage must carry no table, as Program requires.
-void run_stage_scalar(const Stage& s, const cplx* src, cplx* dst, idx_t lo,
-                      idx_t hi);
+/// cn indices per iteration. The stage's int32 tables are never read.
+void run_stage_scalar(const Stage& s, const BitStrideMap& in,
+                      const BitStrideMap& out, const cplx* src, cplx* dst,
+                      idx_t lo, idx_t hi);
 
 /// Real flop count of the codelet implementation for 2-power size n
 /// (used by the machine model; matches the actual arithmetic performed).

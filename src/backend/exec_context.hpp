@@ -1,8 +1,9 @@
 // Per-caller execution state for Program/FftPlan.
 //
 // A planned program is immutable after construction; everything mutable
-// that execution needs — the ping-pong scratch buffers and the worker
-// team running the parallel stages — lives in an ExecContext. One program
+// that execution needs — the ping-pong scratch buffers, the per-worker
+// block scratch of stage groups, and the worker team running the
+// parallel stages — lives in an ExecContext. One program
 // can therefore serve any number of client threads concurrently, each
 // bringing its own context:
 //
@@ -56,10 +57,10 @@ class ExecContext {
     lease_.release();
     stage_barrier_.reset();
     stage_barrier_size_ = 0;
-    buf_[0].clear();
-    buf_[0].shrink_to_fit();
-    buf_[1].clear();
-    buf_[1].shrink_to_fit();
+    for (util::cvec* b : {&buf_[0], &buf_[1], &group_scratch_}) {
+      b->clear();
+      b->shrink_to_fit();
+    }
   }
 
  private:
@@ -72,6 +73,15 @@ class ExecContext {
     }
     if (need_second && static_cast<idx_t>(buf_[1].size()) < n) {
       buf_[1].resize(static_cast<std::size_t>(n));
+    }
+  }
+
+  /// Grows the stage-group scratch to `elems` elements (never shrinks):
+  /// two block buffers per worker, which a group's intermediates
+  /// ping-pong through while a block stays cache-resident.
+  void ensure_group_scratch(idx_t elems) {
+    if (static_cast<idx_t>(group_scratch_.size()) < elems) {
+      group_scratch_.resize(static_cast<std::size_t>(elems));
     }
   }
 
@@ -102,6 +112,7 @@ class ExecContext {
   }
 
   util::cvec buf_[2];
+  util::cvec group_scratch_;
   threading::PoolLease lease_;
   threading::ThreadPool* borrowed_pool_ = nullptr;
   std::unique_ptr<threading::SpinBarrier> stage_barrier_;

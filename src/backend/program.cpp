@@ -27,6 +27,7 @@ bool pingpong_mutation() noexcept { return g_pingpong_mutation; }
 
 Program::Program(StageList stages, ExecPolicy policy)
     : list_(std::move(stages)), policy_(policy) {
+  const std::size_t count = list_.stages.size();
   for (const auto& s : list_.stages) {
     if (!s.in_map.empty() || !s.out_map.empty()) {
       throw std::invalid_argument("Program: stage '" + s.label +
@@ -34,54 +35,122 @@ Program::Program(StageList stages, ExecPolicy policy)
     }
     max_p_ = std::max(max_p_, static_cast<int>(s.parallel_p));
   }
+  // The walk in execution order: every group is one step, every other
+  // stage its own. A group's first read and last write keep the stage's
+  // maps; everything in between lives in one block.
+  for (const StageGroup& g : find_stage_groups(list_)) {
+    GroupExec ge;
+    ge.group = g;
+    for (std::size_t m = 0; m < g.count; ++m) {
+      const Stage& s = list_.stages[g.stage(m, count)];
+      ge.in.push_back(m == 0 ? s.in_bits : rebase_to_block(s.in_bits));
+      ge.out.push_back(m + 1 == g.count ? s.out_bits
+                                        : rebase_to_block(s.out_bits));
+    }
+    groups_.push_back(std::move(ge));
+  }
+  std::size_t next_group = 0;
+  for (std::size_t e = 0; e < count;) {
+    Step step;
+    step.stage = count - 1 - e;
+    if (next_group < groups_.size() &&
+        groups_[next_group].group.first == e) {
+      step.group = static_cast<int>(next_group);
+      e += groups_[next_group++].group.count;
+    } else {
+      ++e;
+    }
+    steps_.push_back(step);
+  }
 }
 
 namespace {
 
-/// Executes iterations [lo, hi) of a stage. `sp` is the stage's active
-/// SIMD plan or null; an active plan routes through the lane-batched
-/// vector drivers (scalar head/tail for unaligned chunk bounds).
-void run_chunk(const Stage& s, const simd::StagePlan* sp, const cplx* src,
-               cplx* dst, idx_t lo, idx_t hi) {
+/// Executes iterations [lo, hi) of a stage with its sides addressed
+/// through `in`/`out`. `sp` is an active SIMD plan for those sides or
+/// null; an active plan routes through the lane-batched vector drivers
+/// (scalar head/tail for unaligned chunk bounds).
+void run_chunk(const Stage& s, const BitStrideMap& in,
+               const BitStrideMap& out, const simd::StagePlan* sp,
+               const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
   if (sp != nullptr) {
-    simd::run_stage_simd(s, *sp, src, dst, lo, hi);
+    simd::run_stage_simd(s, in, out, *sp, src, dst, lo, hi);
   } else {
-    run_stage_scalar(s, src, dst, lo, hi);
+    run_stage_scalar(s, in, out, src, dst, lo, hi);
   }
 }
 
-/// Runs the iterations stage `s` assigns to `task` (of `tasks` threads):
+/// Calls run(task, tasks) for each logical task of a p-way step that
+/// pool participant `tid` (of `workers`) owns: the tasks are folded onto
+/// the available threads when the pool is smaller than p. A sequential
+/// step (or a lone caller) is participant 0's single task.
+template <class Run>
+void for_my_tasks(idx_t p, int tid, int workers, Run&& run) {
+  if (p <= 1 || workers == 1) {
+    if (tid == 0) run(idx_t{0}, idx_t{1});
+    return;
+  }
+  const idx_t tasks = std::max<idx_t>(p, workers);
+  for (idx_t t = tid; t < tasks; t += workers) run(t, tasks);
+}
+
+/// Runs the iterations stage `s` assigns to `task` (of `tasks`):
 /// contiguous chunks by default, block-cyclic when sched_block > 0.
 void run_task(const Stage& s, const simd::StagePlan* sp, const cplx* src,
               cplx* dst, idx_t task, idx_t tasks) {
-  if (s.sched_block == 0) {
-    run_chunk(s, sp, src, dst, task * s.iters / tasks,
-              (task + 1) * s.iters / tasks);
+  if (s.sched_block == 0 || tasks == 1) {
+    run_chunk(s, s.in_bits, s.out_bits, sp, src, dst,
+              task * s.iters / tasks, (task + 1) * s.iters / tasks);
     return;
   }
   const idx_t b = s.sched_block;
   for (idx_t base = task * b; base < s.iters; base += tasks * b) {
-    run_chunk(s, sp, src, dst, base, std::min(base + b, s.iters));
-  }
-}
-
-/// Runs the stage slice of pool participant `tid` (of `workers`): the
-/// stage's logical tasks are folded onto the available threads when the
-/// pool is smaller than parallel_p.
-void run_participant(const Stage& s, const simd::StagePlan* sp,
-                     const cplx* src, cplx* dst, int tid, int workers) {
-  const idx_t tasks = std::max<idx_t>(s.parallel_p, workers);
-  for (idx_t t = tid; t < tasks; t += workers) {
-    run_task(s, sp, src, dst, t, tasks);
+    run_chunk(s, s.in_bits, s.out_bits, sp, src, dst, base,
+              std::min(base + b, s.iters));
   }
 }
 
 }  // namespace
 
+void Program::run_group(const GroupExec& g, const cplx* src, cplx* dst,
+                        cplx* scratch, int tid, int workers) const {
+  const std::size_t count = list_.stages.size();
+  const std::size_t members = g.group.count;
+  const idx_t block = kGroupBlock;
+  const idx_t blocks = list_.n / block;
+  const idx_t p = list_.stages[g.group.stage(0, count)].parallel_p;
+  // Blocks are closed under the group's stages, so any assignment of
+  // blocks to tasks is race-free: each task takes a contiguous share,
+  // and each block runs through every member before the next starts.
+  for_my_tasks(p, tid, workers, [&](idx_t task, idx_t tasks) {
+    for (idx_t j = task * blocks / tasks; j < (task + 1) * blocks / tasks;
+         ++j) {
+      for (std::size_t m = 0; m < members; ++m) {
+        const Stage& s = list_.stages[g.group.stage(m, count)];
+        const simd::StagePlan* sp =
+            !g.simd.empty() && g.simd[m].active ? &g.simd[m] : nullptr;
+        const cplx* in = m == 0 ? src : scratch + ((m - 1) % 2) * block;
+        cplx* out = m + 1 == members ? dst : scratch + (m % 2) * block;
+        run_chunk(s, g.in[m], g.out[m], sp, in, out, j * block / s.cn,
+                  (j + 1) * block / s.cn);
+      }
+    }
+  });
+}
+
 void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
   util::require(!list_.stages.empty(), "empty program");
   const auto& st = list_.stages;
-  ctx.ensure_buffers(list_.n, st.size() > 1);
+  // Under the ping-pong mutation the walk visits lone stages in the
+  // reversed order.
+  std::vector<Step> reversed;
+  const std::vector<Step>* steps = &steps_;
+  if (g_pingpong_mutation) {
+    for (std::size_t k = 0; k < st.size(); ++k) reversed.push_back({k, -1});
+    steps = &reversed;
+  }
+  const std::size_t nsteps = steps->size();
+  ctx.ensure_buffers(list_.n, nsteps > 2);
   // The worker team: the context's (borrowed or leased) pool for parallel
   // programs, none for sequential ones.
   threading::ThreadPool* pool = nullptr;
@@ -91,55 +160,63 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
   const int workers = pool != nullptr ? pool->size() : 1;
   threading::SpinBarrier* barrier =
       workers > 1 ? &ctx.stage_barrier_for(workers) : nullptr;
+  cplx* scratch = nullptr;
+  if (!groups_.empty() && !g_pingpong_mutation) {
+    ctx.ensure_group_scratch(2 * kGroupBlock * workers);
+    scratch = ctx.group_scratch_.data();
+  }
   const cplx* first_src = x;
-  if (x == y && st.size() == 1) {
-    // Single-stage in-place: stage maps may collide; stage through a copy.
+  if (x == y && nsteps == 1) {
+    // Single-step in-place: its maps may collide; stage through a copy.
     std::copy(x, x + list_.n, ctx.buf_[0].begin());
     first_src = ctx.buf_[0].data();
   }
   cplx* const buf0 = ctx.buf_[0].data();
   cplx* const buf1 = ctx.buf_[1].data();
   // Stages apply right-to-left: st.back() first. Intermediates ping-pong
-  // between the two scratch buffers; the last stage writes into y. (With
-  // x == y and more than one stage, the first stage already moves the
-  // data out of the caller's buffer, so the final write is safe.)
+  // between the two scratch buffers; the last step writes into y. (With
+  // x == y and more than one step, the first step already moves the
+  // data out of the caller's buffer, so the final write is safe.) A stage
+  // group is one step: its own intermediates stay in per-worker block
+  // buffers.
   //
-  // One fork for the whole program: every participant walks the stage
-  // list with thread-local src/dst ping-pong pointers (the walk is
+  // One fork for the whole program: every participant walks the steps
+  // with thread-local src/dst ping-pong pointers (the walk is
   // deterministic, so all workers agree without sharing state) and
-  // crosses the context's spin barrier once per stage transition. The
+  // crosses the context's spin barrier once per step transition. The
   // pool's own dispatch/completion barriers bracket the walk, so the
   // caller observes full fork/join semantics for the program while each
-  // interior stage boundary costs a single barrier crossing instead of a
+  // interior step boundary costs a single barrier crossing instead of a
   // fork/join pair. Without a team the caller is participant 0 of 1.
   auto walk = [&](int tid) {
     const cplx* src = first_src;
     int flip = 0;
-    for (std::size_t k = st.size(); k-- > 0;) {
-      const std::size_t si = g_pingpong_mutation ? st.size() - 1 - k : k;
-      const Stage& s = st[si];
-      const simd::StagePlan* sp = simd_plan_for(si);
+    for (std::size_t i = 0; i < nsteps; ++i) {
+      const Step& step = (*steps)[i];
       cplx* dst;
-      if (k == 0) {
+      if (i + 1 == nsteps) {
         dst = y;
       } else {
         dst = flip ? buf1 : buf0;
         flip ^= 1;
       }
-      if (s.parallel_p <= 1 || workers == 1) {
-        // Sequential stage (or no team): participant 0 runs it alone; the
-        // others go straight to the barrier.
-        if (tid == 0) run_chunk(s, sp, src, dst, 0, s.iters);
+      if (step.group >= 0) {
+        run_group(groups_[static_cast<std::size_t>(step.group)], src, dst,
+                  scratch + 2 * kGroupBlock * tid, tid, workers);
       } else {
-        run_participant(s, sp, src, dst, tid, workers);
+        const Stage& s = st[step.stage];
+        const simd::StagePlan* sp = simd_plan_for(step.stage);
+        for_my_tasks(s.parallel_p, tid, workers, [&](idx_t t, idx_t tasks) {
+          run_task(s, sp, src, dst, t, tasks);
+        });
       }
-      // A stage transition needs a barrier only when a worker could read
-      // data another worker wrote: two adjacent participant-0-only stages
+      // A step transition needs a barrier only when a worker could read
+      // data another worker wrote: two adjacent participant-0-only steps
       // hand data to themselves, so the crossing is elided. (Under the
       // ping-pong mutation the walk order is scrambled, so always cross.)
-      if (barrier != nullptr && k != 0 &&
-          (g_pingpong_mutation || s.parallel_p > 1 ||
-           st[k - 1].parallel_p > 1)) {
+      if (barrier != nullptr && i + 1 != nsteps &&
+          (g_pingpong_mutation || st[step.stage].parallel_p > 1 ||
+           st[(*steps)[i + 1].stage].parallel_p > 1)) {
         barrier->wait();
       }
       src = dst;
@@ -155,6 +232,7 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
 void Program::enable_simd(idx_t nu) {
   simd_plans_.clear();
   simd_on_ = false;
+  for (auto& g : groups_) g.simd.clear();
   const simd::Isa isa = simd::detect_isa();
   if (nu < 2 || isa == simd::Isa::kScalar) return;
   simd_plans_.reserve(list_.stages.size());
@@ -162,7 +240,18 @@ void Program::enable_simd(idx_t nu) {
     simd_plans_.push_back(simd::plan_stage(s, nu, isa));
     simd_on_ = simd_on_ || simd_plans_.back().active;
   }
-  if (!simd_on_) simd_plans_.clear();
+  if (!simd_on_) {
+    simd_plans_.clear();
+    return;
+  }
+  const std::size_t count = list_.stages.size();
+  for (auto& g : groups_) {
+    for (std::size_t m = 0; m < g.group.count; ++m) {
+      const std::size_t si = g.group.stage(m, count);
+      g.simd.push_back(simd::plan_sides(simd_plans_[si], list_.stages[si],
+                                        g.in[m], g.out[m]));
+    }
+  }
 }
 
 }  // namespace spiral::backend

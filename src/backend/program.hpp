@@ -18,6 +18,7 @@
 #include "backend/exec_context.hpp"
 #include "backend/simd.hpp"
 #include "backend/stage.hpp"
+#include "backend/stage_group.hpp"
 
 namespace spiral::backend {
 
@@ -37,9 +38,10 @@ enum class ExecPolicy {
 /// Mutation-testing hook (spiral-lint --mutate-pingpong): when enabled,
 /// the interpreter walks the stage list in the wrong (left-to-right)
 /// direction, applying the composition y = S_0 ... S_{k-1} x in reversed
-/// stage order. The static verifier cannot see this defect — every stage
-/// is still individually well-formed — so the lint execution-parity check
-/// must catch it. Never enable outside mutation tests.
+/// stage order, one stage at a time (no stage groups). The static
+/// verifier cannot see this defect — every stage is still individually
+/// well-formed — so the lint execution-parity check must catch it. Never
+/// enable outside mutation tests.
 void set_pingpong_mutation(bool enabled) noexcept;
 [[nodiscard]] bool pingpong_mutation() noexcept;
 
@@ -87,17 +89,43 @@ class Program {
   [[nodiscard]] int max_parallelism() const noexcept { return max_p_; }
 
  private:
+  /// A stage group's execution state. Member m is execution index
+  /// group.first + m. Its sides inside the group are addressed through
+  /// in[m]/out[m]: the stage's own map for the group's first read and
+  /// last write, the block-rebased map for the intermediates.
+  struct GroupExec {
+    StageGroup group;
+    std::vector<BitStrideMap> in, out;
+    /// Per member, the stage's SIMD plan re-proven on in[m]/out[m]
+    /// (sharing its scale tables); empty while SIMD is off.
+    std::vector<simd::StagePlan> simd;
+  };
+
+  /// One step of the interpreter walk: a stage, or a whole group (whose
+  /// stages share one parallel_p).
+  struct Step {
+    std::size_t stage = 0;  ///< StageList index of the step's first stage
+    int group = -1;         ///< index into groups_, -1 for a lone stage
+  };
+
   /// SIMD plan for stage index k, null when the stage runs scalar.
   [[nodiscard]] const simd::StagePlan* simd_plan_for(std::size_t k) const {
     if (simd_plans_.empty() || !simd_plans_[k].active) return nullptr;
     return &simd_plans_[k];
   }
 
+  /// Participant `tid` (of `workers`) runs its share of group g's blocks,
+  /// each through every member, using its two block buffers at scratch.
+  void run_group(const GroupExec& g, const cplx* src, cplx* dst,
+                 cplx* scratch, int tid, int workers) const;
+
   StageList list_;
   ExecPolicy policy_;
   int max_p_ = 1;
   std::vector<simd::StagePlan> simd_plans_;  // one per stage when enabled
   bool simd_on_ = false;
+  std::vector<GroupExec> groups_;
+  std::vector<Step> steps_;  // the walk, in execution order
   ExecContext self_ctx_;  // backs the context-free execute()
 };
 

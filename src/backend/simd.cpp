@@ -95,6 +95,24 @@ PackFn resolve_pack_fn(idx_t width, Isa isa) {
   return nullptr;
 }
 
+/// Records the proven side forms on a plan. Under the vecform mutation
+/// the register-transpose shape is reported as the plain contiguous-lane
+/// shape: the driver then loads lanes at stride 1 where the map puts
+/// them at stride W — wrong results by design.
+void set_forms(StagePlan& p, const SideVecInfo& sv) {
+  p.width = sv.width;
+  p.in_form = sv.in;
+  p.out_form = sv.out;
+  if (g_vecform_mutation) {
+    if (p.in_form == VecForm::kStridedLanes) {
+      p.in_form = VecForm::kAcrossIterations;
+    }
+    if (p.out_form == VecForm::kStridedLanes) {
+      p.out_form = VecForm::kAcrossIterations;
+    }
+  }
+}
+
 /// Splits a fused scale table into pack-major split-lane layout:
 /// out_re/out_im[(pack*cn + l)*W + v] = scale[(pack*W + v)*cn + l].
 void split_scale(const util::cvec& scale, idx_t cn, idx_t w, util::dvec& out_re,
@@ -157,39 +175,46 @@ StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   if (cap < 2) return p;
   const SideVecInfo sv = stage_vector_sides(s, cap);
   if (sv.width < 2) return p;
-  p.width = sv.width;
-  p.in_form = sv.in;
-  p.out_form = sv.out;
-  if (g_vecform_mutation) {
-    // Seeded defect: report the register-transpose shape as the plain
-    // contiguous-lane shape. The driver then loads lanes at stride 1
-    // where the map puts them at stride W — wrong results by design.
-    if (p.in_form == VecForm::kStridedLanes) {
-      p.in_form = VecForm::kAcrossIterations;
-    }
-    if (p.out_form == VecForm::kStridedLanes) {
-      p.out_form = VecForm::kAcrossIterations;
-    }
-  }
+  set_forms(p, sv);
   p.fn = resolve_pack_fn(p.width, isa);
   if (p.fn == nullptr) return StagePlan{};
-  split_scale(s.in_scale, s.cn, p.width, p.in_scale_re, p.in_scale_im);
-  split_scale(s.out_scale, s.cn, p.width, p.out_scale_re, p.out_scale_im);
+  auto scales = std::make_shared<SplitScales>();
+  split_scale(s.in_scale, s.cn, p.width, scales->in_re, scales->in_im);
+  split_scale(s.out_scale, s.cn, p.width, scales->out_re, scales->out_im);
+  p.scales = std::move(scales);
   p.active = true;
   return p;
 }
 
-void run_stage_simd(const Stage& s, const StagePlan& plan, const cplx* src,
-                    cplx* dst, idx_t lo, idx_t hi) {
+StagePlan plan_sides(const StagePlan& p, const Stage& s,
+                     const BitStrideMap& in, const BitStrideMap& out) {
+  if (!p.active) return {};
+  // The forms depend on the iteration shape and the maps only, so the
+  // proof runs on a scale-free copy of them.
+  Stage shape;
+  shape.iters = s.iters;
+  shape.cn = s.cn;
+  shape.in_bits = in;
+  shape.out_bits = out;
+  const SideVecInfo sv = stage_vector_sides(shape, p.width);
+  if (sv.width != p.width) return {};
+  StagePlan q = p;
+  set_forms(q, sv);
+  return q;
+}
+
+void run_stage_simd(const Stage& s, const BitStrideMap& in,
+                    const BitStrideMap& out, const StagePlan& plan,
+                    const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
   const idx_t w = plan.width;
   // Packs are anchored at absolute multiples of w (the shape proofs and
   // the split scale tables both assume it), so a chunk with unaligned
   // bounds runs a scalar head/tail.
   const idx_t a = std::min(((lo + w - 1) / w) * w, hi);
   const idx_t b = std::max((hi / w) * w, a);
-  if (lo < a) run_stage_scalar(s, src, dst, lo, a);
-  if (a < b) plan.fn(s, plan, src, dst, a, b);
-  if (b < hi) run_stage_scalar(s, src, dst, b, hi);
+  if (lo < a) run_stage_scalar(s, in, out, src, dst, lo, a);
+  if (a < b) plan.fn(s, in, out, plan, src, dst, a, b);
+  if (b < hi) run_stage_scalar(s, in, out, src, dst, b, hi);
 }
 
 PackFn pack_fn_generic(idx_t width) { return generic::pack_fn(width); }

@@ -31,6 +31,7 @@
 // can never fault on alignment.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "backend/stage.hpp"
@@ -67,22 +68,31 @@ void clear_isa_override() noexcept;
 struct StagePlan;
 
 /// Variant kernel entry: runs iterations [it0, it1) of a stage (both
-/// multiples of the plan width) through the lane-batched driver.
-using PackFn = void (*)(const Stage&, const StagePlan&, const cplx*, cplx*,
-                        idx_t, idx_t);
+/// multiples of the plan width) through the lane-batched driver, its
+/// sides addressed through the given input and output maps.
+using PackFn = void (*)(const Stage&, const BitStrideMap&,
+                        const BitStrideMap&, const StagePlan&, const cplx*,
+                        cplx*, idx_t, idx_t);
+
+/// A stage's fused scale tables re-laid-out in split-lane pack-major
+/// order ((pack*cn + l)*W + lane), so the hot loop loads them as plain
+/// vectors. Empty vectors: no scale on that side.
+struct SplitScales {
+  util::dvec in_re, in_im;
+  util::dvec out_re, out_im;
+};
 
 /// Per-stage execution plan: the proven per-side forms at the chosen
-/// width, the resolved kernel, and the fused scale tables re-laid-out in
-/// split-lane pack-major order ((pack*cn + l)*W + lane) so the hot loop
-/// loads them as plain vectors.
+/// width, the resolved kernel, and the split scale tables.
 struct StagePlan {
   bool active = false;  ///< a vector driver will serve this stage
   idx_t width = 1;      ///< lanes W (2-power >= 2 when active)
   VecForm in_form = VecForm::kNone;
   VecForm out_form = VecForm::kNone;
   PackFn fn = nullptr;
-  util::dvec in_scale_re, in_scale_im;
-  util::dvec out_scale_re, out_scale_im;
+  /// Shared with every re-plan of the stage's sides (plan_sides), so a
+  /// stage group addresses its blocks differently without copying them.
+  std::shared_ptr<const SplitScales> scales;
 };
 
 /// Builds the execution plan for one stage at widths up to max_nu on the
@@ -90,11 +100,22 @@ struct StagePlan {
 /// shape is outside the vector network: non-2-power codelets, cn > 64).
 [[nodiscard]] StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa);
 
-/// Runs iterations [lo, hi) of a stage under an active plan: scalar
-/// head/tail around the lane-batched middle (packs stay anchored at
-/// absolute multiples of the width, as the form proofs require).
-void run_stage_simd(const Stage& s, const StagePlan& plan, const cplx* src,
-                    cplx* dst, idx_t lo, idx_t hi);
+/// Plan `p` of stage `s` (active) with its sides addressed through `in`
+/// and `out` instead of the stage's maps — a stage group's block-rebased
+/// sides. The forms are proven again on those maps at p's width; kernel
+/// and scale tables are shared. Inactive when a side does not prove at
+/// that width (the stage then runs scalar inside the group).
+[[nodiscard]] StagePlan plan_sides(const StagePlan& p, const Stage& s,
+                                   const BitStrideMap& in,
+                                   const BitStrideMap& out);
+
+/// Runs iterations [lo, hi) of a stage under an active plan for the
+/// sides `in`/`out`: scalar head/tail around the lane-batched middle
+/// (packs stay anchored at absolute multiples of the width, as the form
+/// proofs require).
+void run_stage_simd(const Stage& s, const BitStrideMap& in,
+                    const BitStrideMap& out, const StagePlan& plan,
+                    const cplx* src, cplx* dst, idx_t lo, idx_t hi);
 
 /// Mutation-testing hook (spiral-lint --mutate-vecform): plan_stage
 /// records any proven kStridedLanes side as kAcrossIterations, making

@@ -119,7 +119,7 @@ inline typename VecT<W>::type bcast(double x) {
 
 /// Loads one side of a pack (iterations [it, it+W), element l) into
 /// split-lane registers, addressed BY THE RECORDED FORM: the base lane a0
-/// comes from the exact stage map `m`, the remaining lanes from the
+/// comes from the side's exact map `m`, the remaining lanes from the
 /// form's lane stride. (kWithinCodelet has no lane stride — every lane
 /// goes through the exact map, which is always correct.)
 template <int W>
@@ -177,29 +177,31 @@ inline void store_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
 
 /// The lane-batched driver: iterations [it0, it1), both multiples of W.
 template <int W>
-void run_packs(const Stage& s, const StagePlan& plan, const cplx* src,
-               cplx* dst, idx_t it0, idx_t it1) {
+void run_packs(const Stage& s, const BitStrideMap& in_bits,
+               const BitStrideMap& out_bits, const StagePlan& plan,
+               const cplx* src, cplx* dst, idx_t it0, idx_t it1) {
   using V = typename VecT<W>::type;
   const idx_t cn = s.cn;
   CodeletTables tabs;
   const bool dft_net = s.is_compute && !s.wht && cn >= 2;
   if (dft_net) tabs = codelet_tables(cn, s.sign);
-  const bool has_iscl = !plan.in_scale_re.empty();
-  const bool has_oscl = !plan.out_scale_re.empty();
+  const SplitScales& sc = *plan.scales;
+  const bool has_iscl = !sc.in_re.empty();
+  const bool has_oscl = !sc.out_re.empty();
   V re[64], im[64];
   // Lane 0's addresses, one map row per side and pack.
   std::int32_t in_row[64], out_row[64];
   for (idx_t it = it0; it < it1; it += W) {
     const idx_t pack_base = (it / W) * cn * W;
-    s.in_bits.row(it * cn, cn, in_row);
+    in_bits.row(it * cn, cn, in_row);
     for (idx_t l = 0; l < cn; ++l) {
-      load_lanes<W>(s.in_bits, cn, plan.in_form, src, it, l, in_row[l], re[l],
+      load_lanes<W>(in_bits, cn, plan.in_form, src, it, l, in_row[l], re[l],
                     im[l]);
     }
     if (has_iscl) {
       for (idx_t l = 0; l < cn; ++l) {
-        const V sr = Ops<W>::loadu(plan.in_scale_re.data() + pack_base + l * W);
-        const V si = Ops<W>::loadu(plan.in_scale_im.data() + pack_base + l * W);
+        const V sr = Ops<W>::loadu(sc.in_re.data() + pack_base + l * W);
+        const V si = Ops<W>::loadu(sc.in_im.data() + pack_base + l * W);
         const V nr = re[l] * sr - im[l] * si;
         im[l] = re[l] * si + im[l] * sr;
         re[l] = nr;
@@ -250,18 +252,16 @@ void run_packs(const Stage& s, const StagePlan& plan, const cplx* src,
     }
     if (has_oscl) {
       for (idx_t l = 0; l < cn; ++l) {
-        const V sr =
-            Ops<W>::loadu(plan.out_scale_re.data() + pack_base + l * W);
-        const V si =
-            Ops<W>::loadu(plan.out_scale_im.data() + pack_base + l * W);
+        const V sr = Ops<W>::loadu(sc.out_re.data() + pack_base + l * W);
+        const V si = Ops<W>::loadu(sc.out_im.data() + pack_base + l * W);
         const V nr = re[l] * sr - im[l] * si;
         im[l] = re[l] * si + im[l] * sr;
         re[l] = nr;
       }
     }
-    s.out_bits.row(it * cn, cn, out_row);
+    out_bits.row(it * cn, cn, out_row);
     for (idx_t l = 0; l < cn; ++l) {
-      store_lanes<W>(s.out_bits, cn, plan.out_form, dst, it, l, out_row[l],
+      store_lanes<W>(out_bits, cn, plan.out_form, dst, it, l, out_row[l],
                      re[l], im[l]);
     }
   }

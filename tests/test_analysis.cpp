@@ -9,6 +9,7 @@
 
 #include "analysis/verify.hpp"
 #include "backend/lower.hpp"
+#include "backend/stage_group.hpp"
 #include "baselines/fftw_like.hpp"
 #include "core/spiral_fft.hpp"
 #include "machine/config.hpp"
@@ -303,6 +304,30 @@ TEST(AnalysisNegative, IndexOverflowRule) {
   ASSERT_EQ(rep.findings.size(), 1u);
   EXPECT_EQ(rep.findings[0].kind, Diag::kIndexOverflow);
   EXPECT_EQ(rep.findings[0].severity, analysis::Severity::kError);
+}
+
+TEST(AnalysisGroups, ProvenGroupsVerifyClean) {
+  // n = 2^16 forms two groups at p = 1 and p = 4; their blocks are
+  // closed, entry by entry.
+  for (const int p : {1, 4}) {
+    const StageList list = planner_program(65536, p, 4);
+    ASSERT_EQ(backend::find_stage_groups(list).size(), 2u);
+    const Report rep = analysis::verify(list);
+    EXPECT_FALSE(has_kind(rep, Diag::kGroupLeak)) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << rep.to_string();
+  }
+}
+
+TEST(AnalysisGroups, UnprovenGroupingIsGroupLeak) {
+  // The --mutate-group finder skips the stride check: the verifier's
+  // entry-by-entry recomputation must catch the leaking blocks.
+  const StageList list = planner_program(65536, 4, 4);
+  backend::set_group_mutation(true);
+  const Report rep = analysis::verify(list);
+  backend::set_group_mutation(false);
+  EXPECT_TRUE(has_kind(rep, Diag::kGroupLeak)) << rep.to_string();
+  EXPECT_GT(rep.total(Diag::kGroupLeak), 0);
+  EXPECT_FALSE(rep.ok());
 }
 
 // ---------------------------------------------------------------------------

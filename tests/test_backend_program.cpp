@@ -1,10 +1,15 @@
 // Tests for the Program executor: the one interpreter walk gives identical
 // results inline, on a folded (smaller) team and on a full team; in-place
-// execution; barrier elision; repeated execution.
+// execution; barrier elision; repeated execution; stage groups run block
+// by block bit-identically to the flat stage walk.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <thread>
 
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
+#include "core/spiral_fft.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
 #include "test_helpers.hpp"
@@ -296,6 +301,180 @@ TEST(Program, ParsevalEnergyConservation) {
     ey += std::norm(y[size_t(i)]);
   }
   EXPECT_NEAR(ey, ex * static_cast<double>(n), 1e-6 * ex * n);
+}
+
+// ---- Stage groups (backend/stage_group) -------------------------------
+
+core::PlannerOptions group_planner(int threads, idx_t nu) {
+  core::PlannerOptions opt;
+  opt.threads = threads;
+  opt.cache_line_complex = 4;
+  opt.vector_nu = nu;
+  opt.verify_lowering = false;
+  return opt;
+}
+
+/// y = the program's stages applied one at a time, each a single-stage
+/// Program (which never groups) with SIMD width nu.
+util::cvec stage_by_stage(const StageList& list, idx_t nu,
+                          const util::cvec& x) {
+  ExecContext ctx;
+  util::cvec a = x;
+  util::cvec b(x.size());
+  for (std::size_t k = list.stages.size(); k-- > 0;) {
+    Program one(StageList{list.n, {list.stages[k]}}, ExecPolicy::kThreadPool);
+    one.enable_simd(nu);
+    one.execute(ctx, a.data(), b.data());
+    std::swap(a, b);
+  }
+  return a;
+}
+
+bool bit_identical(const util::cvec& a, const util::cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+TEST(StageGroups, Large4mPlanFormsTwoThreeStageGroups) {
+  // The large-4m shape (n = 2^22, p = 4, nu = 4): each DFT_2048 half of
+  // formula (14) is three full-array stages, linked by the block proof;
+  // the global transpose between the halves breaks the link.
+  const auto list = lower_fused(
+      core::planner_formula(idx_t{1} << 22, group_planner(4, 4)));
+  ASSERT_EQ(list.stages.size(), 6u);
+  const auto groups = find_stage_groups(list);
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].first, 0u);
+  EXPECT_EQ(groups[0].count, 3u);
+  EXPECT_EQ(groups[1].first, 3u);
+  EXPECT_EQ(groups[1].count, 3u);
+  EXPECT_EQ(kGroupBlock, 8192);
+}
+
+TEST(StageGroups, NoGroupOnBurst1kShape) {
+  // n = 2^10 is below one block: the flat walk is unchanged.
+  const auto plan = core::plan_dft(1024, group_planner(4, 4));
+  EXPECT_TRUE(find_stage_groups(plan->stages()).empty());
+}
+
+TEST(StageGroups, RebasedSideIsABijectionOntoOneBlock) {
+  const auto list = lower_fused(
+      core::planner_formula(idx_t{1} << 16, group_planner(4, 4)));
+  for (const Stage& s : list.stages) {
+    for (const BitStrideMap* m : {&s.in_bits, &s.out_bits}) {
+      const BitStrideMap r = rebase_to_block(*m);
+      std::vector<char> seen(static_cast<std::size_t>(kGroupBlock), 0);
+      for (idx_t k = 0; k < kGroupBlock; ++k) {
+        const idx_t a = r.at(k);
+        ASSERT_GE(a, 0);
+        ASSERT_LT(a, kGroupBlock);
+        ASSERT_FALSE(seen[static_cast<std::size_t>(a)]) << s.label;
+        seen[static_cast<std::size_t>(a)] = 1;
+        // Block bits do not move the rebased address.
+        ASSERT_EQ(r.at(k + kGroupBlock), a);
+      }
+    }
+  }
+}
+
+TEST(StageGroups, GroupedMatchesStageByStageBitForBit) {
+  // Each element gets the same arithmetic in another order, so the
+  // grouped walk reproduces the flat one exactly: out of place, in place
+  // (x == y), and on a pool smaller than the plan's parallelism.
+  for (const int lg : {15, 17, 20}) {
+    const idx_t n = idx_t{1} << lg;
+    util::Rng rng(static_cast<std::uint64_t>(lg));
+    const auto x = rng.complex_signal(n);
+    for (const int p : {1, 2, 4}) {
+      for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
+        SCOPED_TRACE("n=2^" + std::to_string(lg) + " p=" +
+                     std::to_string(p) + " nu=" + std::to_string(nu));
+        const auto plan = core::plan_dft(n, group_planner(p, nu));
+        const StageList& list = plan->stages();
+        ASSERT_FALSE(find_stage_groups(list).empty());
+        const util::cvec want = stage_by_stage(list, nu, x);
+        ExecContext ctx;
+        util::cvec y(x.size());
+        plan->execute(ctx, x.data(), y.data());
+        EXPECT_TRUE(bit_identical(y, want)) << "out of place";
+        util::cvec z = x;
+        plan->execute(ctx, z.data(), z.data());
+        EXPECT_TRUE(bit_identical(z, want)) << "in place";
+        if (p > 1) {
+          threading::ThreadPool small(p / 2);
+          ExecContext folded;
+          folded.set_pool(&small);
+          plan->execute(folded, x.data(), y.data());
+          EXPECT_TRUE(bit_identical(y, want)) << "pool of " << p / 2;
+        }
+      }
+    }
+  }
+}
+
+TEST(StageGroups, SingleGroupProgramInPlace) {
+  // A program that is one group reads x and writes y in the same step;
+  // in place, the input must be staged through a copy first.
+  const idx_t n = idx_t{1} << 15;
+  const auto plan = core::plan_dft(n, group_planner(4, 4));
+  const StageList& full = plan->stages();
+  const auto groups = find_stage_groups(full);
+  ASSERT_FALSE(groups.empty());
+  const auto& g = groups.front();
+  StageList part{n, {}};
+  for (std::size_t m = g.count; m-- > 0;) {
+    part.stages.push_back(full.stages[g.stage(m, full.stages.size())]);
+  }
+  ASSERT_EQ(find_stage_groups(part).size(), 1u);
+  const Program prog(part, ExecPolicy::kThreadPool);
+  util::Rng rng(31);
+  const auto x = rng.complex_signal(n);
+  const util::cvec want = stage_by_stage(part, 0, x);
+  util::cvec z = x;
+  ExecContext ctx;
+  prog.execute(ctx, z.data(), z.data());
+  EXPECT_TRUE(bit_identical(z, want));
+}
+
+TEST(StageGroups, ConcurrentContextsOnOneGroupedProgram) {
+  // Two callers, two contexts, one grouped program: each context owns
+  // its block scratch, so the results match a lone run exactly.
+  const idx_t n = idx_t{1} << 15;
+  const auto plan = core::plan_dft(n, group_planner(2, 4));
+  ASSERT_FALSE(find_stage_groups(plan->stages()).empty());
+  util::Rng rng(32);
+  const auto x = rng.complex_signal(n);
+  util::cvec want(x.size());
+  plan->execute(x.data(), want.data());
+  util::cvec ya(x.size()), yb(x.size());
+  auto caller = [&](util::cvec* y) {
+    ExecContext ctx;
+    for (int rep = 0; rep < 4; ++rep) plan->execute(ctx, x.data(), y->data());
+  };
+  std::thread a(caller, &ya), b(caller, &yb);
+  a.join();
+  b.join();
+  EXPECT_TRUE(bit_identical(ya, want));
+  EXPECT_TRUE(bit_identical(yb, want));
+}
+
+TEST(StageGroups, MutantGroupingComputesWrongOutput) {
+  // --mutate-group: grouping without the block proof runs blocks that
+  // read what other blocks wrote, so execution must go wrong.
+  const idx_t n = idx_t{1} << 16;
+  util::Rng rng(33);
+  const auto x = rng.complex_signal(n);
+  const auto list = lower_fused(core::planner_formula(n, group_planner(4, 0)));
+  const util::cvec want = stage_by_stage(list, 0, x);
+  set_group_mutation(true);
+  ASSERT_EQ(find_stage_groups(list).size(), 1u);
+  const Program mutant(list, ExecPolicy::kThreadPool);
+  set_group_mutation(false);
+  ExecContext ctx;
+  util::cvec y(x.size());
+  mutant.execute(ctx, x.data(), y.data());
+  EXPECT_FALSE(bit_identical(y, want));
+  EXPECT_GT(max_diff(y, want), 1.0);
 }
 
 }  // namespace

@@ -302,6 +302,35 @@ TEST(LocalityModel, OutOfCacheSizesPredictMemoryTraffic) {
   EXPECT_LE(rep.pred_mem_lines, 3 * S * lines);
 }
 
+TEST(LocalityModel, GroupInternalSidesStayCacheResident) {
+  // n = 2^18, p = 4: two 2-stage groups. A group's intermediates live in
+  // the worker's block scratch, so only the group's first read, its last
+  // write and the twiddles stream from memory: the first stage (no
+  // twiddles, its write internal) moves exactly its input.
+  const idx_t n = idx_t{1} << 18;
+  const auto cfg = machine::generic_config(4, 4);
+  const StageList list = planner_program(n, 4);
+  LocalityOptions lo;
+  lo.threads = 4;
+  const LocalityReport rep = analysis::analyze_locality(list, cfg, lo);
+  const auto groups = backend::find_stage_groups(list);
+  ASSERT_EQ(groups.size(), 2u);
+  ASSERT_EQ(rep.groups.size(), groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(rep.groups[i].first, groups[i].first);
+    EXPECT_EQ(rep.groups[i].count, groups[i].count);
+  }
+  ASSERT_TRUE(list.stages.back().in_scale.empty());
+  EXPECT_EQ(rep.stages[0].pred_mem_lines,
+            static_cast<std::int64_t>(n / cfg.mu()));
+  EXPECT_NE(rep.to_string().find(
+                "group: stages 0-1 run block by block, 8192-element blocks"),
+            std::string::npos);
+  EXPECT_NE(rep.to_json().find(
+                "\"groups\":[{\"first\":0,\"count\":2,\"block\":8192}"),
+            std::string::npos);
+}
+
 TEST(LocalityModel, InCacheSizesPredictNoMemoryTraffic) {
   // 2^8 elements = 4 KB working set << 64 KB L1: steady state should be
   // (nearly) memory-silent.

@@ -33,6 +33,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,6 +46,8 @@
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
 #include "backend/simd.hpp"
+#include "backend/stage_group.hpp"
+#include "baselines/fft_iterative.hpp"
 #include "core/spiral_fft.hpp"
 #include "machine/config.hpp"
 #include "spl/dense.hpp"
@@ -82,6 +85,8 @@ void usage() {
                " walk (caught by --check-exec)\n"
                "       --mutate-vecform     mis-report strided-lane SIMD"
                " shapes as contiguous (caught by --check-exec)\n"
+               "       --mutate-group       group stages without the block"
+               " proof (caught statically)\n"
                "       --validate-codegen   statically validate the emitted"
                " C against the plan's\n"
                "                            stage list"
@@ -93,6 +98,10 @@ void usage() {
                "                            (implies --validate-codegen)\n"
                "       --check-exec         also execute each plan against"
                " its formula's dense matrix\n"
+               "                            (above n=4096: against its"
+               " stages run one at a time, bit\n"
+               "                            for bit, and a DFT against"
+               " the radix-2 baseline)\n"
                "       --analyze-locality   static cache-traffic analysis"
                " (analysis::locality); gates on\n"
                "                            false sharing and"
@@ -114,7 +123,7 @@ struct LintItem {
   spiral::analysis::Report report;
   bool exec_checked = false;
   bool exec_ok = true;
-  double exec_err = 0.0;
+  std::string exec_failure;  ///< what the failed parity check saw
   bool locality_checked = false;
   bool locality_ok = true;
   spiral::analysis::LocalityReport locality;
@@ -182,27 +191,102 @@ void check_codegen_emission(const spiral::backend::StageList& list,
   item->codegen_ok = item->codegen.clean();
 }
 
-/// Executes `plan` on a seeded random signal and compares against the
-/// dense matrix of the plan's formula. The formula is the spec the static
-/// verifier trusts, so value-level defects it cannot see — wrong twiddle
-/// tables, a reversed ping-pong walk — surface only here.
-void check_execution(const spiral::core::FftPlan& plan, LintItem* item) {
+/// Largest plan --check-exec compares against the dense matrix of its
+/// formula: n^2 complex entries, 256 MiB at this size.
+constexpr spiral::idx_t kDenseExecLimit = 4096;
+
+/// Relative L2 error bound of a DFT against the radix-2 baseline, in
+/// units of log2(n) * machine epsilon.
+constexpr double kFftErrorPerLog = 2.0;
+
+/// y = the plan's stages applied one at a time, each as a single-stage
+/// Program with the plan's SIMD width: the flat schedule, which never
+/// forms a stage group.
+spiral::util::cvec run_stage_by_stage(const spiral::core::FftPlan& plan,
+                                      spiral::idx_t nu,
+                                      const spiral::util::cvec& x) {
+  using namespace spiral;
+  const backend::StageList& list = plan.stages();
+  backend::ExecContext ctx;
+  util::cvec a = x;
+  util::cvec b(x.size());
+  for (std::size_t k = list.stages.size(); k-- > 0;) {
+    backend::Program one(backend::StageList{list.n, {list.stages[k]}},
+                         backend::ExecPolicy::kThreadPool);
+    one.enable_simd(nu);
+    one.execute(ctx, a.data(), b.data());
+    std::swap(a, b);
+  }
+  return a;
+}
+
+/// Executes `plan` on a seeded random signal and compares it with its
+/// spec. Up to kDenseExecLimit the spec is the dense matrix of the
+/// plan's formula, which the static verifier trusts, so value-level
+/// defects it cannot see — wrong twiddle tables, a reversed ping-pong
+/// walk — surface only here. Above it (the dense matrix no longer fits
+/// memory) the plan must match its own stages run one at a time bit for
+/// bit, which checks the walk and its stage groups; and a DFT plan
+/// (dft_sign != 0) must match the radix-2 baseline within
+/// kFftErrorPerLog * log2(n) * epsilon relative L2 error, which checks
+/// the stages themselves.
+void check_execution(const spiral::core::FftPlan& plan, spiral::idx_t nu,
+                     int dft_sign, LintItem* item) {
   using namespace spiral;
   item->exec_checked = true;
   const idx_t n = plan.size();
   util::Rng rng(util::kDefaultSeed ^ static_cast<std::uint64_t>(n));
   const util::cvec x = rng.complex_signal(n);
-  const util::cvec want = spl::to_dense(plan.formula()).apply(x);
   util::cvec got(static_cast<std::size_t>(n));
   plan.execute(x.data(), got.data());
-  double err = 0.0;
-  double mag = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    err = std::max(err, std::abs(got[i] - want[i]));
-    mag = std::max(mag, std::abs(want[i]));
+  char buf[160];
+  if (n <= kDenseExecLimit) {
+    const util::cvec want = spl::to_dense(plan.formula()).apply(x);
+    double err = 0.0;
+    double mag = 0.0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      err = std::max(err, std::abs(got[i] - want[i]));
+      mag = std::max(mag, std::abs(want[i]));
+    }
+    item->exec_ok = err <= 1e-9 * std::max(1.0, mag);
+    std::snprintf(buf, sizeof buf,
+                  "max deviation %.3e from the formula's dense semantics",
+                  err);
+    if (!item->exec_ok) item->exec_failure = buf;
+    return;
   }
-  item->exec_err = err;
-  item->exec_ok = err <= 1e-9 * std::max(1.0, mag);
+  const util::cvec flat = run_stage_by_stage(plan, nu, x);
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != flat[i]) ++differ;
+  }
+  if (differ > 0) {
+    item->exec_ok = false;
+    std::snprintf(buf, sizeof buf,
+                  "%zu of %lld outputs differ from the stages run one at a "
+                  "time",
+                  differ, static_cast<long long>(n));
+    item->exec_failure = buf;
+    return;
+  }
+  if (dft_sign == 0) return;
+  util::cvec want = x;
+  baselines::fft_iterative_inplace(want.data(), n, dft_sign);
+  double err2 = 0.0;
+  double mag2 = 0.0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    err2 += std::norm(got[i] - want[i]);
+    mag2 += std::norm(want[i]);
+  }
+  const double rel = std::sqrt(err2 / mag2);
+  const double bound = kFftErrorPerLog * std::log2(static_cast<double>(n)) *
+                       std::numeric_limits<double>::epsilon();
+  item->exec_ok = rel <= bound;
+  std::snprintf(buf, sizeof buf,
+                "relative L2 error %.3e against the radix-2 baseline "
+                "(bound %.3e)",
+                rel, bound);
+  if (!item->exec_ok) item->exec_failure = buf;
 }
 
 /// --audit-rules: audit the rewriting system (optionally a mutant of it)
@@ -339,6 +423,12 @@ int run(const spiral::util::CliArgs& args) {
     // caught only by the execution-parity check.
     backend::simd::set_vecform_mutation(true);
   }
+  if (args.has("mutate-group")) {
+    // Group stages without the block proof: every run of groupable
+    // stages with one parallel_p becomes one group, so blocks read what
+    // other blocks wrote. The verifier's group check must flag it.
+    backend::set_group_mutation(true);
+  }
   // Value-level mutations imply the execution check that catches them.
   const bool check_exec = args.has("check-exec") ||
                           args.has("mutate-twiddle") ||
@@ -408,7 +498,10 @@ int run(const spiral::util::CliArgs& args) {
         // (out-of-bounds writes are among the defects it reports), so the
         // parity check only runs on statically sound plans.
         if (check_exec && item.report.error_count() == 0) {
-          check_execution(*plan, &item);
+          check_execution(*plan, d.nu,
+                          d.kind == wisdom::TransformKind::kDFT ? d.direction
+                                                                 : 0,
+                          &item);
         }
         if (validate_codegen) {
           check_codegen_emission(plan->stages(), args.get_int("nu", 0),
@@ -486,7 +579,8 @@ int run(const spiral::util::CliArgs& args) {
     // (out-of-bounds writes are among the defects it reports), so the
     // parity check only runs on statically sound plans.
     if (check_exec && item.report.error_count() == 0) {
-      check_execution(*plan, &item);
+      check_execution(*plan, base.vector_nu,
+                      kind == "dft" ? base.direction : 0, &item);
     }
     if (validate_codegen) {
       check_codegen_emission(plan->stages(), base.vector_nu, vo.mu, &item);
@@ -525,9 +619,7 @@ int run(const spiral::util::CliArgs& args) {
       ++dirty;
       std::printf("FAIL %s\n", item.name.c_str());
       if (bad_exec) {
-        std::printf("  execution parity: max deviation %.3e from the "
-                    "formula's dense semantics\n",
-                    item.exec_err);
+        std::printf("  execution parity: %s\n", item.exec_failure.c_str());
       }
       if (bad_codegen) {
         std::printf("%s", item.codegen.to_string().c_str());
