@@ -1418,8 +1418,8 @@ void diff_stage(Ctx& cx, int sid, const Stage& src, const PStage& ps) {
   check_affine_range(cx, sid, ps.out, src.iters, src.cn, false);
   diff_side(cx, sid, src, ps.in, true);
   diff_side(cx, sid, src, ps.out, false);
-  diff_scale(cx, sid, src.in_scale, ps.in_scaled, ps.iscl, true);
-  diff_scale(cx, sid, src.out_scale, ps.out_scaled, ps.oscl, false);
+  diff_scale(cx, sid, src.in_scale.expand(), ps.in_scaled, ps.iscl, true);
+  diff_scale(cx, sid, src.out_scale.expand(), ps.out_scaled, ps.oscl, false);
 }
 
 /// Rebuilds a backend::Stage from the parsed body so the reconstructed
@@ -1467,8 +1467,8 @@ bool build_recon(const PStage& ps, const Stage& src, int sid, Stage* out) {
     }
     return v;
   };
-  if (ps.in_scaled) s.in_scale = scale(ps.iscl);
-  if (ps.out_scaled) s.out_scale = scale(ps.oscl);
+  if (ps.in_scaled) s.in_scale = backend::StageScale(scale(ps.iscl));
+  if (ps.out_scaled) s.out_scale = backend::StageScale(scale(ps.oscl));
   s.label = "emitted stage " + std::to_string(sid);
   *out = s;
   return true;

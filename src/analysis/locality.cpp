@@ -198,6 +198,10 @@ LocalityReport analyze_locality(const backend::StageList& program,
               : 1;
       const idx_t b = s.sched_block;
       const idx_t cn = s.cn;
+      // The input scale's stored value for position it*cn + l, as a line.
+      auto tw_line = [&](idx_t it, idx_t l) {
+        return s.in_scale.map().at(it * cn + l) / mu_elems;
+      };
       auto step_of = [&](int c, idx_t step) -> idx_t {
         if (b == 0) {
           const idx_t lo = static_cast<idx_t>(c) * s.iters / p_eff;
@@ -222,6 +226,8 @@ LocalityReport analyze_locality(const backend::StageList& program,
       sl.label = s.label;
       sl.parallel_used = p_eff;
       sl.iters = s.iters;
+      sl.in_scale_values = static_cast<std::int64_t>(s.in_scale.size());
+      sl.out_scale_values = static_cast<std::int64_t>(s.out_scale.size());
       sl.exchange.assign(
           static_cast<std::size_t>(cfg.cores) *
               static_cast<std::size_t>(cfg.cores),
@@ -245,6 +251,10 @@ LocalityReport analyze_locality(const backend::StageList& program,
         // 1/p_eff slice when shared.
         const std::int64_t cap2 =
             cfg.l2_shared && p_eff > 1 ? l2_lines / p_eff : l2_lines;
+        // Values re-read within the stage stay in L2 when they fit.
+        const bool tw_resident =
+            sl.in_scale_values < s.total_elems() &&
+            (sl.in_scale_values + mu_elems - 1) / mu_elems <= cap2;
         const bool in_stream =
             side_streaming(s.in_affine, s.in_bits, cn, mu_elems);
         const bool out_stream =
@@ -358,7 +368,7 @@ LocalityReport analyze_locality(const backend::StageList& program,
             for (idx_t l = 0; l < cn; ++l) {
               access(src, s.in_index(it, l) / mu_elems, in_stream,
                      in_resident[k] != 0);
-              if (has_tw) access(twr, (it * cn + l) / mu_elems, true, false);
+              if (has_tw) access(twr, tw_line(it, l), true, tw_resident);
             }
             for (idx_t l = 0; l < cn; ++l) {
               access(dst, s.out_index(it, l) / mu_elems, out_stream,
@@ -465,7 +475,7 @@ LocalityReport analyze_locality(const backend::StageList& program,
           more = true;
           for (idx_t l = 0; l < cn; ++l) {
             touch(c, src, s.in_index(it, l) / mu_elems, false);
-            if (has_tw) touch(c, twr, (it * cn + l) / mu_elems, false);
+            if (has_tw) touch(c, twr, tw_line(it, l), false);
           }
           for (idx_t l = 0; l < cn; ++l) {
             touch(c, dst, s.out_index(it, l) / mu_elems, true);
@@ -557,6 +567,10 @@ std::string LocalityReport::to_string() const {
     os << "    lines: in=" << s.in_lines << " out=" << s.out_lines
        << " tw=" << s.tw_lines << " per-thread=[" << s.min_thread_lines
        << ", " << s.max_thread_lines << "]\n";
+    if (s.in_scale_values + s.out_scale_values > 0) {
+      os << "    scale values: in=" << s.in_scale_values
+         << " out=" << s.out_scale_values << "\n";
+    }
     os << "    cross-barrier: producer->consumer="
        << s.producer_consumer_lines << " read-transfers="
        << s.cross_read_lines << " write-transfers=" << s.cross_write_lines

@@ -70,7 +70,10 @@ struct StageLocality {
   // Working sets, in cache lines.
   std::int64_t in_lines = 0;        ///< distinct source lines read
   std::int64_t out_lines = 0;       ///< distinct destination lines written
-  std::int64_t tw_lines = 0;        ///< distinct twiddle-table lines read
+  std::int64_t tw_lines = 0;        ///< distinct twiddle-value lines read
+  /// Stored values of the side scales (StageScale::size; 0: no scale).
+  std::int64_t in_scale_values = 0;
+  std::int64_t out_scale_values = 0;
   std::int64_t max_thread_lines = 0;  ///< largest per-thread footprint
   std::int64_t min_thread_lines = 0;  ///< smallest per-thread footprint
 

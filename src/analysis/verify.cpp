@@ -135,10 +135,9 @@ void verify_stage(const backend::StageList& program, int si,
   };
 
   // -- Well-formedness that later checks depend on: map/scale lengths.
-  //    A bit-stride side must span exactly iters*cn positions, and a
-  //    table side must have iters*cn entries.
+  //    A bit-stride side or a scale must span exactly iters*cn
+  //    positions, and a table side must have iters*cn entries.
   const idx_t expected = s.iters * s.cn;
-  const auto esz = static_cast<std::size_t>(expected);
   const auto entries = [](const backend::BitStrideMap& bits,
                           const std::vector<std::int32_t>& map) {
     return map.empty() ? bits.positions() : static_cast<idx_t>(map.size());
@@ -154,19 +153,12 @@ void verify_stage(const backend::StageList& program, int si,
     add(Diag::kMapSizeMismatch, os.str(), 1);
     maps_ok = false;
   }
-  if (!s.in_scale.empty() && s.in_scale.size() != esz) {
+  for (const auto* sc : {&s.in_scale, &s.out_scale}) {
+    if (sc->empty() || sc->positions() == expected) continue;
     std::ostringstream os;
-    os << "in_scale has " << s.in_scale.size()
-       << " entries, expected iters*cn = " << expected;
-    const auto got = static_cast<std::int64_t>(s.in_scale.size());
-    add(Diag::kScaleSizeMismatch, os.str(),
-        got > expected ? got - expected : expected - got);
-  }
-  if (!s.out_scale.empty() && s.out_scale.size() != esz) {
-    std::ostringstream os;
-    os << "out_scale has " << s.out_scale.size()
-       << " entries, expected iters*cn = " << expected;
-    const auto got = static_cast<std::int64_t>(s.out_scale.size());
+    os << (sc == &s.in_scale ? "in_scale" : "out_scale") << " covers "
+       << sc->positions() << " positions, expected iters*cn = " << expected;
+    const std::int64_t got = sc->positions();
     add(Diag::kScaleSizeMismatch, os.str(),
         got > expected ? got - expected : expected - got);
   }

@@ -51,7 +51,7 @@ namespace spiral::analysis {
 /// Diagnostic kinds, each guarding one contract of the lowered IR.
 enum class Diag {
   kMapSizeMismatch,    ///< in_map/out_map length != iters*cn
-  kScaleSizeMismatch,  ///< in_scale/out_scale non-empty but mis-sized
+  kScaleSizeMismatch,  ///< in_scale/out_scale over != iters*cn positions
   kIndexOutOfBounds,   ///< a map entry outside [0, n)
   kIndexOverflow,      ///< n exceeds what the int32 maps can address
   kDuplicateWrite,     ///< one thread writes an element twice (non-injective)

@@ -234,6 +234,15 @@ void run_stage_scalar(const Stage& s, const BitStrideMap& in,
     const idx_t out_es = element_stride(out, cn);
     std::array<std::int32_t, kRowMax> in_idx{};
     std::array<std::int32_t, kRowMax> out_idx{};
+    std::array<cplx, kRowMax> in_w{};
+    std::array<cplx, kRowMax> out_w{};
+    // One iteration's cn scale values, read through the scale's map.
+    auto scale_row = [cn](const StageScale& sc, idx_t it,
+                          cplx* w) -> const cplx* {
+      if (sc.empty()) return nullptr;
+      for (idx_t l = 0; l < cn; ++l) w[l] = sc.at(it * cn + l);
+      return w;
+    };
     for (idx_t it = lo; it < hi; ++it) {
       CodeletIo io;
       if (in_es != 0) {
@@ -253,9 +262,8 @@ void run_stage_scalar(const Stage& s, const BitStrideMap& in,
         io.y = dst;
         io.out_map = out_idx.data();
       }
-      io.in_scale = s.in_scale.empty() ? nullptr : s.in_scale.data() + it * cn;
-      io.out_scale =
-          s.out_scale.empty() ? nullptr : s.out_scale.data() + it * cn;
+      io.in_scale = scale_row(s.in_scale, it, in_w.data());
+      io.out_scale = scale_row(s.out_scale, it, out_w.data());
       if (s.wht) {
         wht_codelet(cn, io);
       } else {
@@ -265,12 +273,9 @@ void run_stage_scalar(const Stage& s, const BitStrideMap& in,
     return;
   }
   // Pure data stage (cn == 1).
-  if (s.in_scale.empty()) {
-    for (idx_t j = lo; j < hi; ++j) dst[out.at(j)] = src[in.at(j)];
-  } else {
-    for (idx_t j = lo; j < hi; ++j) {
-      dst[out.at(j)] = s.in_scale[static_cast<std::size_t>(j)] * src[in.at(j)];
-    }
+  for (idx_t j = lo; j < hi; ++j) {
+    const cplx v = src[in.at(j)];
+    dst[out.at(j)] = s.in_scale.empty() ? v : s.in_scale.at(j) * v;
   }
 }
 

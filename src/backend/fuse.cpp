@@ -88,33 +88,40 @@ int position_bits(idx_t positions) {
   return __builtin_ctzll(static_cast<unsigned long long>(positions));
 }
 
-/// Execution-order table of a diagonal over a stage's positions: the
-/// 2^B-entry period, repeated over the outer digit.
-util::cvec diag_table(BitDiag&& d, idx_t positions) {
+/// A diagonal as the scale of a stage of `positions` positions and
+/// codelets of cn: the values reordered projected iteration bits (>=
+/// log2 cn) first, ascending, then element bits, so SIMD lanes read one
+/// broadcast value or W contiguous ones. O(|values|).
+StageScale to_scale(const BitDiag& d, idx_t positions, idx_t cn) {
   if (d.values.empty()) return {};
+  const int c = position_bits(cn);
+  std::vector<int> sorted = d.bits;
+  std::sort(sorted.begin(), sorted.end(), [c](int x, int y) {
+    return std::pair{x < c, x} < std::pair{y < c, y};
+  });
+  // Old value bit i is new bit rank[i], its position bit's place in
+  // sorted; g maps a new value index to the old one.
+  std::vector<int> rank;
+  for (const int q : d.bits) {
+    rank.push_back(static_cast<int>(
+        std::find(sorted.begin(), sorted.end(), q) - sorted.begin()));
+  }
+  const BitStrideMap g = bit_gather(rank, static_cast<int>(rank.size()));
+  util::dvec re(d.values.size());
+  util::dvec im(d.values.size());
+  for (idx_t u = 0; u < static_cast<idx_t>(re.size()); ++u) {
+    const cplx z = d.values[static_cast<std::size_t>(g.at(u))];
+    re[static_cast<std::size_t>(u)] = z.real();
+    im[static_cast<std::size_t>(u)] = z.imag();
+  }
   const int b = position_bits(positions);
-  bool identity = static_cast<int>(d.bits.size()) == b;
-  for (std::size_t i = 0; identity && i < d.bits.size(); ++i) {
-    identity = d.bits[i] == static_cast<int>(i);
-  }
-  util::cvec t;
-  if (identity) {
-    t = std::move(d.values);
-  } else {
-    const BitStrideMap g = bit_gather(d.bits, b);
-    t.resize(std::size_t{1} << b);
-    for (std::size_t k = 0; k < t.size(); ++k) {
-      t[k] = d.values[static_cast<std::size_t>(g.at(static_cast<idx_t>(k)))];
-    }
-  }
-  const std::size_t period = t.size();
-  t.resize(static_cast<std::size_t>(positions));
-  for (std::size_t k = period; k < t.size(); ++k) t[k] = t[k - period];
-  return t;
+  return StageScale(std::move(re), std::move(im),
+                    BitStrideMap(0, bit_gather(sorted, b).strides(),
+                                 positions >> b));
 }
 
-/// A materialized diagonal as a BitDiag over all position bits (the
-/// inverse of diag_table); it must repeat over the outer digit.
+/// An expanded scale table as a BitDiag over all position bits; it must
+/// repeat over the outer digit.
 BitDiag lift(util::cvec&& t) {
   if (t.empty()) return {};
   const auto period = std::size_t{1}
@@ -151,12 +158,8 @@ void scale_by(BitDiag& acc, const BitDiag& f, const BitStrideMap* pos) {
 
 Stage materialize_scales(LoweredStage&& ls) {
   Stage s = std::move(ls.stage);
-  if (!ls.in_diag.values.empty()) {
-    s.in_scale = diag_table(std::move(ls.in_diag), s.total_elems());
-  }
-  if (!ls.out_diag.values.empty()) {
-    s.out_scale = diag_table(std::move(ls.out_diag), s.total_elems());
-  }
+  s.in_scale = to_scale(ls.in_diag, s.total_elems(), s.cn);
+  s.out_scale = to_scale(ls.out_diag, s.total_elems(), s.cn);
   return s;
 }
 
@@ -287,10 +290,10 @@ int fuse(StageList& list) {
   lowered.reserve(list.stages.size());
   for (auto& s : list.stages) {
     LoweredStage ls{std::move(s), {}, {}};
-    ls.in_diag = lift(std::move(ls.stage.in_scale));
-    ls.out_diag = lift(std::move(ls.stage.out_scale));
-    ls.stage.in_scale.clear();
-    ls.stage.out_scale.clear();
+    ls.in_diag = lift(ls.stage.in_scale.expand());
+    ls.out_diag = lift(ls.stage.out_scale.expand());
+    ls.stage.in_scale = {};
+    ls.stage.out_scale = {};
     lowered.push_back(std::move(ls));
   }
   const int eliminated = fuse_lowered(lowered);

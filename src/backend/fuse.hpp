@@ -7,8 +7,8 @@
 // Every lowered map is a bit permutation (BitStrideMap, with the odd
 // outer digit of a batch count kept as the identity), so a fold is a
 // composition of log n strides and its twiddles travel as a small
-// diagonal plus a bit projection (BitDiag), written out as an
-// execution-order table once, at the end.
+// diagonal plus a bit projection (BitDiag), which becomes the stage's
+// symbolic StageScale at the end.
 #pragma once
 
 #include "backend/stage.hpp"
@@ -23,9 +23,9 @@ namespace spiral::backend {
 ///      is folded into its output maps/scales.
 /// Pure stages with no compute neighbour (e.g. a program that is a single
 /// permutation) survive. The stages must come from lower() (bit-stride
-/// sides, no tables); their affine flags are left as found. Materialized
-/// scale tables are lifted into BitDiags over all position bits and
-/// written back after fusion. Returns the number of stages eliminated.
+/// sides, no tables); their affine flags are left as found. Their scales
+/// are lifted into BitDiags over all position bits and made symbolic
+/// again after fusion. Returns the number of stages eliminated.
 int fuse(StageList& list);
 
 /// True iff m is a bit permutation of [0, q * 2^bits): base 0, strides a
@@ -68,8 +68,8 @@ struct LoweredStage {
 /// fuse() on lowered stages; diagonals stay symbolic.
 int fuse_lowered(std::vector<LoweredStage>& stages);
 
-/// Writes a lowered stage's symbolic diagonals into its execution-order
-/// in_scale/out_scale tables and returns the stage.
+/// Makes a lowered stage's diagonals its symbolic in_scale/out_scale
+/// (StageScale) in O(|values|) and returns the stage.
 [[nodiscard]] Stage materialize_scales(LoweredStage&& ls);
 
 }  // namespace spiral::backend

@@ -424,7 +424,7 @@ std::atomic<std::int32_t> g_affine_stride_mutation{0};
 std::atomic<idx_t> g_batch_stride_mutation{0};
 std::atomic<bool> g_twiddle_mutation{false};
 
-/// The program as executed: symbolic diagonals written out as tables.
+/// The program as executed: diagonals as symbolic stage scales.
 StageList materialize(idx_t n, std::vector<LoweredStage> lowered) {
   StageList list;
   list.n = n;
@@ -547,16 +547,16 @@ StageList lower_fused(const FormulaPtr& f) {
   std::vector<LoweredStage> st = lower_stages(f, &n);
   if (auto* obs = lowering_observer()) obs(materialize(n, st));
   fuse_lowered(st);
-  StageList list = materialize(n, std::move(st));
-  mark_affine(list);
   if (twiddle_mutation()) {
-    // Seeded defect (see set_twiddle_mutation): wrong twiddle tables with
+    // Seeded defect (see set_twiddle_mutation): wrong twiddle values with
     // perfectly intact structure.
-    for (auto& s : list.stages) {
-      for (auto& w : s.in_scale) w = std::conj(w);
-      for (auto& w : s.out_scale) w = std::conj(w);
+    for (auto& ls : st) {
+      for (auto& w : ls.in_diag.values) w = std::conj(w);
+      for (auto& w : ls.out_diag.values) w = std::conj(w);
     }
   }
+  StageList list = materialize(n, std::move(st));
+  mark_affine(list);
   if (auto* obs = lowering_observer()) obs(list);
   return list;
 }

@@ -61,7 +61,7 @@ void set_batch_stride_mutation(idx_t delta) noexcept;
 [[nodiscard]] idx_t batch_stride_mutation() noexcept;
 
 /// Mutation-testing hook (spiral-lint --mutate-twiddle): when enabled,
-/// lower_fused() conjugates every fused scale entry (the twiddle
+/// lower_fused() conjugates every stored fused scale value (the twiddle
 /// diagonals of rule (3)/(6)), producing a program that is structurally
 /// flawless — same footprints, same schedules — but numerically wrong on
 /// any size with twiddle factors. The static verifier cannot see values,

@@ -97,7 +97,7 @@ class Program {
     StageGroup group;
     std::vector<BitStrideMap> in, out;
     /// Per member, the stage's SIMD plan re-proven on in[m]/out[m]
-    /// (sharing its scale tables); empty while SIMD is off.
+    /// (scales stay on the stage); empty while SIMD is off.
     std::vector<simd::StagePlan> simd;
   };
 

@@ -113,25 +113,22 @@ void set_forms(StagePlan& p, const SideVecInfo& sv) {
   }
 }
 
-/// Splits a fused scale table into pack-major split-lane layout:
-/// out_re/out_im[(pack*cn + l)*W + v] = scale[(pack*W + v)*cn + l].
-void split_scale(const util::cvec& scale, idx_t cn, idx_t w, util::dvec& out_re,
-                 util::dvec& out_im) {
-  if (scale.empty()) return;
-  const idx_t iters = static_cast<idx_t>(scale.size()) / cn;
-  const idx_t packs = iters / w;
-  out_re.resize(static_cast<std::size_t>(packs * cn * w));
-  out_im.resize(static_cast<std::size_t>(packs * cn * w));
-  for (idx_t pk = 0; pk < packs; ++pk) {
-    for (idx_t l = 0; l < cn; ++l) {
-      for (idx_t v = 0; v < w; ++v) {
-        const cplx z = scale[static_cast<std::size_t>((pk * w + v) * cn + l)];
-        const std::size_t at = static_cast<std::size_t>((pk * cn + l) * w + v);
-        out_re[at] = z.real();
-        out_im[at] = z.imag();
-      }
-    }
+/// The lane form of a side scale at width w over codelets of cn: lane bit
+/// v is position bit log2(cn) + v.
+ScaleForm scale_form(const StageScale& sc, idx_t cn, idx_t w) {
+  if (sc.empty()) return ScaleForm::kNone;
+  const auto& st = sc.map().strides();
+  const auto c = static_cast<std::size_t>(util::log2_exact(cn));
+  const auto lw = static_cast<std::size_t>(util::log2_exact(w));
+  if (c + lw > st.size()) return ScaleForm::kGather;
+  bool none = true;
+  bool contiguous = true;
+  for (std::size_t v = 0; v < lw; ++v) {
+    none = none && st[c + v] == 0;
+    contiguous = contiguous && st[c + v] == idx_t{1} << v;
   }
+  if (none) return ScaleForm::kBroadcast;
+  return contiguous ? ScaleForm::kContiguous : ScaleForm::kGather;
 }
 
 }  // namespace
@@ -178,10 +175,8 @@ StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   set_forms(p, sv);
   p.fn = resolve_pack_fn(p.width, isa);
   if (p.fn == nullptr) return StagePlan{};
-  auto scales = std::make_shared<SplitScales>();
-  split_scale(s.in_scale, s.cn, p.width, scales->in_re, scales->in_im);
-  split_scale(s.out_scale, s.cn, p.width, scales->out_re, scales->out_im);
-  p.scales = std::move(scales);
+  p.in_scale = scale_form(s.in_scale, s.cn, p.width);
+  p.out_scale = scale_form(s.out_scale, s.cn, p.width);
   p.active = true;
   return p;
 }
@@ -208,8 +203,8 @@ void run_stage_simd(const Stage& s, const BitStrideMap& in,
                     const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
   const idx_t w = plan.width;
   // Packs are anchored at absolute multiples of w (the shape proofs and
-  // the split scale tables both assume it), so a chunk with unaligned
-  // bounds runs a scalar head/tail.
+  // the scale forms both assume it), so a chunk with unaligned bounds
+  // runs a scalar head/tail.
   const idx_t a = std::min(((lo + w - 1) / w) * w, hi);
   const idx_t b = std::max((hi / w) * w, a);
   if (lo < a) run_stage_scalar(s, in, out, src, dst, lo, a);

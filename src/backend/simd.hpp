@@ -31,7 +31,6 @@
 // can never fault on alignment.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "backend/stage.hpp"
@@ -74,25 +73,23 @@ using PackFn = void (*)(const Stage&, const BitStrideMap&,
                         const BitStrideMap&, const StagePlan&, const cplx*,
                         cplx*, idx_t, idx_t);
 
-/// A stage's fused scale tables re-laid-out in split-lane pack-major
-/// order ((pack*cn + l)*W + lane), so the hot loop loads them as plain
-/// vectors. Empty vectors: no scale on that side.
-struct SplitScales {
-  util::dvec in_re, in_im;
-  util::dvec out_re, out_im;
-};
+/// How the W lanes of a pack read a side's scale values, read once per
+/// plan off the scale map's strides on the lane bits [log2 cn,
+/// log2 cn + log2 W): kBroadcast when none is projected (one value for
+/// every lane), kContiguous when lane bit v has value stride 2^v (one
+/// W-wide load), else kGather (a per-lane lookup through the map).
+enum class ScaleForm { kNone, kBroadcast, kContiguous, kGather };
 
 /// Per-stage execution plan: the proven per-side forms at the chosen
-/// width, the resolved kernel, and the split scale tables.
+/// width, the side scales' lane forms (values stay on the stage), kernel.
 struct StagePlan {
   bool active = false;  ///< a vector driver will serve this stage
   idx_t width = 1;      ///< lanes W (2-power >= 2 when active)
   VecForm in_form = VecForm::kNone;
   VecForm out_form = VecForm::kNone;
+  ScaleForm in_scale = ScaleForm::kNone;
+  ScaleForm out_scale = ScaleForm::kNone;
   PackFn fn = nullptr;
-  /// Shared with every re-plan of the stage's sides (plan_sides), so a
-  /// stage group addresses its blocks differently without copying them.
-  std::shared_ptr<const SplitScales> scales;
 };
 
 /// Builds the execution plan for one stage at widths up to max_nu on the
@@ -103,8 +100,9 @@ struct StagePlan {
 /// Plan `p` of stage `s` (active) with its sides addressed through `in`
 /// and `out` instead of the stage's maps — a stage group's block-rebased
 /// sides. The forms are proven again on those maps at p's width; kernel
-/// and scale tables are shared. Inactive when a side does not prove at
-/// that width (the stage then runs scalar inside the group).
+/// and scale forms carry over, since scales are read by global position.
+/// Inactive when a side does not prove at that width (the stage then runs
+/// scalar inside the group).
 [[nodiscard]] StagePlan plan_sides(const StagePlan& p, const Stage& s,
                                    const BitStrideMap& in,
                                    const BitStrideMap& out);

@@ -175,6 +175,35 @@ inline void store_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
   }
 }
 
+/// Multiplies a pack by a side scale: lane 0's value indices come from one
+/// map row, the other lanes' values BY THE RECORDED FORM (gather: exact).
+template <int W>
+inline void scale_pack(const StageScale& sc, ScaleForm form, idx_t cn,
+                       idx_t it, typename VecT<W>::type* re,
+                       typename VecT<W>::type* im) {
+  std::int32_t row[64];
+  sc.map().row(it * cn, cn, row);
+  for (idx_t l = 0; l < cn; ++l) {
+    typename VecT<W>::type sr, si;
+    if (form == ScaleForm::kBroadcast) {
+      sr = bcast<W>(sc.re()[row[l]]);
+      si = bcast<W>(sc.im()[row[l]]);
+    } else if (form == ScaleForm::kContiguous) {
+      sr = Ops<W>::loadu(sc.re() + row[l]);
+      si = Ops<W>::loadu(sc.im() + row[l]);
+    } else {
+      for (int v = 0; v < W; ++v) {
+        const idx_t i = sc.map().at((it + v) * cn + l);
+        sr[v] = sc.re()[i];
+        si[v] = sc.im()[i];
+      }
+    }
+    const auto nr = re[l] * sr - im[l] * si;
+    im[l] = re[l] * si + im[l] * sr;
+    re[l] = nr;
+  }
+}
+
 /// The lane-batched driver: iterations [it0, it1), both multiples of W.
 template <int W>
 void run_packs(const Stage& s, const BitStrideMap& in_bits,
@@ -185,27 +214,17 @@ void run_packs(const Stage& s, const BitStrideMap& in_bits,
   CodeletTables tabs;
   const bool dft_net = s.is_compute && !s.wht && cn >= 2;
   if (dft_net) tabs = codelet_tables(cn, s.sign);
-  const SplitScales& sc = *plan.scales;
-  const bool has_iscl = !sc.in_re.empty();
-  const bool has_oscl = !sc.out_re.empty();
   V re[64], im[64];
   // Lane 0's addresses, one map row per side and pack.
   std::int32_t in_row[64], out_row[64];
   for (idx_t it = it0; it < it1; it += W) {
-    const idx_t pack_base = (it / W) * cn * W;
     in_bits.row(it * cn, cn, in_row);
     for (idx_t l = 0; l < cn; ++l) {
       load_lanes<W>(in_bits, cn, plan.in_form, src, it, l, in_row[l], re[l],
                     im[l]);
     }
-    if (has_iscl) {
-      for (idx_t l = 0; l < cn; ++l) {
-        const V sr = Ops<W>::loadu(sc.in_re.data() + pack_base + l * W);
-        const V si = Ops<W>::loadu(sc.in_im.data() + pack_base + l * W);
-        const V nr = re[l] * sr - im[l] * si;
-        im[l] = re[l] * si + im[l] * sr;
-        re[l] = nr;
-      }
+    if (plan.in_scale != ScaleForm::kNone) {
+      scale_pack<W>(s.in_scale, plan.in_scale, cn, it, re, im);
     }
     if (s.is_compute && s.wht) {
       for (idx_t h = 1; h < cn; h *= 2) {
@@ -250,14 +269,8 @@ void run_packs(const Stage& s, const BitStrideMap& in_bits,
         }
       }
     }
-    if (has_oscl) {
-      for (idx_t l = 0; l < cn; ++l) {
-        const V sr = Ops<W>::loadu(sc.out_re.data() + pack_base + l * W);
-        const V si = Ops<W>::loadu(sc.out_im.data() + pack_base + l * W);
-        const V nr = re[l] * sr - im[l] * si;
-        im[l] = re[l] * si + im[l] * sr;
-        re[l] = nr;
-      }
+    if (plan.out_scale != ScaleForm::kNone) {
+      scale_pack<W>(s.out_scale, plan.out_scale, cn, it, re, im);
     }
     out_bits.row(it * cn, cn, out_row);
     for (idx_t l = 0; l < cn; ++l) {

@@ -77,6 +77,38 @@ std::optional<AffineMap> BitStrideMap::affine(idx_t cn) const {
   return a;
 }
 
+StageScale::StageScale(util::dvec re, util::dvec im, BitStrideMap map)
+    : map_(std::move(map)) {
+  util::require(!re.empty() && re.size() == im.size(),
+                "stage scale: needs as many real as imaginary parts");
+  // The last position sets every bit: it reaches the largest index.
+  util::require(map_.at(map_.positions() - 1) < static_cast<idx_t>(re.size()),
+                "stage scale: the map indexes past the values");
+  values_ =
+      std::make_shared<const Values>(Values{std::move(re), std::move(im)});
+}
+
+StageScale::StageScale(const util::cvec& table) {
+  if (table.empty()) return;
+  util::dvec re, im;
+  for (const cplx& z : table) {
+    re.push_back(z.real());
+    im.push_back(z.imag());
+  }
+  const auto n = static_cast<idx_t>(table.size());
+  const int b = __builtin_ctzll(static_cast<unsigned long long>(n));
+  std::vector<idx_t> st;
+  for (int i = 0; i < b; ++i) st.push_back(idx_t{1} << i);
+  *this = StageScale(std::move(re), std::move(im),
+                     BitStrideMap(0, std::move(st), n >> b, idx_t{1} << b));
+}
+
+util::cvec StageScale::expand() const {
+  util::cvec t;
+  for (idx_t k = 0; !empty() && k < positions(); ++k) t.push_back(at(k));
+  return t;
+}
+
 double Stage::flops() const {
   double f = 0.0;
   if (is_compute) {

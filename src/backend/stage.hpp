@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -124,6 +125,45 @@ class BitStrideMap {
   std::vector<std::int32_t> lo_{0}, hi_{0};
 };
 
+/// A stage side's fused diagonal, kept symbolic (the scale function of
+/// loop merging, [11]): value(k) = values[map.at(k)] at position
+/// k = it*cn + l. The values are the diagonal's distinct entries, split
+/// re/im and shared by every copy; the map has stride 2^i on the position
+/// bit that value bit i reads, 0 elsewhere. Lowering orders the values
+/// iteration bits first, then element bits (materialize_scales), so SIMD
+/// lanes read one broadcast value or W contiguous ones.
+class StageScale {
+ public:
+  StageScale() = default;
+  /// Every map entry must index the values.
+  StageScale(util::dvec re, util::dvec im, BitStrideMap map);
+  /// An execution-order table: entry k at position k (empty: no scale).
+  explicit StageScale(const util::cvec& table);
+
+  [[nodiscard]] bool empty() const noexcept { return !values_; }
+  /// Number of stored values (not positions).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return values_ ? values_->re.size() : 0;
+  }
+  [[nodiscard]] idx_t positions() const noexcept { return map_.positions(); }
+  [[nodiscard]] const BitStrideMap& map() const noexcept { return map_; }
+  [[nodiscard]] const double* re() const noexcept { return values_->re.data(); }
+  [[nodiscard]] const double* im() const noexcept { return values_->im.data(); }
+  /// The scale at position k.
+  [[nodiscard]] cplx at(idx_t k) const {
+    return {re()[map_.at(k)], im()[map_.at(k)]};
+  }
+  /// The execution-order table (positions() entries), for printing.
+  [[nodiscard]] util::cvec expand() const;
+
+ private:
+  struct Values {
+    util::dvec re, im;
+  };
+  std::shared_ptr<const Values> values_;
+  BitStrideMap map_;
+};
+
 /// One loop stage:
 ///
 ///   parallel-for (chunked over `parallel_p` threads when > 0)
@@ -163,10 +203,11 @@ struct Stage {
   /// emitter, the locality model and the plan statistics.
   bool in_affine = false;
   bool out_affine = false;
-  /// Optional fused diagonal applied on load (same layout); empty if none.
-  util::cvec in_scale;
+  /// Optional fused diagonal applied on load, by position k = it*cn + l;
+  /// empty if none.
+  StageScale in_scale;
   /// Optional fused diagonal applied on store; empty if none.
-  util::cvec out_scale;
+  StageScale out_scale;
 
   /// Short diagnostic label ("Ip(x)||(DFT_8 (x) I_16)" etc.).
   std::string label;

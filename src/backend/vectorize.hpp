@@ -42,9 +42,9 @@ struct VecInfo {
 };
 
 /// Analyzes one stage for vector width up to max_nu (power of two).
-/// Both input and output maps must satisfy the shape; fused scale tables
-/// do not restrict vectorization (they can be re-laid-out at plan time,
-/// as Spiral's vector backend does with twiddles).
+/// Both input and output maps must satisfy the shape; fused scales do not
+/// restrict vectorization (every lane reads its value through the scale
+/// map; simd::ScaleForm picks the load).
 [[nodiscard]] VecInfo stage_vector_info(const Stage& s, idx_t max_nu);
 
 /// Per-side vectorization report. Execution needs the proven shape of

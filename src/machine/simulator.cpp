@@ -202,6 +202,7 @@ SimResult Simulator::run(const backend::StageList& program) {
           touch(c, in_addr / cfg_.line_bytes, /*write=*/false, stage_id,
                 cost, ss, out);
           if (!s.in_scale.empty()) {
+            // One twiddle per position, in execution order (emitted C).
             const std::int64_t tw_addr =
                 tw_base + std::int64_t(base + std::size_t(l)) * kElemBytes;
             touch(c, tw_addr / cfg_.line_bytes, false, stage_id, cost, ss,

@@ -188,8 +188,11 @@ TEST(AnalysisNegative, TruncatedScaleVector) {
     if (!list.stages[i].in_scale.empty()) si = static_cast<int>(i);
   }
   ASSERT_GE(si, 0) << "expected a fused twiddle diagonal somewhere";
+  // A table three positions short of the stage.
   auto& scale = list.stages[static_cast<std::size_t>(si)].in_scale;
-  scale.resize(scale.size() - 3);
+  util::cvec table = scale.expand();
+  table.resize(table.size() - 3);
+  scale = backend::StageScale(table);
   const Report rep = analysis::verify(list);
   EXPECT_TRUE(has_kind(rep, Diag::kScaleSizeMismatch)) << rep.to_string();
   EXPECT_FALSE(rep.ok());

@@ -512,6 +512,77 @@ TEST(BitStride, OddBatchesFoldIntoTheOuterDigit) {
   }
 }
 
+TEST(StageScales, Large4mStoresDistinctValuesOnly) {
+  // n = 2^22, p = 4, nu = 4: the four sub-n diagonals (D_{8,8} twice,
+  // D_{32,64} twice) store at most 2048 values each, and the one
+  // diagonal over every position bit (D_{2048,2048}) stores n, once.
+  const idx_t n = idx_t{1} << 22;
+  core::PlannerOptions opt;
+  opt.threads = 4;
+  opt.vector_nu = 4;
+  opt.verify_lowering = false;
+  const StageList list = lower_fused(core::planner_formula(n, opt));
+  int small = 0;
+  int full = 0;
+  double bytes = 0.0;
+  for (const Stage& s : list.stages) {
+    for (const StageScale* sc : {&s.in_scale, &s.out_scale}) {
+      if (sc->empty()) continue;
+      EXPECT_EQ(sc->positions(), s.total_elems()) << s.label;
+      bytes += static_cast<double>(sizeof(cplx) * sc->size());
+      if (sc->size() <= 2048) {
+        ++small;
+      } else {
+        EXPECT_EQ(static_cast<idx_t>(sc->size()), n) << s.label;
+        ++full;
+      }
+    }
+  }
+  EXPECT_EQ(small, 4);
+  EXPECT_EQ(full, 1);
+  EXPECT_LE(bytes, 64.1 * 1024 * 1024);
+}
+
+TEST(StageScales, ValuesAreIterationBitsFirst) {
+  // Value order: projected iteration bits (position bits >= log2 cn)
+  // ascending, then element bits, so the map strides are increasing
+  // powers of two in that order. A diagonal over every bit is
+  // iteration-major: value index it + l * iters.
+  core::PlannerOptions opt;
+  opt.threads = 4;
+  opt.vector_nu = 4;
+  opt.verify_lowering = false;
+  const StageList list =
+      lower_fused(core::planner_formula(idx_t{1} << 16, opt));
+  bool saw_full = false;
+  for (const Stage& s : list.stages) {
+    for (const StageScale* sc : {&s.in_scale, &s.out_scale}) {
+      if (sc->empty()) continue;
+      const int c = util::log2_exact(s.cn);
+      const auto& st = sc->map().strides();
+      idx_t next = 1;
+      for (const bool element : {false, true}) {
+        for (int b = 0; b < sc->map().bits(); ++b) {
+          if ((b < c) != element || st[static_cast<std::size_t>(b)] == 0) {
+            continue;
+          }
+          EXPECT_EQ(st[static_cast<std::size_t>(b)], next) << s.label;
+          next *= 2;
+        }
+      }
+      EXPECT_EQ(next, static_cast<idx_t>(sc->size())) << s.label;
+      if (static_cast<idx_t>(sc->size()) != s.total_elems()) continue;
+      saw_full = true;
+      for (const idx_t it : {idx_t{0}, idx_t{5}, s.iters - 1}) {
+        for (idx_t l = 0; l < s.cn; ++l) {
+          EXPECT_EQ(sc->map().at(it * s.cn + l), it + l * s.iters);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_full);
+}
+
 TEST(StageTest, FlopsAccounting) {
   auto list = lower_fused(rewrite::cooley_tukey(8, 8));
   EXPECT_GT(list.flops(), 0.0);

@@ -1,14 +1,18 @@
 // Tests for the Program executor: the one interpreter walk gives identical
 // results inline, on a folded (smaller) team and on a full team; in-place
 // execution; barrier elision; repeated execution; stage groups run block
-// by block bit-identically to the flat stage walk.
+// by block bit-identically to the flat stage walk; symbolic scales are
+// shared, never copied, and read bit-identically to expanded tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
+#include "backend/simd.hpp"
 #include "core/spiral_fft.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
@@ -475,6 +479,140 @@ TEST(StageGroups, MutantGroupingComputesWrongOutput) {
   mutant.execute(ctx, x.data(), y.data());
   EXPECT_FALSE(bit_identical(y, want));
   EXPECT_GT(max_diff(y, want), 1.0);
+}
+
+// ---- Symbolic scales (StageScale) -------------------------------------
+
+// A plan records only how lanes read a scale (simd::ScaleForm), so no
+// stage plan or group plan can hold a copy of the values.
+static_assert(std::is_trivially_copyable_v<simd::StagePlan>);
+
+TEST(StageScales, CopiesShareOneValueBuffer) {
+  const idx_t n = idx_t{1} << 16;
+  StageList list = lower_fused(core::planner_formula(n, group_planner(4, 4)));
+  std::vector<const double*> values;
+  for (const Stage& s : list.stages) {
+    for (const StageScale* sc : {&s.in_scale, &s.out_scale}) {
+      values.push_back(sc->empty() ? nullptr : sc->re());
+    }
+  }
+  ASSERT_NE(std::count(values.begin(), values.end(), nullptr),
+            static_cast<std::ptrdiff_t>(values.size()));
+  Program prog(std::move(list), ExecPolicy::kThreadPool);
+  prog.enable_simd(4);
+  ASSERT_FALSE(find_stage_groups(prog.stages()).empty());
+  const StageList copy = prog.stages();
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < copy.stages.size(); ++k) {
+    // A single-stage program over a copy, as the per-stage probes build.
+    const Program one(StageList{n, {copy.stages[k]}}, ExecPolicy::kThreadPool);
+    for (const auto side : {&Stage::in_scale, &Stage::out_scale}) {
+      const double* want = values[i++];
+      for (const Stage* s : {&prog.stages().stages[k], &copy.stages[k],
+                             &one.stages().stages[0]}) {
+        EXPECT_EQ((s->*side).empty() ? nullptr : (s->*side).re(), want)
+            << s->label;
+      }
+    }
+  }
+}
+
+/// A scale over 256 positions: position bit b moves the value index by
+/// strides[b]; random values.
+StageScale random_scale(std::vector<idx_t> strides, std::uint64_t seed) {
+  idx_t count = 1;
+  for (const idx_t st : strides) count += st;
+  util::Rng rng(seed);
+  const util::cvec v = rng.complex_signal(count);
+  util::dvec re(v.size()), im(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    re[i] = v[i].real();
+    im[i] = v[i].imag();
+  }
+  return StageScale(std::move(re), std::move(im),
+                    BitStrideMap(0, std::move(strides)));
+}
+
+/// y = a one-stage program of `s` on x, under `isa` at its full width.
+util::cvec run_stage(const Stage& s, simd::Isa isa, const util::cvec& x,
+                     simd::StagePlan* plan) {
+  simd::set_isa_override(isa);
+  Program prog(StageList{s.total_elems(), {s}}, ExecPolicy::kSequential);
+  prog.enable_simd(8);
+  simd::clear_isa_override();
+  *plan = prog.simd_active() ? prog.simd_plans()[0] : simd::StagePlan{};
+  util::cvec y(x.size());
+  prog.execute(x.data(), y.data());
+  return y;
+}
+
+TEST(StageScales, LaneFormsMatchExpandedTables) {
+  // Hand-built stages over 256 positions whose lanes are adjacent
+  // iterations on both sides: DFT_4 (x) I_64 (element bits 0-1, lane
+  // bits 2-4 at W = 8) and a cn = 1 copy (lane bits 0-2). Each scale
+  // projects all, none or only some of the lane bits. On every ISA the
+  // host has, scalar included, the stage must reproduce bit for bit the
+  // same stage with its scales expanded to execution-order tables.
+  Stage dft;
+  dft.iters = 64;
+  dft.cn = 4;
+  dft.is_compute = true;
+  dft.in_bits = BitStrideMap(0, {64, 128, 1, 2, 4, 8, 16, 32});
+  dft.out_bits = dft.in_bits;
+  Stage copy;
+  copy.iters = 256;
+  copy.in_bits = BitStrideMap(0, {1, 2, 4, 8, 16, 32, 64, 128});
+  copy.out_bits = BitStrideMap(0, {1, 2, 4, 128, 64, 32, 16, 8});
+  struct Case {
+    const char* name;
+    Stage stage;
+    std::vector<idx_t> in, out;
+    simd::ScaleForm form2, form8;  // expected lane form at W = 2 and W >= 4
+  };
+  using simd::ScaleForm;
+  const std::vector<Case> cases = {
+      {"dft all", dft, {64, 128, 1, 2, 4, 8, 16, 32},
+       {64, 128, 1, 2, 4, 8, 16, 32}, ScaleForm::kContiguous,
+       ScaleForm::kContiguous},
+      {"dft none", dft, {1, 2, 0, 0, 0, 4, 8, 0}, {0, 1, 0, 0, 0, 0, 2, 4},
+       ScaleForm::kBroadcast, ScaleForm::kBroadcast},
+      {"dft some", dft, {1, 2, 0, 4, 0, 0, 8, 0}, {1, 0, 0, 2, 4, 0, 0, 0},
+       ScaleForm::kBroadcast, ScaleForm::kGather},
+      {"copy all", copy, {1, 2, 4, 8, 16, 32, 64, 128}, {},
+       ScaleForm::kContiguous, ScaleForm::kContiguous},
+      {"copy none", copy, {0, 0, 0, 1, 2, 0, 4, 8}, {},
+       ScaleForm::kBroadcast, ScaleForm::kBroadcast},
+      {"copy some", copy, {0, 1, 0, 2, 0, 4, 0, 0}, {},
+       ScaleForm::kBroadcast, ScaleForm::kGather},
+  };
+  const bool host_simd = simd::detect_isa() != simd::Isa::kScalar;
+  util::Rng rng(40);
+  const auto x = rng.complex_signal(256);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Stage s = c.stage;
+    s.in_scale = random_scale(c.in, 41);
+    if (!c.out.empty()) s.out_scale = random_scale(c.out, 42);
+    Stage table = s;
+    table.in_scale = StageScale(s.in_scale.expand());
+    table.out_scale = StageScale(s.out_scale.expand());
+    for (const simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kVec128, simd::Isa::kAvx2,
+          simd::Isa::kAvx512}) {
+      SCOPED_TRACE(simd::to_string(isa));
+      simd::StagePlan plan, table_plan;
+      const util::cvec want = run_stage(table, isa, x, &table_plan);
+      const util::cvec y = run_stage(s, isa, x, &plan);
+      EXPECT_TRUE(bit_identical(y, want));
+      ASSERT_EQ(plan.active, table_plan.active);
+      EXPECT_EQ(plan.active, host_simd && isa != simd::Isa::kScalar);
+      if (!plan.active) continue;
+      EXPECT_EQ(plan.width, table_plan.width);
+      const ScaleForm form = plan.width == 2 ? c.form2 : c.form8;
+      EXPECT_EQ(plan.in_scale, form) << "W=" << plan.width;
+      EXPECT_EQ(plan.out_scale, c.out.empty() ? ScaleForm::kNone : form);
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //
 // The digest covers each stage's shape fields, in_index/out_index for
 // every flattened position k = it*cn + l, the affine flags, and the bit
-// pattern of every fused scale value. Equal digests with unchanged
+// pattern of every fused scale value, read position by position through
+// the scale's accessor. Equal digests with unchanged
 // kernels mean bit-for-bit equal outputs, so a change to the lowering or
 // fusion machinery (index encodings, twiddle handling, fusion order) is
 // proven output-neutral by this test alone. The grid covers 2-power
@@ -70,8 +71,8 @@ std::uint64_t digest(const StageList& list) {
         hs.add(static_cast<std::uint64_t>(s.out_index(it, l)));
       }
     }
-    hs.add_scale(s.in_scale);
-    hs.add_scale(s.out_scale);
+    hs.add_scale(s.in_scale.expand());
+    hs.add_scale(s.out_scale.expand());
   }
   return hs.h;
 }

@@ -79,7 +79,7 @@ void usage() {
                " strides by D (models a\n"
                "                            mis-packed coalesced batch;"
                " caught statically and by --check-exec)\n"
-               "       --mutate-twiddle     conjugate fused twiddle tables"
+               "       --mutate-twiddle     conjugate fused twiddle values"
                " (caught by --check-exec)\n"
                "       --mutate-pingpong    reverse the executor's stage"
                " walk (caught by --check-exec)\n"
@@ -223,7 +223,7 @@ spiral::util::cvec run_stage_by_stage(const spiral::core::FftPlan& plan,
 /// Executes `plan` on a seeded random signal and compares it with its
 /// spec. Up to kDenseExecLimit the spec is the dense matrix of the
 /// plan's formula, which the static verifier trusts, so value-level
-/// defects it cannot see — wrong twiddle tables, a reversed ping-pong
+/// defects it cannot see — wrong twiddle values, a reversed ping-pong
 /// walk — surface only here. Above it (the dense matrix no longer fits
 /// memory) the plan must match its own stages run one at a time bit for
 /// bit, which checks the walk and its stage groups; and a DFT plan
@@ -405,7 +405,7 @@ int run(const spiral::util::CliArgs& args) {
     backend::set_batch_stride_mutation(args.get_int("mutate-batch-stride", 1));
   }
   if (args.has("mutate-twiddle")) {
-    // Conjugate every fused twiddle table during lowering. Structurally
+    // Conjugate every fused twiddle value during lowering. Structurally
     // the program is untouched — the static verifier stays green — so
     // only the execution-parity check below can catch it.
     backend::set_twiddle_mutation(true);
