@@ -1,11 +1,11 @@
 // Program generation demo: emit a standalone multithreaded C source file
 // implementing DFT_n for a given machine configuration — what Spiral's
-// backend produces (Section 3.1, "Generating multithreaded code").
+// backend produces (Section 3.1, "Generating multithreaded code"). A
+// parallel derivation runs on a persistent pthreads pool.
 //
-//   $ ./codegen_demo [--n=256] [--p=2] [--mu=4]
-//                    [--threading=openmp|pthreads|none] [--out=dft.c]
+//   $ ./codegen_demo [--n=256] [--p=2] [--mu=4] [--out=dft.c]
 //
-// The generated file is self-testing:  cc -O2 -fopenmp dft.c -lm && ./a.out
+// The generated file is self-testing:  cc -O2 -pthread dft.c -lm && ./a.out
 #include <cstdio>
 #include <fstream>
 
@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   const idx_t n = args.get_int("n", 256);
   const idx_t p = args.get_int("p", 2);
   const idx_t mu = args.get_int("mu", 4);
-  const std::string mode = args.get("threading", "openmp");
   const std::string out = args.get("out", "generated_dft.c");
 
   // Derive, expand, lower, fuse.
@@ -43,9 +42,6 @@ int main(int argc, char** argv) {
   backend::CodegenOptions opts;
   opts.function_name = "spiral_dft_" + std::to_string(n);
   opts.emit_main = true;
-  opts.threading = mode == "openmp"     ? backend::CodegenThreading::kOpenMP
-                   : mode == "pthreads" ? backend::CodegenThreading::kPthreads
-                                        : backend::CodegenThreading::kNone;
   const std::string src = backend::emit_c(list, opts);
 
   std::ofstream os(out);
@@ -53,12 +49,9 @@ int main(int argc, char** argv) {
   os.close();
 
   std::printf("wrote %zu bytes of C to %s\n", src.size(), out.c_str());
-  std::printf("stages: %zu; compile with:\n  cc -O2 %s %s -lm && ./a.out\n",
-              list.stages.size(),
-              mode == "openmp"     ? "-fopenmp"
-              : mode == "pthreads" ? "-pthread"
-                                   : "",
-              out.c_str());
+  std::printf(
+      "stages: %zu; compile with:\n  cc -O2 -pthread %s -lm && ./a.out\n",
+      list.stages.size(), out.c_str());
 
   // Print the head of the generated file as a taste.
   std::printf("\n--- %s (first lines) ---\n", out.c_str());

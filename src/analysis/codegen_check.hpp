@@ -5,11 +5,16 @@
 // Stage IR the rest of the analysis stack reasons about. A runtime
 // parity check alone once let a real gcc IPA-modref hoist-above-barrier
 // miscompile through to debugging. This pass closes the gap in the
-// FFTW/SPIRAL translation-validation style:
-// it parses the restricted C dialect the emitter produces (affine index
-// expressions, stage loops, pthreads single-fork pool dispatch,
-// GCC-vector bodies, ping-pong scratch) back into a symbolic model and
-// proves three things *statically*, before the compiler ever runs:
+// FFTW/SPIRAL translation-validation style: it reads the source back
+// into the emitter's own model, backend::CProgram, through the one
+// syntax that wrote it (backend::read_c). Any byte outside that syntax
+// is a parse-error; the code around the values is trusted, pinned by the
+// golden files and the compile-and-run tests. Every value a check
+// judges — bases, strides and index declaration types, index and scale
+// tables, shuffle lists, codelet tables, chunk arms, POOL_P, the job
+// pointers' _Atomic qualifiers, the walk's barriers and stage calls — is
+// read as a value, and three things are proven *statically*, before the
+// compiler ever runs:
 //
 //  (a) Footprints & synchronization. The per-(iteration, element)
 //      read/write indices, scale tables, and per-thread chunk bounds of
@@ -28,13 +33,11 @@
 //      n/p/nu.
 //
 //  (c) Codelet semantics. The rev/twiddle tables of every emitted DFT
-//      codelet (scalar and across-iterations SIMD variants) are parsed
+//      codelet (scalar and across-iterations SIMD variants) are read
 //      and the radix-2 network is applied symbolically to unit vectors;
 //      the resulting linear map must match the DFT matrix of the
-//      interpreter's stage semantics. The fixed butterfly/WHT skeleton
-//      text is template-matched against the canonical emission, and the
-//      SIMD deinterleave/interleave shuffle index lists are verified
-//      lane by lane.
+//      interpreter's stage semantics. The SIMD deinterleave/interleave
+//      shuffle index lists are verified lane by lane.
 //
 // Wired as `spiral-lint --validate-codegen` with
 // `--mutate-codegen=<kind>` seeded emitter bugs for mutation testing.
@@ -50,8 +53,8 @@ namespace spiral::analysis {
 
 /// Typed defect classes of the emitted program.
 enum class CodegenDiag {
-  kParseError,        ///< source deviates from the emitter dialect
-  kShapeMismatch,     ///< n / stage count / entry point / ping-pong chain
+  kParseError,        ///< source deviates from the emitted syntax
+  kShapeMismatch,     ///< n / stage count / stage kind / walk order and chain
   kFootprintMismatch, ///< emitted (it,l) addressing differs from the IR
   kScaleMismatch,     ///< emitted scale tables differ from the IR
   kScheduleMismatch,  ///< per-thread chunk bounds differ from the schedule
@@ -74,8 +77,8 @@ struct CodegenFinding {
 
 /// Structured result of one validation run.
 struct CodegenReport {
-  idx_t n = 0;     ///< transform size parsed from the emitted header
-  int stages = 0;  ///< stage bodies discovered in the source
+  idx_t n = 0;     ///< transform size read from the emitted header
+  int stages = 0;  ///< stages read from the source
   /// Stages emitted with an across-iterations vector body, and the lane
   /// width of each (parallel arrays).
   std::vector<int> vec_stage_ids;
@@ -94,13 +97,11 @@ struct CodegenCheckOptions {
   /// Cache-line length (complex elements) for the verify() re-run on the
   /// reconstructed program.
   idx_t mu = 4;
-  /// Name of the emitted entry point (CodegenOptions::function_name).
-  std::string entry_name = "spiral_dft";
 };
 
-/// Validates `source` (a TU produced by backend::emit_c with
-/// CodegenThreading::kNone or kPthreadsPool) against the StageList it was
-/// emitted from. Purely static — the source is never compiled or run.
+/// Validates `source` (a TU produced by backend::emit_c) against the
+/// StageList it was emitted from. Purely static — the source is never
+/// compiled or run.
 [[nodiscard]] CodegenReport check_codegen(
     const std::string& source, const backend::StageList& list,
     const CodegenCheckOptions& opt = {});

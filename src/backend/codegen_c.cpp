@@ -1,14 +1,18 @@
 #include "backend/codegen_c.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
-#include <cstdint>
-#include <optional>
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <set>
-#include <sstream>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "backend/vectorize.hpp"
 #include "util/common.hpp"
@@ -23,31 +27,782 @@ bool mutated(CodegenMutation m) {
   return g_codegen_mutation.load(std::memory_order_acquire) == m;
 }
 
-/// Declaration type of index temporaries (ji/jo/inb/outb/a0/b0). The
-/// dialect requires 64-bit `long`; kNarrowIndex seeds the 32-bit
-/// truncation defect codegen_check flags as narrowed-index.
-const char* idx_ty() {
-  return mutated(CodegenMutation::kNarrowIndex) ? "int" : "long";
+// ---------------------------------------------------------------------------
+// Codecs. A syntax function is written once against the interface below
+// and runs in both directions: CWriter appends each literal and value;
+// CReader matches each literal byte for byte and parses each value into
+// its field. Control flow in a syntax function may depend only on fields
+// already read, so both directions walk the text in the same order.
+//
+//   lit(s)        fixed text
+//   num(v)        an integer or double value
+//   text(s, end)  a string value running up to (not including) `end`
+//   opt(f, s)     optional text s; f says whether it is there
+//   pick(k, alts) one of several texts, none a prefix of another; k is
+//                 its index
+//   peek(f, s)    does s come next (reading), or f (writing)
+// ---------------------------------------------------------------------------
+
+class CWriter {
+ public:
+  static constexpr bool kReading = false;
+  [[nodiscard]] bool ok() const { return true; }
+  void lit(std::string_view s) { out_ += s; }
+  void num(idx_t& v) { out_ += std::to_string(v); }
+  void num(double& v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    out_ += buf;
+  }
+  void text(std::string& s, std::string_view) { out_ += s; }
+  bool opt(bool& f, std::string_view s) {
+    if (f) out_ += s;
+    return f;
+  }
+  void pick(int& k, std::initializer_list<std::string_view> alts) {
+    out_ += alts.begin()[k];
+  }
+  bool peek(bool f, std::string_view) { return f; }
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+class CReader {
+ public:
+  static constexpr bool kReading = true;
+  explicit CReader(const std::string& src) : src_(src) {}
+  [[nodiscard]] bool ok() const { return error_.empty(); }
+  void lit(std::string_view s) {
+    if (!at(s)) return fail(quoted(s));
+    pos_ += s.size();
+  }
+  void num(idx_t& v) {
+    const char* at = src_.c_str() + pos_;
+    char* end = nullptr;
+    errno = 0;
+    if (number_next()) v = std::strtoll(at, &end, 10);
+    if (end == nullptr || end == at || errno == ERANGE) {
+      return fail("an integer in 64-bit range");
+    }
+    pos_ += static_cast<std::size_t>(end - at);
+  }
+  void num(double& v) {
+    const char* at = src_.c_str() + pos_;
+    char* end = nullptr;
+    if (number_next()) v = std::strtod(at, &end);
+    if (end == nullptr || end == at) return fail("a number");
+    pos_ += static_cast<std::size_t>(end - at);
+  }
+  void text(std::string& s, std::string_view end) {
+    if (!ok()) return;
+    const std::size_t at_end = src_.find(end, pos_);
+    if (at_end == std::string::npos) return fail("a name");
+    s = src_.substr(pos_, at_end - pos_);
+    pos_ = at_end;
+  }
+  bool opt(bool& f, std::string_view s) {
+    f = at(s);
+    if (f) pos_ += s.size();
+    return f;
+  }
+  /// No alternative may be a prefix of another.
+  void pick(int& k, std::initializer_list<std::string_view> alts) {
+    k = 0;
+    for (std::string_view a : alts) {
+      if (at(a)) {
+        pos_ += a.size();
+        return;
+      }
+      ++k;
+    }
+    k = 0;
+    fail(quoted(*alts.begin()).append(" or an alternative"));
+  }
+  bool peek(bool, std::string_view s) { return at(s); }
+  [[nodiscard]] bool at_end() const { return pos_ == src_.size(); }
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+  /// Records the first deviation: its line and what was expected there.
+  void fail(const std::string& want) {
+    if (!ok()) return;
+    const long line = 1 + std::count(src_.begin(),
+                                     src_.begin() + static_cast<long>(pos_),
+                                     '\n');
+    error_ = "line " + std::to_string(line);
+    error_.append(": expected ").append(want).append(", found ");
+    error_.append(quoted(std::string_view(src_).substr(pos_)));
+  }
+
+ private:
+  /// The first 40 bytes of s in quotes, line breaks shown as spaces.
+  static std::string quoted(std::string_view s) {
+    std::string q(1, '"');
+    q.append(s.substr(0, 40)).push_back('"');
+    std::replace(q.begin(), q.end(), '\n', ' ');
+    return q;
+  }
+
+  [[nodiscard]] bool at(std::string_view s) const {
+    return ok() && src_.compare(pos_, s.size(), s) == 0;
+  }
+  /// A value starts with a digit or a minus sign (strto* would also skip
+  /// whitespace and take a '+').
+  [[nodiscard]] bool number_next() const {
+    return ok() && pos_ < src_.size() &&
+           (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
+            src_[pos_] == '-');
+  }
+
+  const std::string& src_;
+  std::size_t pos_ = 0;
+  std::string error_;
+};
+
+/// Concatenates strings and integers: the text around values that were
+/// read earlier, which must repeat them.
+template <class... A>
+std::string cat(const A&... a) {
+  std::string s;
+  auto one = [&s](const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+      s += std::to_string(v);
+    } else {
+      s += v;
+    }
+  };
+  (one(a), ...);
+  return s;
 }
 
-/// Input-side iteration stride as rendered into stage bodies; kStrideSkew
-/// seeds an off-by-one there (tables and the descriptor stay truthful).
-idx_t body_in_stride(idx_t stride) {
-  return mutated(CodegenMutation::kStrideSkew) ? stride + 1 : stride;
+/// f(i, v[i]) for i < n; reading, v grows one element at a time and the
+/// loop stops at the first deviation (n itself may have been read).
+template <class C, class T, class F>
+void items(C& c, std::vector<T>& v, idx_t n, F f) {
+  if constexpr (C::kReading) v.clear();
+  for (idx_t i = 0; i < n && c.ok(); ++i) {
+    if constexpr (C::kReading) v.emplace_back();
+    f(i, v[static_cast<std::size_t>(i)]);
+  }
 }
 
-/// The closed form of a side lower_fused() marked affine, emitted inline;
-/// nullopt for a side emitted as a table.
-std::optional<AffineMap> affine_side(const Stage& s, bool input) {
-  if (!(input ? s.in_affine : s.out_affine)) return std::nullopt;
-  return (input ? s.in_bits : s.out_bits).affine(s.cn).value();
+/// One of two texts as a flag: `yes` when f.
+template <class C>
+void pick_flag(C& c, bool& f, std::string_view no, std::string_view yes) {
+  int k = f ? 1 : 0;
+  c.pick(k, {no, yes});
+  f = k == 1;
 }
 
-/// Shuffle mode of the load-side deinterleave; kSwapLanes swaps the
-/// real/imag halves (mode 0 <-> 1).
-int load_mode(int mode) {
-  return mutated(CodegenMutation::kSwapLanes) ? 1 - mode : mode;
+/// A DFT root sign as the codelet name's suffix.
+template <class C>
+void sign_suffix(C& c, int& sign) {
+  bool inverse = sign > 0;
+  pick_flag(c, inverse, "f", "i");
+  sign = inverse ? 1 : -1;
 }
+
+/// `N] = {v0,v1,...};\n` with a line break before every per_line-th
+/// entry (never when per_line == 0); N is read as a value.
+template <class C, class T>
+void table(C& c, std::vector<T>& v, idx_t per_line) {
+  idx_t len = static_cast<idx_t>(v.size());
+  c.num(len);
+  c.lit("] = {");
+  items(c, v, len, [&](idx_t i, T& x) {
+    if (per_line > 0 && i % per_line == 0) c.lit("\n  ");
+    c.num(x);
+    if (i + 1 < len) c.lit(",");
+  });
+  c.lit("};\n");
+}
+
+/// A comma-separated list of at least one integer.
+template <class C>
+void csv(C& c, std::vector<idx_t>& v) {
+  if constexpr (C::kReading) v.assign(1, 0);
+  for (std::size_t i = 0; c.ok(); ++i) {
+    c.num(v[i]);
+    bool more = i + 1 < v.size();
+    if (!c.opt(more, ",")) break;
+    if constexpr (C::kReading) v.emplace_back();
+  }
+}
+
+template <class C>
+void buffer(C& c, int& b) {
+  c.pick(b, {kBufNames[0], kBufNames[1], kBufNames[2], kBufNames[3]});
+}
+
+/// A value read from the text, clamped so that arithmetic on it cannot
+/// overflow; the text that repeats it then fails to match.
+idx_t clamped(idx_t v) {
+  return std::clamp(v, -(idx_t{1} << 40), idx_t{1} << 40);
+}
+
+std::string vec_type(idx_t w) {
+  return w >= 2 ? cat("vd", w) : std::string("double");
+}
+
+std::string codelet_name(bool wht, idx_t n, int sign, idx_t w) {
+  return cat(wht ? "wht" : "dft", n, wht ? "" : (sign < 0 ? "f" : "i"),
+             w >= 2 ? cat("_v", w) : std::string());
+}
+
+// ---------------------------------------------------------------------------
+// The syntax of the emitted dialect, one function per construct.
+// ---------------------------------------------------------------------------
+
+template <class C>
+void header(C& c, CProgram& p, idx_t& k) {
+  c.lit(
+      "/* Generated by spiral-smp-fft (reproduction of Franchetti et al.,\n"
+      " * \"FFT Program Generation for Shared Memory: SMP and Multicore\",\n"
+      " * SC 2006). Transform size n = ");
+  c.num(p.n);
+  c.lit(", ");
+  c.num(k);
+  c.lit(" stage(s). */\n#include <math.h>\n#include <string.h>\n"
+        "#include <stdlib.h>\n");
+  c.opt(p.pooled,
+        "#include <pthread.h>\n#include <stdatomic.h>\n#include <sched.h>\n");
+  c.opt(p.has_main, "#include <stdio.h>\n");
+  c.lit("\n");
+  // Vector typedefs for every emission width (GNU C vector extensions:
+  // the same source lowers to SSE2 pairs, ymm or zmm depending on the
+  // compile flags, e.g. -march=native).
+  bool vec = !p.vec_types.empty();
+  if (!c.opt(vec,
+             "/* Lane-batched SIMD stage bodies: one vector lane per loop\n"
+             " * iteration, split-lane complex, broadcast twiddles. */\n")) {
+    return;
+  }
+  for (std::size_t i = 0; c.peek(i < p.vec_types.size(), "typedef "); ++i) {
+    if constexpr (C::kReading) p.vec_types.emplace_back();
+    idx_t& w = p.vec_types[i];
+    c.lit("typedef double vd");
+    c.num(w);
+    c.lit(cat(" __attribute__((vector_size(", 8 * clamped(w), ")));\n"));
+  }
+  c.lit("\n");
+}
+
+/// A side in the tables section: the affine closed form (as a comment;
+/// the stage bodies repeat it inline) or the index table.
+template <class C>
+void side_decl(C& c, CSide& s, const std::string& name) {
+  pick_flag(c, s.affine, cat("static const int ", name, "["),
+            cat("/* ", name, ": affine "));
+  if (!s.affine) return table(c, s.table, 16);
+  c.num(s.base);
+  c.lit(" + it*");
+  c.num(s.iter_stride);
+  c.lit(" + l*");
+  c.num(s.elem_stride);
+  c.lit(" */\n");
+}
+
+template <class C>
+void stage_tables(C& c, CStage& s, idx_t si) {
+  c.lit(cat("/* stage ", si, ": "));
+  c.text(s.label, " */\n");
+  c.lit(" */\n");
+  side_decl(c, s.in, cat("s", si, "_in"));
+  side_decl(c, s.out, cat("s", si, "_out"));
+  for (auto [scale, name] : {std::pair{&s.iscl, "_iscl["},
+                             std::pair{&s.oscl, "_oscl["}}) {
+    bool has = !scale->empty();
+    if (c.opt(has, cat("static const double s", si, name))) {
+      table(c, *scale, 8);
+    }
+  }
+}
+
+/// A radix-2 codelet over a local buffer, scalar (`double`) or across
+/// vector lanes (`vdW`, broadcast twiddles): DFT (bit reversal, then
+/// log2(n) butterfly stages over the twiddle tables) or WHT
+/// (butterflies only).
+template <class C>
+void codelet(C& c, CCodelet& d) {
+  pick_flag(c, d.wht, "static void dft", "static void wht");
+  c.num(d.n);
+  if (!d.wht) sign_suffix(c, d.sign);
+  bool vec = d.w >= 2;
+  if (c.opt(vec, "_v")) c.num(d.w);
+  const std::string vt = vec_type(d.w);
+  const idx_t n = d.n;
+  c.lit(cat("(", vt, " *re, ", vt, " *im) {\n"));
+  if (d.wht) {
+    c.lit(cat("  for (int h = 1; h < ", n, "; h *= 2)\n",
+              "    for (int b = 0; b < ", n, "; b += 2*h)\n",
+              "      for (int j = 0; j < h; ++j) {\n",
+              "        ", vt, " ur = re[b+j], ui = im[b+j];\n",
+              "        ", vt, " vr = re[b+j+h], vi = im[b+j+h];\n",
+              "        re[b+j] = ur + vr; im[b+j] = ui + vi;\n",
+              "        re[b+j+h] = ur - vr; im[b+j+h] = ui - vi;\n",
+              "      }\n}\n\n"));
+    return;
+  }
+  c.lit("  static const int rev[");
+  table(c, d.rev, 0);
+  c.lit(cat("  for (int i = 0; i < ", n, "; ++i) {\n    int r = rev[i];\n",
+            "    if (r > i) { ", vt, " t; t=re[i];re[i]=re[r];re[r]=t;",
+            " t=im[i];im[i]=im[r];im[r]=t; }\n  }\n"));
+  idx_t k = 0;
+  while (k < 62 && (idx_t{1} << k) < n) ++k;
+  if constexpr (C::kReading) {
+    d.twr.resize(static_cast<std::size_t>(k));
+    d.twi.resize(static_cast<std::size_t>(k));
+  }
+  for (idx_t st = 0; st < k && c.ok(); ++st) {
+    const idx_t h = idx_t{1} << st;
+    c.lit(cat("  { /* stage h=", h, " */\n    static const double twr["));
+    table(c, d.twr[static_cast<std::size_t>(st)], 0);
+    c.lit("    static const double twi[");
+    table(c, d.twi[static_cast<std::size_t>(st)], 0);
+    if (vec) {
+      c.lit(cat("    for (int j = 0; j < ", h, "; ++j) {\n",
+                "      ", vt, " wr = (", vt, "){0} + twr[j];\n",
+                "      ", vt, " wi = (", vt, "){0} + twi[j];\n",
+                "      for (int b = 0; b < ", n, "; b += ", 2 * h, ") {\n",
+                "        ", vt, " xr = re[b+j+", h, "], xi = im[b+j+", h,
+                "];\n",
+                "        ", vt, " vr = xr*wr - xi*wi;\n",
+                "        ", vt, " vi = xr*wi + xi*wr;\n",
+                "        re[b+j+", h, "] = re[b+j] - vr; im[b+j+", h,
+                "] = im[b+j] - vi;\n",
+                "        re[b+j] += vr; im[b+j] += vi;\n",
+                "      }\n    }\n  }\n"));
+    } else {
+      c.lit(cat("    for (int b = 0; b < ", n, "; b += ", 2 * h, ")\n",
+                "      for (int j = 0; j < ", h, "; ++j) {\n",
+                "        double ur = re[b+j], ui = im[b+j];\n",
+                "        double xr = re[b+j+", h, "], xi = im[b+j+", h,
+                "];\n",
+                "        double vr = xr*twr[j] - xi*twi[j];\n",
+                "        double vi = xr*twi[j] + xi*twr[j];\n",
+                "        re[b+j] = ur + vr; im[b+j] = ui + vi;\n",
+                "        re[b+j+", h, "] = ur - vr; im[b+j+", h,
+                "] = ui - vi;\n",
+                "      }\n  }\n"));
+    }
+  }
+  c.lit("}\n\n");
+}
+
+/// The stage function(s) of one stage: the scalar body, and for a
+/// vectorized stage the vector body that hands its unaligned head and
+/// tail to the scalar one. The index temporaries of both bodies share
+/// one declared type, read at the first declaration.
+template <class C>
+class StageSyntax {
+ public:
+  StageSyntax(C& c, CStage& s, idx_t si) : c_(c), s_(s), si_(si) {}
+
+  void run() {
+    bool vec = s_.vec_w >= 2;
+    c_.lit(cat("static void stage", si_));
+    c_.opt(vec, "_scalar");
+    c_.lit("(const double *x, double *y, long lo, long hi) {\n");
+    pick_flag(c_, s_.compute, "  for (long j = lo; j < hi; ++j) {\n",
+              "  for (long it = lo; it < hi; ++it) {\n");
+    if (s_.compute) {
+      codelet_body();
+    } else {
+      copy_body();
+    }
+    c_.lit("}\n");
+    if (vec) {
+      c_.lit(cat("static void stage", si_,
+                 "(const double *x, double *y, long lo, long hi) {\n"));
+      vector_body();
+      c_.lit("}\n");
+    }
+    c_.lit("\n");
+  }
+
+ private:
+  /// `long ` or `int `: read at the first index declaration, repeated
+  /// by the others.
+  void index_type() {
+    if (typed_) {
+      c_.lit(s_.narrow ? "int " : "long ");
+      return;
+    }
+    pick_flag(c_, s_.narrow, "long ", "int ");
+    typed_ = true;
+  }
+
+  /// Element index of a copy loop's iteration j.
+  [[nodiscard]] std::string copy_index(const CSide& side,
+                                       const char* suffix) const {
+    if (side.affine) return cat("(", side.base, " + j*", side.iter_stride, ")");
+    return cat("s", si_, suffix, "[j]");
+  }
+
+  void copy_body() {
+    c_.lit("    const ");
+    index_type();
+    c_.lit(cat("ji = ", copy_index(s_.in, "_in"),
+               ", jo = ", copy_index(s_.out, "_out"), ";\n"));
+    if (s_.iscl.empty()) {
+      c_.lit("    y[2*jo]   = x[2*ji];\n    y[2*jo+1] = x[2*ji+1];\n");
+    } else {
+      c_.lit(cat("    double ar = x[2*ji], ai = x[2*ji+1];\n",
+                 "    double sr = s", si_, "_iscl[2*j], sim = s", si_,
+                 "_iscl[2*j+1];\n",
+                 "    y[2*jo]   = ar*sr - ai*sim;\n",
+                 "    y[2*jo+1] = ar*sim + ai*sr;\n"));
+    }
+    c_.lit("  }\n");
+  }
+
+  /// One side's per-iteration base; returns the index expression of
+  /// element l: a base offset plus the compile-time element stride, or a
+  /// slice of the side's table.
+  std::string side_base(const CSide& side, bool input) {
+    const char* b = input ? "inb" : "outb";
+    if (side.affine) {
+      c_.lit("    const ");
+      index_type();
+      c_.lit(cat(b, " = ", side.base, " + it*", side.iter_stride, ";\n"));
+      return cat("(", b, " + l*", side.elem_stride, ")");
+    }
+    const char* m = input ? "inm" : "outm";
+    c_.lit(cat("    const int *", m, " = s", si_, input ? "_in" : "_out",
+               " + it*", s_.cn, ";\n"));
+    return cat(m, "[l]");
+  }
+
+  /// Both sides' bases and the scale rows of iteration `it`.
+  void bases() {
+    in_el_ = side_base(s_.in, true);
+    out_el_ = side_base(s_.out, false);
+    if (!s_.iscl.empty()) {
+      c_.lit(cat("    const double *iscl = s", si_, "_iscl + 2*it*", s_.cn,
+                 ";\n"));
+    }
+    if (!s_.oscl.empty()) {
+      c_.lit(cat("    const double *oscl = s", si_, "_oscl + 2*it*", s_.cn,
+                 ";\n"));
+    }
+  }
+
+  /// The codelet call; the scalar body's reads kind and sign.
+  void call(idx_t w) {
+    c_.lit("    ");
+    if (w >= 2) {
+      c_.lit(codelet_name(s_.wht, s_.cn, s_.sign, w));
+    } else {
+      pick_flag(c_, s_.wht, "dft", "wht");
+      c_.lit(cat(s_.cn));
+      if (!s_.wht) sign_suffix(c_, s_.sign);
+    }
+    c_.lit("(re, im);\n");
+  }
+
+  void codelet_body() {
+    c_.lit("    double re[");
+    c_.num(s_.cn);
+    const idx_t cn = s_.cn;
+    c_.lit(cat("], im[", cn, "];\n"));
+    bases();
+    c_.lit(cat("    for (int l = 0; l < ", cn, "; ++l) {\n"));
+    if (s_.iscl.empty()) {
+      c_.lit(cat("      re[l] = x[2*", in_el_, "]; im[l] = x[2*", in_el_,
+                 "+1];\n"));
+    } else {
+      c_.lit(cat("      double ar = x[2*", in_el_, "], ai = x[2*", in_el_,
+                 "+1];\n",
+                 "      re[l] = ar*iscl[2*l] - ai*iscl[2*l+1];\n",
+                 "      im[l] = ar*iscl[2*l+1] + ai*iscl[2*l];\n"));
+    }
+    c_.lit("    }\n");
+    if (cn > 1) call(0);
+    c_.lit(cat("    for (int l = 0; l < ", cn, "; ++l) {\n"));
+    if (s_.oscl.empty()) {
+      c_.lit(cat("      y[2*", out_el_, "] = re[l]; y[2*", out_el_,
+                 "+1] = im[l];\n"));
+    } else {
+      c_.lit(cat("      y[2*", out_el_, "]   = re[l]*oscl[2*l] - ",
+                 "im[l]*oscl[2*l+1];\n",
+                 "      y[2*", out_el_, "+1] = re[l]*oscl[2*l+1] + ",
+                 "im[l]*oscl[2*l];\n"));
+    }
+    c_.lit("    }\n  }\n");
+  }
+
+  /// Lane v of each register is iteration it+v, so element l of a pack
+  /// is one 2w-double interleaved run at the side's address for (it, l).
+  /// Loads and stores go through memcpy (unaligned-safe) and
+  /// __builtin_shufflevector splits/joins the re/im lanes. The scalar
+  /// head and tail are anchored at absolute multiples of w: the form
+  /// proof assumes packs start on lane boundaries of the whole iteration
+  /// space, not of this chunk.
+  void vector_body() {
+    c_.lit("  long va = ((lo + ");
+    idx_t w1 = s_.vec_w - 1;
+    c_.num(w1);
+    s_.vec_w = clamped(w1) + 1;
+    const idx_t w = s_.vec_w;
+    const idx_t cn = s_.cn;
+    const std::string vt = vec_type(w);
+    c_.lit(cat(") / ", w, ") * ", w, "; if (va > hi) va = hi;\n",
+               "  long vb = (hi / ", w, ") * ", w, "; if (vb < va) vb = va;\n",
+               "  if (lo < va) stage", si_, "_scalar(x, y, lo, va);\n",
+               "  for (long it = va; it < vb; it += ", w, ") {\n",
+               "    ", vt, " re[", cn, "], im[", cn, "];\n"));
+    bases();
+    c_.lit(cat("    for (int l = 0; l < ", cn, "; ++l) {\n      const "));
+    index_type();
+    c_.lit(cat("a0 = ", in_el_, ";\n",
+               "      ", vt, " h0, h1;\n",
+               "      __builtin_memcpy(&h0, x + 2*a0, sizeof h0);\n",
+               "      __builtin_memcpy(&h1, x + 2*a0 + ", w,
+               ", sizeof h1);\n",
+               "      ", vt, " ar = __builtin_shufflevector(h0, h1, "));
+    csv(c_, s_.shuffle[0]);
+    c_.lit(cat(");\n      ", vt, " ai = __builtin_shufflevector(h0, h1, "));
+    csv(c_, s_.shuffle[1]);
+    c_.lit(");\n");
+    // Lane v's scale lives at iteration it+v: a w-stride gather from the
+    // interleaved table (cheap next to the codelet work).
+    if (s_.iscl.empty()) {
+      c_.lit("      re[l] = ar; im[l] = ai;\n");
+    } else {
+      c_.lit(cat("      ", vt, " sr, sm;\n",
+                 "      for (int v = 0; v < ", w, "; ++v) {\n",
+                 "        sr[v] = iscl[2*(v*", cn, "+l)];\n",
+                 "        sm[v] = iscl[2*(v*", cn, "+l)+1];\n      }\n",
+                 "      re[l] = ar*sr - ai*sm; im[l] = ar*sm + ai*sr;\n"));
+    }
+    c_.lit("    }\n");
+    call(w);
+    c_.lit(cat("    for (int l = 0; l < ", cn, "; ++l) {\n",
+               "      ", vt, " vr = re[l], vi = im[l];\n"));
+    if (!s_.oscl.empty()) {
+      c_.lit(cat("      ", vt, " qr, qm;\n",
+                 "      for (int v = 0; v < ", w, "; ++v) {\n",
+                 "        qr[v] = oscl[2*(v*", cn, "+l)];\n",
+                 "        qm[v] = oscl[2*(v*", cn, "+l)+1];\n      }\n",
+                 "      ", vt, " tr = vr*qr - vi*qm;\n",
+                 "      ", vt, " ti = vr*qm + vi*qr;\n",
+                 "      vr = tr; vi = ti;\n"));
+    }
+    c_.lit("      const ");
+    index_type();
+    c_.lit(cat("b0 = ", out_el_, ";\n",
+               "      ", vt, " o0 = __builtin_shufflevector(vr, vi, "));
+    csv(c_, s_.shuffle[2]);
+    c_.lit(cat(");\n      ", vt, " o1 = __builtin_shufflevector(vr, vi, "));
+    csv(c_, s_.shuffle[3]);
+    c_.lit(cat(");\n",
+               "      __builtin_memcpy(y + 2*b0, &o0, sizeof o0);\n",
+               "      __builtin_memcpy(y + 2*b0 + ", w, ", &o1, sizeof o1);\n",
+               "    }\n  }\n",
+               "  if (vb < hi) stage", si_, "_scalar(x, y, vb, hi);\n"));
+  }
+
+  C& c_;
+  CStage& s_;
+  const idx_t si_;
+  bool typed_ = false;
+  std::string in_el_, out_el_;
+};
+
+/// The stage walk: stages right-to-left along the ping-pong chain. In
+/// the pool's run_program every thread runs its chunk of each stage and
+/// a barrier separates dependent stages; a sequential entry calls each
+/// stage over its whole iteration range.
+template <class C>
+void walk(C& c, std::vector<CStep>& steps, bool pooled) {
+  for (std::size_t i = 0; c.peek(i < steps.size(), "  "); ++i) {
+    if constexpr (C::kReading) steps.emplace_back();
+    CStep& s = steps[i];
+    if (pooled) {
+      pick_flag(c, s.barrier, "  run_stage_chunk(", "  pool_barrier();\n");
+      if (s.barrier) continue;
+    } else {
+      c.lit("  stage");
+    }
+    c.num(s.stage);
+    c.lit(pooled ? ", " : "(");
+    buffer(c, s.src);
+    c.lit(", ");
+    buffer(c, s.dst);
+    if (pooled) {
+      c.lit(", t);\n");
+    } else {
+      c.lit(", 0, ");
+      c.num(s.iters);
+      c.lit(");\n");
+    }
+  }
+}
+
+/// Persistent-pool runtime: sense-reversing spin barrier, detached
+/// workers, per-thread chunk dispatch and the whole-program walk every
+/// pool thread (master included) executes, one barrier per stage
+/// transition: a transform costs k+1 barriers (dispatch, k-1
+/// transitions, completion) — the single-fork structure of the
+/// interpreter's fused path.
+template <class C>
+void pool_runtime(C& c, CProgram& p) {
+  c.lit("enum { POOL_P = ");
+  c.num(p.pool_p);
+  c.lit(" };\n"
+        "static _Atomic int pool_sense = 0;\n"
+        "static _Atomic int pool_count = 0;\n"
+        "static void pool_barrier(void) {\n"
+        "  int my = !atomic_load_explicit(&pool_sense, memory_order_relaxed);\n"
+        "  if (atomic_fetch_add_explicit(&pool_count, 1, "
+        "memory_order_acq_rel) == POOL_P - 1) {\n"
+        "    atomic_store_explicit(&pool_count, 0, memory_order_relaxed);\n"
+        "    atomic_store_explicit(&pool_sense, my, memory_order_release);\n"
+        "  } else {\n"
+        "    int spins = 0;\n"
+        "    while (atomic_load_explicit(&pool_sense, memory_order_acquire) "
+        "!= my)\n"
+        "      if (++spins > 4096) sched_yield();\n"
+        "  }\n}\n");
+  // The job pointers must be _Atomic: they are written by the master and
+  // read by workers on the far side of pool_barrier, and plain globals
+  // get hoisted out of the worker loop (gcc IPA-modref sees that
+  // pool_barrier never writes them and ignores the acquire ordering its
+  // atomics establish — observed miscompile at -O2).
+  c.lit("static const double *");
+  c.opt(p.atomic_jobs[0], "_Atomic ");
+  c.lit("job_x; static double *");
+  c.opt(p.atomic_jobs[1], "_Atomic ");
+  c.lit("job_y;\nstatic double *");
+  c.opt(p.atomic_jobs[2], "_Atomic ");
+  c.lit("job_b0; static double *");
+  c.opt(p.atomic_jobs[3], "_Atomic ");
+  c.lit("job_b1;\n"
+        "static void run_stage_chunk(int sid, const double *x, double *y, "
+        "int t) {\n  switch (sid) {\n");
+  for (std::size_t si = 0; si < p.stages.size() && c.ok(); ++si) {
+    CStage& s = p.stages[si];
+    bool chunked = s.team > 1;
+    const std::string arm = cat("    case ", si, ":\n      if (t ");
+    pick_flag(c, chunked, cat(arm, "== 0) stage", si, "(x, y, 0, "),
+              cat(arm, "< "));
+    if (chunked) {
+      c.num(s.team);
+      c.lit(cat(") stage", si, "(x, y, (long)t*"));
+    } else {
+      s.team = 1;
+    }
+    c.num(s.iters);
+    if (chunked) {
+      c.lit(cat("/", s.team, ", (long)(t+1)*", s.iters, "/", s.team));
+    }
+    c.lit(");\n      break;\n");
+  }
+  c.lit("  }\n}\n"
+        "static void run_program(const double *x, double *y, double *b0, "
+        "double *b1, int t) {\n");
+  if (p.stages.size() <= 1) c.lit("  (void)b0; (void)b1;\n");
+  walk(c, p.walk, true);
+  c.lit("}\n"
+        "static void *pool_worker(void *arg) {\n"
+        "  int t = (int)(long)arg;\n"
+        "  for (;;) {\n"
+        "    pool_barrier();\n"
+        "    run_program(job_x, job_y, job_b0, job_b1, t);\n"
+        "    pool_barrier();\n"
+        "  }\n  return 0;\n}\n"
+        "static int pool_started = 0;\n"
+        "static void pool_start(void) {\n"
+        "  if (pool_started) return;\n"
+        "  pool_started = 1;\n"
+        "  for (int t = 1; t < POOL_P; ++t) {\n"
+        "    pthread_t th;\n"
+        "    pthread_create(&th, 0, pool_worker, (void *)(long)t);\n"
+        "    pthread_detach(th);\n"
+        "  }\n}\n"
+        "static void pool_run_program(const double *x, double *y, "
+        "double *b0, double *b1) {\n"
+        "  job_x = x; job_y = y; job_b0 = b0; job_b1 = b1;\n"
+        "  pool_barrier();\n"
+        "  run_program(x, y, b0, b1, 0);\n"
+        "  pool_barrier();\n}\n\n");
+}
+
+/// The entry point; scratch comes from the caller (one pair per client
+/// thread), so it holds no buffer state.
+template <class C>
+void entry(C& c, CProgram& p) {
+  c.lit("void ");
+  c.text(p.entry, "(");
+  c.lit("(const double *x, double *y, double *b0, double *b1) {\n");
+  if (p.stages.size() <= 1) c.lit("  (void)b0; (void)b1;\n");
+  if (p.pooled) {
+    c.lit("  pool_start();\n  pool_run_program(x, y, b0, b1);\n");
+  } else {
+    walk(c, p.walk, false);
+  }
+  c.lit("}\n\n");
+}
+
+/// main(): the entry point against a direct O(n^2) DFT of a seeded
+/// signal; exit code 0 when the max error is within 1e-8 * sqrt(n).
+template <class C>
+void test_main(C& c, CProgram& p) {
+  c.lit(cat(
+      "int main(void) {\n",
+      "  enum { N = ", p.n, " };\n",
+      "  static double x[2*N], y[2*N], ref[2*N];\n",
+      "  unsigned s = 123456789u;\n",
+      "  for (int i = 0; i < 2*N; ++i) {\n",
+      "    s = s*1103515245u + 12345u;\n",
+      "    x[i] = ((double)(s >> 8) / (double)(1u<<24)) - 0.5;\n  }\n",
+      "  for (int kk = 0; kk < N; ++kk) {\n",
+      "    double ar = 0, ai = 0;\n",
+      "    for (int l = 0; l < N; ++l) {\n",
+      "      double a = -2.0*3.14159265358979323846*((double)((long)kk*l % ",
+      "N))/N;\n",
+      "      double c = cos(a), si2 = sin(a);\n",
+      "      ar += x[2*l]*c - x[2*l+1]*si2;\n",
+      "      ai += x[2*l]*si2 + x[2*l+1]*c;\n    }\n",
+      "    ref[2*kk] = ar; ref[2*kk+1] = ai;\n  }\n",
+      "  static double sb0[2*N], sb1[2*N];\n",
+      "  ", p.entry, "(x, y, sb0, sb1);\n",
+      "  double err = 0;\n",
+      "  for (int i = 0; i < 2*N; ++i) {\n",
+      "    double d = y[i] - ref[i]; if (d < 0) d = -d;\n",
+      "    if (d > err) err = d;\n  }\n",
+      "  printf(\"max error %g\\n\", err);\n",
+      "  return err < 1e-8 * sqrt((double)N) ? 0 : 1;\n",
+      "}\n"));
+}
+
+template <class C>
+void program(C& c, CProgram& p) {
+  idx_t k = static_cast<idx_t>(p.stages.size());
+  header(c, p, k);
+  items(c, p.stages, k,
+        [&](idx_t si, CStage& s) { stage_tables(c, s, si); });
+  c.lit("\n");
+  for (std::size_t i = 0;
+       c.peek(i < p.codelets.size(), "static void dft") ||
+       c.peek(i < p.codelets.size(), "static void wht");
+       ++i) {
+    if constexpr (C::kReading) p.codelets.emplace_back();
+    codelet(c, p.codelets[i]);
+  }
+  for (std::size_t si = 0; si < p.stages.size() && c.ok(); ++si) {
+    StageSyntax<C>(c, p.stages[si], static_cast<idx_t>(si)).run();
+  }
+  if (p.pooled) pool_runtime(c, p);
+  entry(c, p);
+  if (p.has_main) test_main(c, p);
+}
+
+// ---------------------------------------------------------------------------
+// Building the CProgram of a StageList.
+// ---------------------------------------------------------------------------
 
 /// Per-stage vector emission width under opts.simd_nu (0 = scalar).
 /// Codegen vectorizes only the plain contiguous-lane shape
@@ -55,725 +810,179 @@ int load_mode(int mode) {
 /// tandem smp+vec derivations produce for their codelet loops; anything
 /// else keeps the scalar emission (the interpreter's drivers cover the
 /// strided shapes).
-std::vector<idx_t> simd_widths(const StageList& list,
-                               const CodegenOptions& opts) {
-  std::vector<idx_t> w(list.stages.size(), 0);
-  if (opts.simd_nu < 2) return w;
-  for (std::size_t i = 0; i < list.stages.size(); ++i) {
-    const Stage& s = list.stages[i];
-    if (!s.is_compute || s.cn < 2 || !util::is_pow2(s.cn) || s.cn > 64) {
-      continue;
-    }
-    for (idx_t nu = opts.simd_nu; nu >= 2; nu /= 2) {
-      const SideVecInfo sv = stage_vector_sides(s, nu);
-      if (sv.width == nu && sv.in == VecForm::kAcrossIterations &&
-          sv.out == VecForm::kAcrossIterations) {
-        w[i] = nu;
-        break;
-      }
+idx_t simd_width(const Stage& s, idx_t simd_nu) {
+  if (!s.is_compute || s.cn < 2 || !util::is_pow2(s.cn) || s.cn > 64) {
+    return 0;
+  }
+  for (idx_t nu = simd_nu; nu >= 2; nu /= 2) {
+    const SideVecInfo sv = stage_vector_sides(s, nu);
+    if (sv.width == nu && sv.in == VecForm::kAcrossIterations &&
+        sv.out == VecForm::kAcrossIterations) {
+      return nu;
     }
   }
-  return w;
+  return 0;
 }
 
-/// "0,2,4,6" — shuffle index lists for the re/im deinterleave and the
-/// store-side interleave at width w.
-std::string shuffle_indices(idx_t w, int mode) {
-  std::ostringstream os;
+/// Shuffle index lists at width w: the re (mode 0) and im (1)
+/// deinterleave of a load, and the low (2) and high (3) interleave
+/// (r0,i0,r1,i1,...) of concat(re, im) for a store.
+std::vector<idx_t> shuffle_indices(idx_t w, int mode) {
+  std::vector<idx_t> v;
   for (idx_t i = 0; i < w; ++i) {
-    if (i) os << ",";
     switch (mode) {
-      case 0: os << 2 * i; break;      // deinterleave: real lanes
-      case 1: os << 2 * i + 1; break;  // deinterleave: imag lanes
-      // interleave low/high halves: (r0,i0,r1,i1,...) from concat(re,im)
-      case 2: os << (i % 2 == 0 ? i / 2 : w + i / 2); break;
-      case 3: os << (i % 2 == 0 ? w / 2 + i / 2 : w + w / 2 + i / 2); break;
-      default: break;
+      case 0: v.push_back(2 * i); break;
+      case 1: v.push_back(2 * i + 1); break;
+      case 2: v.push_back(i % 2 == 0 ? i / 2 : w + i / 2); break;
+      default: v.push_back(i % 2 == 0 ? w / 2 + i / 2 : w + w / 2 + i / 2);
     }
   }
-  return os.str();
+  return v;
 }
 
-void emit_header(std::ostringstream& os, const StageList& list,
-                 const CodegenOptions& opts) {
-  os << "/* Generated by spiral-smp-fft (reproduction of Franchetti et al.,\n"
-        " * \"FFT Program Generation for Shared Memory: SMP and Multicore\",\n"
-        " * SC 2006). Transform size n = "
-     << list.n << ", " << list.stages.size() << " stage(s). */\n"
-     << "#include <math.h>\n#include <string.h>\n#include <stdlib.h>\n";
-  if (opts.threading == CodegenThreading::kPthreads ||
-      opts.threading == CodegenThreading::kPthreadsPool) {
-    os << "#include <pthread.h>\n";
+CSide build_side(const Stage& s, bool input) {
+  CSide c;
+  c.affine = input ? s.in_affine : s.out_affine;
+  if (c.affine) {
+    const AffineMap a = (input ? s.in_bits : s.out_bits).affine(s.cn).value();
+    c.base = a.base;
+    c.iter_stride = a.iter_stride;
+    c.elem_stride = a.elem_stride;
+    return c;
   }
-  if (opts.threading == CodegenThreading::kPthreadsPool) {
-    os << "#include <stdatomic.h>\n#include <sched.h>\n";
+  for (idx_t k = 0; k < s.total_elems(); ++k) {
+    c.table.push_back(input ? s.in_index(k / s.cn, k % s.cn)
+                            : s.out_index(k / s.cn, k % s.cn));
   }
-  if (opts.emit_main) os << "#include <stdio.h>\n";
-  os << "\n";
+  return c;
 }
 
-/// Largest parallel_p over the program's stages (team size for the pool).
-idx_t max_parallel(const StageList& list) {
-  idx_t p = 1;
-  for (const auto& s : list.stages) p = std::max(p, s.parallel_p);
-  return p;
+std::vector<double> interleaved(const StageScale& sc) {
+  std::vector<double> v;
+  for (const cplx& z : sc.expand()) {
+    v.push_back(z.real());
+    v.push_back(z.imag());
+  }
+  return v;
 }
 
-/// One non-affine side as a `static const int` table, entries read
-/// through the stage accessors (table or bit-stride encoding alike).
-void emit_index_table(std::ostringstream& os, const Stage& s, std::size_t si,
-                      bool input, idx_t skew) {
-  const idx_t total = s.total_elems();
-  os << "static const int s" << si << (input ? "_in" : "_out") << "["
-     << total << "] = {";
-  for (idx_t k = 0; k < total; ++k) {
-    if (k % 16 == 0) os << "\n  ";
-    const idx_t v = input ? s.in_index(k / s.cn, k % s.cn)
-                          : s.out_index(k / s.cn, k % s.cn);
-    os << v + skew << (k + 1 < total ? "," : "");
+CCodelet build_codelet(bool wht, idx_t n, int sign, idx_t w) {
+  CCodelet d{wht, n, sign, w, {}, {}, {}};
+  if (wht) return d;
+  util::require(util::is_pow2(n),
+                "C codegen supports power-of-two codelets only");
+  const int k = util::log2_exact(n);
+  for (idx_t i = 0; i < n; ++i) {
+    idx_t r = 0;
+    for (int b = 0; b < k; ++b) r |= ((i >> b) & 1) << (k - 1 - b);
+    d.rev.push_back(r);
   }
-  os << "};\n";
-}
-
-void emit_tables(std::ostringstream& os, const StageList& list) {
-  for (std::size_t si = 0; si < list.stages.size(); ++si) {
-    const Stage& s = list.stages[si];
-    os << "/* stage " << si << ": " << s.label << " */\n";
-    // Affine sides get no table: their addressing is emitted inline as
-    // base + it*stride expressions in the stage body.
-    const auto ia = affine_side(s, true);
-    const auto oa = affine_side(s, false);
-    if (ia) {
-      os << "/* s" << si << "_in: affine " << ia->base << " + it*"
-         << ia->iter_stride << " + l*" << ia->elem_stride << " */\n";
-    } else {
-      // kStrideSkew also shifts input tables by one so the seeded defect
-      // bites on plans whose input sides are not affine.
-      const idx_t skew = mutated(CodegenMutation::kStrideSkew) ? 1 : 0;
-      emit_index_table(os, s, si, true, skew);
-    }
-    if (oa) {
-      os << "/* s" << si << "_out: affine " << oa->base << " + it*"
-         << oa->iter_stride << " + l*" << oa->elem_stride << " */\n";
-    } else {
-      emit_index_table(os, s, si, false, 0);
-    }
-    auto emit_scale = [&](const StageScale& sc, const char* suffix) {
-      if (sc.empty()) return;
-      const util::cvec v = sc.expand();
-      os << "static const double s" << si << "_" << suffix << "["
-         << 2 * v.size() << "] = {";
-      os.precision(17);
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i % 4 == 0) os << "\n  ";
-        os << v[i].real() << "," << v[i].imag()
-           << (i + 1 < v.size() ? "," : "");
-      }
-      os << "};\n";
-    };
-    emit_scale(s.in_scale, "iscl");
-    emit_scale(s.out_scale, "oscl");
-  }
-  os << "\n";
-}
-
-/// Vector typedefs for every distinct emission width (GNU C vector
-/// extensions: the same source lowers to SSE2 pairs, ymm or zmm
-/// depending on the compile flags, e.g. -march=native).
-void emit_simd_prelude(std::ostringstream& os,
-                       const std::vector<idx_t>& widths) {
-  std::set<idx_t> ws;
-  for (idx_t w : widths) {
-    if (w >= 2) ws.insert(w);
-  }
-  if (ws.empty()) return;
-  os << "/* Lane-batched SIMD stage bodies: one vector lane per loop\n"
-        " * iteration, split-lane complex, broadcast twiddles. */\n";
-  for (idx_t w : ws) {
-    os << "typedef double vd" << w << " __attribute__((vector_size("
-       << 8 * w << ")));\n";
-  }
-  os << "\n";
-}
-
-/// Vector codelet variants: the radix-2 network over vdW registers with
-/// broadcast twiddles, one per (size, sign, width) a vectorized stage
-/// needs (and WHT butterfly variants per (size, width)).
-void emit_vec_codelet_fns(std::ostringstream& os, const StageList& list,
-                          const std::vector<idx_t>& widths) {
-  std::set<std::pair<idx_t, idx_t>> wht_sizes;  // (cn, w)
-  std::set<std::tuple<idx_t, int, idx_t>> sizes;  // (cn, sign, w)
-  for (std::size_t i = 0; i < list.stages.size(); ++i) {
-    const idx_t w = widths[i];
-    if (w < 2) continue;
-    const Stage& s = list.stages[i];
-    if (s.wht) {
-      wht_sizes.insert({s.cn, w});
-    } else {
-      sizes.insert({s.cn, s.sign, w});
+  for (int st = 0; st < k; ++st) {
+    const idx_t h = idx_t{1} << st;
+    d.twr.emplace_back();
+    d.twi.emplace_back();
+    for (idx_t j = 0; j < h; ++j) {
+      const double a = (sign < 0 ? -1.0 : 1.0) * 2.0 *
+                       3.14159265358979323846 * double(j) / double(2 * h);
+      d.twr.back().push_back(std::cos(a));
+      d.twi.back().push_back(std::sin(a));
     }
   }
-  for (auto [n, w] : wht_sizes) {
-    os << "static void wht" << n << "_v" << w << "(vd" << w << " *re, vd"
-       << w << " *im) {\n"
-       << "  for (int h = 1; h < " << n << "; h *= 2)\n"
-       << "    for (int b = 0; b < " << n << "; b += 2*h)\n"
-       << "      for (int j = 0; j < h; ++j) {\n"
-       << "        vd" << w << " ur = re[b+j], ui = im[b+j];\n"
-       << "        vd" << w << " vr = re[b+j+h], vi = im[b+j+h];\n"
-       << "        re[b+j] = ur + vr; im[b+j] = ui + vi;\n"
-       << "        re[b+j+h] = ur - vr; im[b+j+h] = ui - vi;\n"
-       << "      }\n}\n\n";
-  }
-  for (auto [n, sign, w] : sizes) {
-    const int k = util::log2_exact(n);
-    const std::string vt = "vd" + std::to_string(w);
-    os << "static void dft" << n << (sign < 0 ? "f" : "i") << "_v" << w
-       << "(" << vt << " *re, " << vt << " *im) {\n";
-    os << "  static const int rev[" << n << "] = {";
-    for (idx_t i = 0; i < n; ++i) {
-      idx_t r = 0;
-      for (int b = 0; b < k; ++b) r |= ((i >> b) & 1) << (k - 1 - b);
-      os << r << (i + 1 < n ? "," : "");
+  return d;
+}
+
+/// Applies the active CodegenMutation to the built program.
+void mutate(CProgram& p) {
+  for (CStage& s : p.stages) {
+    if (mutated(CodegenMutation::kStrideSkew)) {
+      if (s.in.affine) ++s.in.iter_stride;
+      for (idx_t& e : s.in.table) ++e;
     }
-    os << "};\n";
-    os << "  for (int i = 0; i < " << n << "; ++i) {\n"
-       << "    int r = rev[i];\n"
-       << "    if (r > i) { " << vt << " t; t=re[i];re[i]=re[r];re[r]=t;"
-          " t=im[i];im[i]=im[r];im[r]=t; }\n  }\n";
-    for (int st = 0; st < k; ++st) {
-      const idx_t h = idx_t{1} << st;
-      os << "  { /* stage h=" << h << " */\n";
-      os << "    static const double twr[" << h << "] = {";
-      os.precision(17);
-      for (idx_t j = 0; j < h; ++j) {
-        const double a = (sign < 0 ? -1.0 : 1.0) * 2.0 *
-                         3.14159265358979323846 * double(j) / double(2 * h);
-        os << std::cos(a) << (j + 1 < h ? "," : "");
-      }
-      os << "};\n    static const double twi[" << h << "] = {";
-      for (idx_t j = 0; j < h; ++j) {
-        const double a = (sign < 0 ? -1.0 : 1.0) * 2.0 *
-                         3.14159265358979323846 * double(j) / double(2 * h);
-        os << std::sin(a) << (j + 1 < h ? "," : "");
-      }
-      os << "};\n";
-      os << "    for (int j = 0; j < " << h << "; ++j) {\n"
-         << "      " << vt << " wr = (" << vt << "){0} + twr[j];\n"
-         << "      " << vt << " wi = (" << vt << "){0} + twi[j];\n"
-         << "      for (int b = 0; b < " << n << "; b += " << 2 * h
-         << ") {\n"
-         << "        " << vt << " xr = re[b+j+" << h << "], xi = im[b+j+"
-         << h << "];\n"
-         << "        " << vt << " vr = xr*wr - xi*wi;\n"
-         << "        " << vt << " vi = xr*wi + xi*wr;\n"
-         << "        re[b+j+" << h << "] = re[b+j] - vr; im[b+j+" << h
-         << "] = im[b+j] - vi;\n"
-         << "        re[b+j] += vr; im[b+j] += vi;\n"
-         << "      }\n    }\n  }\n";
+    if (mutated(CodegenMutation::kSwapLanes)) {
+      std::swap(s.shuffle[0], s.shuffle[1]);
     }
-    os << "}\n\n";
+    if (mutated(CodegenMutation::kNarrowIndex)) s.narrow = true;
+  }
+  if (mutated(CodegenMutation::kDropBarrier)) {
+    std::erase_if(p.walk, [](const CStep& s) { return s.barrier; });
   }
 }
 
-/// Emits a radix-2 in-place DFT over a local buffer, for each codelet
-/// size used by a compute stage.
-void emit_codelet_fns(std::ostringstream& os, const StageList& list) {
-  // WHT codelets (butterflies only) for stages that need them.
-  std::set<idx_t> wht_sizes;
-  for (const auto& s : list.stages) {
-    if (s.is_compute && s.wht && s.cn > 1) wht_sizes.insert(s.cn);
+CProgram build(const StageList& list, const CodegenOptions& opts) {
+  CProgram p;
+  p.n = list.n;
+  p.has_main = opts.emit_main;
+  p.entry = opts.function_name;
+  for (const Stage& s : list.stages) {
+    p.pool_p = std::max(p.pool_p, s.parallel_p);
   }
-  for (idx_t n : wht_sizes) {
-    os << "static void wht" << n << "(double *re, double *im) {\n"
-       << "  for (int h = 1; h < " << n << "; h *= 2)\n"
-       << "    for (int b = 0; b < " << n << "; b += 2*h)\n"
-       << "      for (int j = 0; j < h; ++j) {\n"
-       << "        double ur = re[b+j], ui = im[b+j];\n"
-       << "        double vr = re[b+j+h], vi = im[b+j+h];\n"
-       << "        re[b+j] = ur + vr; im[b+j] = ui + vi;\n"
-       << "        re[b+j+h] = ur - vr; im[b+j+h] = ui - vi;\n"
-       << "      }\n}\n\n";
-  }
-  std::set<std::pair<idx_t, int>> sizes;
-  for (const auto& s : list.stages) {
-    if (s.is_compute && !s.wht && s.cn > 1) sizes.insert({s.cn, s.sign});
-  }
-  for (auto [n, sign] : sizes) {
-    util::require(util::is_pow2(n),
-                  "C codegen supports power-of-two codelets only");
-    const int k = util::log2_exact(n);
-    os << "static void dft" << n << (sign < 0 ? "f" : "i")
-       << "(double *re, double *im) {\n";
-    // Bit reversal.
-    os << "  static const int rev[" << n << "] = {";
-    for (idx_t i = 0; i < n; ++i) {
-      idx_t r = 0;
-      for (int b = 0; b < k; ++b) r |= ((i >> b) & 1) << (k - 1 - b);
-      os << r << (i + 1 < n ? "," : "");
+  p.pooled = p.pool_p > 1;
+  std::set<idx_t> types;
+  // Scalar codelets first, WHT before DFT, then by size, sign and width.
+  std::set<std::tuple<bool, bool, idx_t, int, idx_t>> codelets;
+  for (const Stage& s : list.stages) {
+    CStage c;
+    c.label = s.label;
+    c.in = build_side(s, true);
+    c.out = build_side(s, false);
+    c.iscl = interleaved(s.in_scale);
+    c.oscl = interleaved(s.out_scale);
+    c.compute = s.is_compute;
+    c.cn = s.cn;
+    c.wht = s.wht;
+    c.sign = s.sign;
+    c.vec_w = simd_width(s, opts.simd_nu);
+    if (c.vec_w >= 2) {
+      types.insert(c.vec_w);
+      for (int m = 0; m < 4; ++m) c.shuffle[m] = shuffle_indices(c.vec_w, m);
     }
-    os << "};\n";
-    os << "  for (int i = 0; i < " << n << "; ++i) {\n"
-       << "    int r = rev[i];\n"
-       << "    if (r > i) { double t; t=re[i];re[i]=re[r];re[r]=t;"
-          " t=im[i];im[i]=im[r];im[r]=t; }\n  }\n";
-    for (int st = 0; st < k; ++st) {
-      const idx_t h = idx_t{1} << st;
-      os << "  { /* stage h=" << h << " */\n";
-      os << "    static const double twr[" << h << "] = {";
-      os.precision(17);
-      for (idx_t j = 0; j < h; ++j) {
-        const double a = (sign < 0 ? -1.0 : 1.0) * 2.0 * 3.14159265358979323846 *
-                         double(j) / double(2 * h);
-        os << std::cos(a) << (j + 1 < h ? "," : "");
-      }
-      os << "};\n    static const double twi[" << h << "] = {";
-      for (idx_t j = 0; j < h; ++j) {
-        const double a = (sign < 0 ? -1.0 : 1.0) * 2.0 * 3.14159265358979323846 *
-                         double(j) / double(2 * h);
-        os << std::sin(a) << (j + 1 < h ? "," : "");
-      }
-      os << "};\n";
-      os << "    for (int b = 0; b < " << n << "; b += " << 2 * h << ")\n"
-         << "      for (int j = 0; j < " << h << "; ++j) {\n"
-         << "        double ur = re[b+j], ui = im[b+j];\n"
-         << "        double xr = re[b+j+" << h << "], xi = im[b+j+" << h
-         << "];\n"
-         << "        double vr = xr*twr[j] - xi*twi[j];\n"
-         << "        double vi = xr*twi[j] + xi*twr[j];\n"
-         << "        re[b+j] = ur + vr; im[b+j] = ui + vi;\n"
-         << "        re[b+j+" << h << "] = ur - vr; im[b+j+" << h
-         << "] = ui - vi;\n"
-         << "      }\n  }\n";
+    if (s.is_compute && s.cn > 1) {
+      const int sign = s.wht ? -1 : s.sign;
+      codelets.insert({false, !s.wht, s.cn, sign, 0});
+      if (c.vec_w >= 2) codelets.insert({true, !s.wht, s.cn, sign, c.vec_w});
     }
-    os << "}\n\n";
+    c.team = s.parallel_p > 1 ? s.parallel_p : 1;
+    c.iters = s.iters;
+    p.stages.push_back(std::move(c));
   }
-}
-
-/// Emits the per-iteration addressing of one compute-stage side and
-/// returns the index expression of element l: an affine side gets a base
-/// offset plus a compile-time element stride, a table side a slice.
-std::string emit_side_base(std::ostringstream& os, const Stage& s,
-                           std::size_t si, bool input,
-                           const std::string& indent) {
-  const std::string b = input ? "inb" : "outb";
-  if (const auto a = affine_side(s, input)) {
-    os << indent << "const " << idx_ty() << " " << b << " = " << a->base
-       << " + it*"
-       << (input ? body_in_stride(a->iter_stride) : a->iter_stride)
-       << ";\n";
-    return "(" + b + " + l*" + std::to_string(a->elem_stride) + ")";
+  p.vec_types.assign(types.begin(), types.end());
+  for (const auto& [vec, dft, n, sign, w] : codelets) {
+    p.codelets.push_back(build_codelet(!dft, n, sign, w));
   }
-  const std::string m = input ? "inm" : "outm";
-  os << indent << "const int *" << m << " = s" << si
-     << (input ? "_in" : "_out") << " + it*" << s.cn << ";\n";
-  return m + "[l]";
-}
-
-/// Emits the body of one stage as a chunked loop over iterations
-/// [lo, hi), reading interleaved complex from `x` into `y`.
-void emit_stage_body(std::ostringstream& os, const Stage& s, std::size_t si,
-                     const std::string& indent) {
-  if (!s.is_compute) {
-    // Element index of iteration j: affine expression or table lookup.
-    auto idx1 = [&](bool input) {
-      std::ostringstream e;
-      if (const auto a = affine_side(s, input)) {
-        e << "(" << a->base << " + j*"
-          << (input ? body_in_stride(a->iter_stride) : a->iter_stride) << ")";
-      } else {
-        e << "s" << si << (input ? "_in" : "_out") << "[j]";
-      }
-      return e.str();
-    };
-    const std::string ji = idx1(true);
-    const std::string jo = idx1(false);
-    os << indent << "for (long j = lo; j < hi; ++j) {\n"
-       << indent << "  const " << idx_ty() << " ji = " << ji << ", jo = "
-       << jo << ";\n";
-    if (s.in_scale.empty()) {
-      os << indent << "  y[2*jo]   = x[2*ji];\n"
-         << indent << "  y[2*jo+1] = x[2*ji+1];\n";
-    } else {
-      os << indent << "  double ar = x[2*ji], ai = x[2*ji+1];\n"
-         << indent << "  double sr = s" << si << "_iscl[2*j], sim = s" << si
-         << "_iscl[2*j+1];\n"
-         << indent << "  y[2*jo]   = ar*sr - ai*sim;\n"
-         << indent << "  y[2*jo+1] = ar*sim + ai*sr;\n";
-    }
-    os << indent << "}\n";
-    return;
-  }
-  const idx_t cn = s.cn;
-  os << indent << "for (long it = lo; it < hi; ++it) {\n"
-     << indent << "  double re[" << cn << "], im[" << cn << "];\n";
-  const std::string in_el = emit_side_base(os, s, si, true, indent + "  ");
-  const std::string out_el = emit_side_base(os, s, si, false, indent + "  ");
-  if (!s.in_scale.empty()) {
-    os << indent << "  const double *iscl = s" << si << "_iscl + 2*it*" << cn
-       << ";\n";
-  }
-  if (!s.out_scale.empty()) {
-    os << indent << "  const double *oscl = s" << si << "_oscl + 2*it*" << cn
-       << ";\n";
-  }
-  os << indent << "  for (int l = 0; l < " << cn << "; ++l) {\n";
-  if (s.in_scale.empty()) {
-    os << indent << "    re[l] = x[2*" << in_el << "]; im[l] = x[2*" << in_el
-       << "+1];\n";
-  } else {
-    os << indent << "    double ar = x[2*" << in_el << "], ai = x[2*"
-       << in_el << "+1];\n"
-       << indent << "    re[l] = ar*iscl[2*l] - ai*iscl[2*l+1];\n"
-       << indent << "    im[l] = ar*iscl[2*l+1] + ai*iscl[2*l];\n";
-  }
-  os << indent << "  }\n";
-  if (cn > 1 && s.wht) {
-    os << indent << "  wht" << cn << "(re, im);\n";
-  } else if (cn > 1) {
-    os << indent << "  dft" << cn << (s.sign < 0 ? "f" : "i")
-       << "(re, im);\n";
-  }
-  os << indent << "  for (int l = 0; l < " << cn << "; ++l) {\n";
-  if (s.out_scale.empty()) {
-    os << indent << "    y[2*" << out_el << "] = re[l]; y[2*" << out_el
-       << "+1] = im[l];\n";
-  } else {
-    os << indent << "    y[2*" << out_el << "]   = re[l]*oscl[2*l] - "
-       << "im[l]*oscl[2*l+1];\n"
-       << indent << "    y[2*" << out_el << "+1] = re[l]*oscl[2*l+1] + "
-       << "im[l]*oscl[2*l];\n";
-  }
-  os << indent << "  }\n" << indent << "}\n";
-}
-
-/// Vector body of a compute stage whose fused maps prove the
-/// contiguous-lane shape (kAcrossIterations, both sides) at width w:
-/// lane v of each register is iteration it+v, so element l of the pack
-/// is one 2w-double interleaved run starting at the map's address for
-/// (it, l). Loads/stores go through memcpy (unaligned-safe encodings)
-/// and __builtin_shufflevector splits/joins the re/im lanes.
-void emit_vec_stage_body(std::ostringstream& os, const Stage& s,
-                         std::size_t si, idx_t w) {
-  const idx_t cn = s.cn;
-  const std::string vt = "vd" + std::to_string(w);
-  // Scalar head/tail anchored at absolute multiples of w: the form proof
-  // (and the pack-major scale layout) assumes packs start on lane
-  // boundaries of the whole iteration space, not of this chunk.
-  os << "  long va = ((lo + " << w - 1 << ") / " << w << ") * " << w
-     << "; if (va > hi) va = hi;\n"
-     << "  long vb = (hi / " << w << ") * " << w
-     << "; if (vb < va) vb = va;\n"
-     << "  if (lo < va) stage" << si << "_scalar(x, y, lo, va);\n";
-  os << "  for (long it = va; it < vb; it += " << w << ") {\n"
-     << "    " << vt << " re[" << cn << "], im[" << cn << "];\n";
-  const std::string in_el = emit_side_base(os, s, si, true, "    ");
-  const std::string out_el = emit_side_base(os, s, si, false, "    ");
-  if (!s.in_scale.empty()) {
-    os << "    const double *iscl = s" << si << "_iscl + 2*it*" << cn
-       << ";\n";
-  }
-  if (!s.out_scale.empty()) {
-    os << "    const double *oscl = s" << si << "_oscl + 2*it*" << cn
-       << ";\n";
-  }
-  os << "    for (int l = 0; l < " << cn << "; ++l) {\n"
-     << "      const " << idx_ty() << " a0 = " << in_el << ";\n"
-     << "      " << vt << " h0, h1;\n"
-     << "      __builtin_memcpy(&h0, x + 2*a0, sizeof h0);\n"
-     << "      __builtin_memcpy(&h1, x + 2*a0 + " << w
-     << ", sizeof h1);\n"
-     << "      " << vt << " ar = __builtin_shufflevector(h0, h1, "
-     << shuffle_indices(w, load_mode(0)) << ");\n"
-     << "      " << vt << " ai = __builtin_shufflevector(h0, h1, "
-     << shuffle_indices(w, load_mode(1)) << ");\n";
-  if (s.in_scale.empty()) {
-    os << "      re[l] = ar; im[l] = ai;\n";
-  } else {
-    // Lane v's scale lives at iteration it+v: a w-stride gather from the
-    // interleaved table (cheap next to the codelet work).
-    os << "      " << vt << " sr, sm;\n"
-       << "      for (int v = 0; v < " << w << "; ++v) {\n"
-       << "        sr[v] = iscl[2*(v*" << cn << "+l)];\n"
-       << "        sm[v] = iscl[2*(v*" << cn << "+l)+1];\n      }\n"
-       << "      re[l] = ar*sr - ai*sm; im[l] = ar*sm + ai*sr;\n";
-  }
-  os << "    }\n";
-  if (s.wht) {
-    os << "    wht" << cn << "_v" << w << "(re, im);\n";
-  } else {
-    os << "    dft" << cn << (s.sign < 0 ? "f" : "i") << "_v" << w
-       << "(re, im);\n";
-  }
-  os << "    for (int l = 0; l < " << cn << "; ++l) {\n"
-     << "      " << vt << " vr = re[l], vi = im[l];\n";
-  if (!s.out_scale.empty()) {
-    os << "      " << vt << " qr, qm;\n"
-       << "      for (int v = 0; v < " << w << "; ++v) {\n"
-       << "        qr[v] = oscl[2*(v*" << cn << "+l)];\n"
-       << "        qm[v] = oscl[2*(v*" << cn << "+l)+1];\n      }\n"
-       << "      " << vt << " tr = vr*qr - vi*qm;\n"
-       << "      " << vt << " ti = vr*qm + vi*qr;\n"
-       << "      vr = tr; vi = ti;\n";
-  }
-  os << "      const " << idx_ty() << " b0 = " << out_el << ";\n"
-     << "      " << vt << " o0 = __builtin_shufflevector(vr, vi, "
-     << shuffle_indices(w, 2) << ");\n"
-     << "      " << vt << " o1 = __builtin_shufflevector(vr, vi, "
-     << shuffle_indices(w, 3) << ");\n"
-     << "      __builtin_memcpy(y + 2*b0, &o0, sizeof o0);\n"
-     << "      __builtin_memcpy(y + 2*b0 + " << w
-     << ", &o1, sizeof o1);\n"
-     << "    }\n  }\n"
-     << "  if (vb < hi) stage" << si << "_scalar(x, y, vb, hi);\n";
-}
-
-void emit_stage_fn(std::ostringstream& os, const Stage& s, std::size_t si,
-                   const CodegenOptions& opts, idx_t vw) {
-  if (vw >= 2) {
-    os << "static void stage" << si
-       << "_scalar(const double *x, double *y, long lo, long hi) {\n";
-    emit_stage_body(os, s, si, "  ");
-    os << "}\n";
-    os << "static void stage" << si
-       << "(const double *x, double *y, long lo, long hi) {\n";
-    emit_vec_stage_body(os, s, si, vw);
-    os << "}\n";
-  } else {
-    os << "static void stage" << si
-       << "(const double *x, double *y, long lo, long hi) {\n";
-    emit_stage_body(os, s, si, "  ");
-    os << "}\n";
-  }
-  if (opts.threading == CodegenThreading::kPthreads && s.parallel_p > 1) {
-    os << "typedef struct { const double *x; double *y; long lo, hi; } "
-          "stage"
-       << si << "_arg;\n"
-       << "static void *stage" << si << "_thread(void *pv) {\n"
-       << "  stage" << si << "_arg *a = (stage" << si << "_arg *)pv;\n"
-       << "  stage" << si << "(a->x, a->y, a->lo, a->hi);\n"
-       << "  return 0;\n}\n";
-  }
-  os << "\n";
-}
-
-/// The fused program walk every pool thread (master included) executes:
-/// all stages right-to-left with one barrier per stage *transition*, so a
-/// transform costs k+1 barriers total (dispatch + k-1 transitions +
-/// completion) instead of 2 per parallel stage — the same single-fork
-/// structure the interpreter's fused path uses. Sequential stages run on
-/// thread 0 while the others wait at the next transition barrier.
-void emit_run_program(std::ostringstream& os, const StageList& list) {
-  const std::size_t k = list.stages.size();
-  os << "static void run_program(const double *x, double *y, double *b0, "
-        "double *b1, int t) {\n";
-  if (k <= 1) os << "  (void)b0; (void)b1;\n";
-  std::string src = "x";
+  // Stages apply right-to-left along x -> b0 -> b1 -> ... -> y.
+  int src = kBufX;
   int flip = 0;
-  bool first = true;
-  for (std::size_t j = k; j-- > 0;) {
-    const std::string dst = j == 0 ? "y" : (flip ? "b1" : "b0");
+  for (std::size_t j = list.stages.size(); j-- > 0;) {
+    const int dst = j == 0 ? kBufY : (flip ? kBufB1 : kBufB0);
     if (j != 0) flip ^= 1;
-    if (!first && !mutated(CodegenMutation::kDropBarrier)) {
-      os << "  pool_barrier();\n";
-    }
-    first = false;
-    os << "  run_stage_chunk(" << j << ", " << src << ", " << dst
-       << ", t);\n";
+    if (p.pooled && !p.walk.empty()) p.walk.push_back({true, 0, 0, 0, 0});
+    p.walk.push_back({false, static_cast<idx_t>(j), src, dst,
+                      list.stages[j].iters});
     src = dst;
   }
-  os << "}\n";
-}
-
-/// Persistent-pool runtime: sense-reversing spin barrier, detached
-/// workers, and the fused whole-program dispatcher. This is the
-/// generated-code shape the paper's Section 3.2 describes ("low-latency
-/// minimal overhead synchronization" for fixed N, p, mu).
-void emit_pool_runtime(std::ostringstream& os, const StageList& list) {
-  const idx_t p = max_parallel(list);
-  os << "enum { POOL_P = " << p << " };\n"
-     << "static _Atomic int pool_sense = 0;\n"
-     << "static _Atomic int pool_count = 0;\n"
-     << "static void pool_barrier(void) {\n"
-     << "  int my = !atomic_load_explicit(&pool_sense, "
-        "memory_order_relaxed);\n"
-     << "  if (atomic_fetch_add_explicit(&pool_count, 1, "
-        "memory_order_acq_rel) == POOL_P - 1) {\n"
-     << "    atomic_store_explicit(&pool_count, 0, "
-        "memory_order_relaxed);\n"
-     << "    atomic_store_explicit(&pool_sense, my, "
-        "memory_order_release);\n"
-     << "  } else {\n"
-     << "    int spins = 0;\n"
-     << "    while (atomic_load_explicit(&pool_sense, "
-        "memory_order_acquire) != my)\n"
-     << "      if (++spins > 4096) sched_yield();\n"
-     << "  }\n}\n"
-     // The job pointers must be _Atomic: they are written by the master
-     // and read by workers on the far side of pool_barrier, and plain
-     // globals get hoisted out of the worker loop (gcc IPA-modref sees
-     // that pool_barrier never writes them and ignores the acquire
-     // ordering its atomics establish — observed miscompile at -O2).
-     << "static const double *_Atomic job_x; static double *_Atomic "
-        "job_y;\n"
-     << "static double *_Atomic job_b0; static double *_Atomic job_b1;\n"
-     << "static void run_stage_chunk(int sid, const double *x, double *y, "
-        "int t) {\n"
-     << "  switch (sid) {\n";
-  for (std::size_t si = 0; si < list.stages.size(); ++si) {
-    const Stage& s = list.stages[si];
-    const idx_t sp = s.parallel_p > 1 ? s.parallel_p : 1;
-    os << "    case " << si << ":\n";
-    if (sp > 1) {
-      os << "      if (t < " << sp << ") stage" << si
-         << "(x, y, (long)t*" << s.iters << "/" << sp << ", (long)(t+1)*"
-         << s.iters << "/" << sp << ");\n";
-    } else {
-      os << "      if (t == 0) stage" << si << "(x, y, 0, " << s.iters
-         << ");\n";
-    }
-    os << "      break;\n";
-  }
-  os << "  }\n}\n";
-  emit_run_program(os, list);
-  os << "static void *pool_worker(void *arg) {\n"
-     << "  int t = (int)(long)arg;\n"
-     << "  for (;;) {\n"
-     << "    pool_barrier();\n"
-     << "    run_program(job_x, job_y, job_b0, job_b1, t);\n"
-     << "    pool_barrier();\n"
-     << "  }\n  return 0;\n}\n"
-     << "static int pool_started = 0;\n"
-     << "static void pool_start(void) {\n"
-     << "  if (pool_started) return;\n"
-     << "  pool_started = 1;\n"
-     << "  for (int t = 1; t < POOL_P; ++t) {\n"
-     << "    pthread_t th;\n"
-     << "    pthread_create(&th, 0, pool_worker, (void *)(long)t);\n"
-     << "    pthread_detach(th);\n"
-     << "  }\n}\n"
-     << "static void pool_run_program(const double *x, double *y, "
-        "double *b0, double *b1) {\n"
-     << "  job_x = x; job_y = y; job_b0 = b0; job_b1 = b1;\n"
-     << "  pool_barrier();\n"
-     << "  run_program(x, y, b0, b1, 0);\n"
-     << "  pool_barrier();\n}\n\n";
-}
-
-void emit_stage_call(std::ostringstream& os, const Stage& s, std::size_t si,
-                     const CodegenOptions& opts, const std::string& src,
-                     const std::string& dst) {
-  const idx_t p = s.parallel_p;
-  if (p > 1 && opts.threading == CodegenThreading::kOpenMP) {
-    os << "  #pragma omp parallel for num_threads(" << p
-       << ") schedule(static)\n"
-       << "  for (int t = 0; t < " << p << "; ++t)\n"
-       << "    stage" << si << "(" << src << ", " << dst << ", (long)t*"
-       << s.iters << "/" << p << ", (long)(t+1)*" << s.iters << "/" << p
-       << ");\n";
-    return;
-  }
-  if (p > 1 && opts.threading == CodegenThreading::kPthreads) {
-    os << "  {\n    pthread_t th[" << p << "]; stage" << si << "_arg a["
-       << p << "];\n"
-       << "    for (int t = 0; t < " << p << "; ++t) {\n"
-       << "      a[t].x = " << src << "; a[t].y = " << dst << ";\n"
-       << "      a[t].lo = (long)t*" << s.iters << "/" << p
-       << "; a[t].hi = (long)(t+1)*" << s.iters << "/" << p << ";\n"
-       << "      pthread_create(&th[t], 0, stage" << si
-       << "_thread, &a[t]);\n    }\n"
-       << "    for (int t = 0; t < " << p << "; ++t) pthread_join(th[t], 0);\n"
-       << "  }\n";
-    return;
-  }
-  os << "  stage" << si << "(" << src << ", " << dst << ", 0, " << s.iters
-     << ");\n";
-}
-
-void emit_entry(std::ostringstream& os, const StageList& list,
-                const CodegenOptions& opts) {
-  const std::size_t k = list.stages.size();
-  // Scratch comes from the caller (one pair per client thread), so the
-  // entry point itself holds no buffer state.
-  os << "void " << opts.function_name
-     << "(const double *x, double *y, double *b0, double *b1) {\n";
-  if (k <= 1) os << "  (void)b0; (void)b1;\n";
-  if (opts.threading == CodegenThreading::kPthreadsPool &&
-      max_parallel(list) > 1) {
-    // Fused dispatch: one pool wake per transform, every thread walks
-    // the whole stage list with barrier-only transitions.
-    os << "  pool_start();\n"
-       << "  pool_run_program(x, y, b0, b1);\n"
-       << "}\n\n";
-    return;
-  }
-  // Stages apply right-to-left: last stage first.
-  std::string src = "x";
-  int flip = 0;
-  for (std::size_t j = k; j-- > 0;) {
-    std::string dst;
-    if (j == 0) {
-      dst = "y";
-    } else {
-      dst = flip ? "b1" : "b0";
-      flip ^= 1;
-    }
-    emit_stage_call(os, list.stages[j], j, opts, src, dst);
-    src = dst;
-  }
-  os << "}\n\n";
-}
-
-void emit_test_main(std::ostringstream& os, const StageList& list,
-                    const CodegenOptions& opts) {
-  os << "int main(void) {\n"
-     << "  enum { N = " << list.n << " };\n"
-     << "  static double x[2*N], y[2*N], ref[2*N];\n"
-     << "  unsigned s = 123456789u;\n"
-     << "  for (int i = 0; i < 2*N; ++i) {\n"
-     << "    s = s*1103515245u + 12345u;\n"
-     << "    x[i] = ((double)(s >> 8) / (double)(1u<<24)) - 0.5;\n  }\n"
-     << "  for (int kk = 0; kk < N; ++kk) {\n"
-     << "    double ar = 0, ai = 0;\n"
-     << "    for (int l = 0; l < N; ++l) {\n"
-     << "      double a = -2.0*3.14159265358979323846*((double)((long)kk*l % "
-        "N))/N;\n"
-     << "      double c = cos(a), si2 = sin(a);\n"
-     << "      ar += x[2*l]*c - x[2*l+1]*si2;\n"
-     << "      ai += x[2*l]*si2 + x[2*l+1]*c;\n    }\n"
-     << "    ref[2*kk] = ar; ref[2*kk+1] = ai;\n  }\n";
-  os << "  static double sb0[2*N], sb1[2*N];\n"
-     << "  " << opts.function_name << "(x, y, sb0, sb1);\n"
-     << "  double err = 0;\n"
-     << "  for (int i = 0; i < 2*N; ++i) {\n"
-     << "    double d = y[i] - ref[i]; if (d < 0) d = -d;\n"
-     << "    if (d > err) err = d;\n  }\n"
-     << "  printf(\"max error %g\\n\", err);\n"
-     << "  return err < 1e-8 * sqrt((double)N) ? 0 : 1;\n"
-     << "}\n";
+  mutate(p);
+  return p;
 }
 
 }  // namespace
 
+std::string write_c(CProgram p) {
+  CWriter c;
+  program(c, p);
+  return c.take();
+}
+
+bool read_c(const std::string& source, CProgram* p, std::string* error) {
+  CReader c(source);
+  *p = CProgram{};
+  program(c, *p);
+  if (c.ok() && !c.at_end()) c.fail("the end of the translation unit");
+  if (!c.ok()) *error = c.error();
+  return c.ok();
+}
+
 std::string emit_c(const StageList& list, const CodegenOptions& opts) {
-  std::ostringstream os;
-  os.precision(17);
-  const std::vector<idx_t> vw = simd_widths(list, opts);
-  emit_header(os, list, opts);
-  emit_simd_prelude(os, vw);
-  emit_tables(os, list);
-  emit_codelet_fns(os, list);
-  emit_vec_codelet_fns(os, list, vw);
-  for (std::size_t si = 0; si < list.stages.size(); ++si) {
-    emit_stage_fn(os, list.stages[si], si, opts, vw[si]);
-  }
-  if (opts.threading == CodegenThreading::kPthreadsPool &&
-      max_parallel(list) > 1) {
-    emit_pool_runtime(os, list);
-  }
-  emit_entry(os, list, opts);
-  if (opts.emit_main) emit_test_main(os, list, opts);
-  return os.str();
+  return write_c(build(list, opts));
 }
 
 void set_codegen_mutation(CodegenMutation m) noexcept {

@@ -31,121 +31,176 @@ StageList vector_plan_stages(idx_t n, int threads) {
   return core::plan_dft(n, o)->stages();
 }
 
-/// Writes `src` to dir/name.c, compiles and runs it; returns the exit
-/// status of the generated binary (or -1 on compile failure). The emitted
+/// Writes `src` to dir/name.c (and `driver`, when given, to
+/// dir/name_driver.c), compiles them into one binary and runs it; returns
+/// the binary's exit status (or -1 on compile failure). The emitted
 /// main() calls the entry point with its own static scratch buffers and
-/// checks the result against a direct DFT.
+/// checks the result against a direct DFT; a driver supplies main()
+/// instead.
 int compile_and_run(const std::string& src, const std::string& name,
-                    const std::string& extra_flags) {
+                    const std::string& extra_flags,
+                    const std::string& driver = "") {
   const std::string dir = ::testing::TempDir();
   const std::string cfile = dir + "/" + name + ".c";
+  const std::string dfile = dir + "/" + name + "_driver.c";
   const std::string bin = dir + "/" + name + ".bin";
-  {
-    std::ofstream os(cfile);
-    os << src;
-  }
+  std::ofstream(cfile) << src;
+  if (!driver.empty()) std::ofstream(dfile) << driver;
   const std::string compile = "cc -O2 -std=c99 " + extra_flags + " -o " +
-                              bin + " " + cfile + " -lm 2>" + dir + "/" +
-                              name + ".log";
+                              bin + " " + cfile +
+                              (driver.empty() ? "" : " " + dfile) +
+                              " -lm 2>" + dir + "/" + name + ".log";
   if (std::system(compile.c_str()) != 0) return -1;
   const int rc = std::system(bin.c_str());
   return WEXITSTATUS(rc);
 }
 
+/// Balanced DFT_64: lower_fused() gives two codelet stages with affine
+/// sides; lower() keeps the permutation and twiddle passes as copy
+/// stages (one of them scaled) and every side as a table.
+spl::FormulaPtr balanced64() {
+  return rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64));
+}
+
+/// The paper's DFT_256 = CT(16,16) with smp(2,2): parallel stages.
+spl::FormulaPtr multicore256() {
+  return rewrite::expand_dfts_balanced(
+      rewrite::derive_multicore_ct(256, 16, 2, 2));
+}
+
 TEST(CodegenC, SequentialProgramSelfTests) {
   for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
-    SCOPED_TRACE("simd_nu=" + std::to_string(nu));
-    const StageList list =
-        nu == 0 ? lower_fused(rewrite::formula_from_ruletree(
-                      rewrite::balanced_ruletree(64)))
-                : vector_plan_stages(1024, 1);
-    CodegenOptions opts;
-    opts.function_name = "dft_seq";
-    opts.emit_main = true;
-    opts.simd_nu = nu;
-    const std::string src = emit_c(list, opts);
-    EXPECT_NE(src.find("void dft_seq(const double *x, double *y, "
-                       "double *b0, double *b1)"),
-              std::string::npos);
-    EXPECT_EQ(src.find("typedef double vd4") != std::string::npos, nu == 4);
-    EXPECT_EQ(compile_and_run(src, "seq_nu" + std::to_string(nu),
-                              nu == 0 ? "" : kVectorFlags),
-              0);
+    for (const bool fused : {true, false}) {
+      SCOPED_TRACE("simd_nu=" + std::to_string(nu) +
+                   (fused ? " fused" : " unfused"));
+      const StageList list = !fused      ? lower(balanced64())
+                             : nu == 0   ? lower_fused(balanced64())
+                                         : vector_plan_stages(1024, 1);
+      CodegenOptions opts;
+      opts.function_name = "dft_seq";
+      opts.emit_main = true;
+      opts.simd_nu = nu;
+      const std::string src = emit_c(list, opts);
+      EXPECT_NE(src.find("void dft_seq(const double *x, double *y, "
+                         "double *b0, double *b1)"),
+                std::string::npos);
+      EXPECT_EQ(src.find("pool_barrier"), std::string::npos);
+      if (fused) {
+        EXPECT_EQ(src.find("typedef double vd4") != std::string::npos,
+                  nu == 4);
+      } else {
+        // Non-vacuity: copy stages, a scaled copy and table sides.
+        EXPECT_NE(src.find("for (long j = lo; j < hi; ++j)"),
+                  std::string::npos);
+        EXPECT_NE(src.find("double sr = s"), std::string::npos);
+        EXPECT_NE(src.find("const int *inm = s"), std::string::npos);
+      }
+      EXPECT_EQ(compile_and_run(src,
+                                "seq_nu" + std::to_string(nu) +
+                                    (fused ? "" : "_unfused"),
+                                nu == 0 ? "" : kVectorFlags),
+                0);
+    }
   }
-}
-
-TEST(CodegenC, MulticoreOpenMPProgramSelfTests) {
-  auto f = rewrite::derive_multicore_ct(256, 16, 2, 2);
-  auto g = rewrite::expand_dfts_balanced(f);
-  auto list = lower_fused(g);
-  CodegenOptions opts;
-  opts.function_name = "dft256_smp";
-  opts.threading = CodegenThreading::kOpenMP;
-  opts.emit_main = true;
-  const std::string src = emit_c(list, opts);
-  EXPECT_NE(src.find("#pragma omp parallel for"), std::string::npos);
-  EXPECT_EQ(compile_and_run(src, "omp256", "-fopenmp"), 0);
-}
-
-TEST(CodegenC, MulticorePthreadsProgramSelfTests) {
-  auto f = rewrite::derive_multicore_ct(256, 16, 2, 2);
-  auto g = rewrite::expand_dfts_balanced(f);
-  auto list = lower_fused(g);
-  CodegenOptions opts;
-  opts.function_name = "dft256_pt";
-  opts.threading = CodegenThreading::kPthreads;
-  opts.emit_main = true;
-  const std::string src = emit_c(list, opts);
-  EXPECT_NE(src.find("pthread_create"), std::string::npos);
-  EXPECT_EQ(compile_and_run(src, "pt256", "-pthread"), 0);
 }
 
 TEST(CodegenC, PersistentPoolProgramSelfTests) {
   // The paper's generated-code execution model: persistent team +
   // sense-reversing spin barriers, created on first call.
   for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
-    SCOPED_TRACE("simd_nu=" + std::to_string(nu));
-    const StageList list =
-        nu == 0 ? lower_fused(rewrite::expand_dfts_balanced(
-                      rewrite::derive_multicore_ct(256, 16, 2, 2)))
-                : vector_plan_stages(4096, 2);
-    CodegenOptions opts;
-    opts.function_name = "dft_pool";
-    opts.threading = CodegenThreading::kPthreadsPool;
-    opts.emit_main = true;
-    opts.simd_nu = nu;
-    const std::string src = emit_c(list, opts);
-    EXPECT_NE(src.find("pool_barrier"), std::string::npos);
-    EXPECT_NE(src.find("sense"), std::string::npos);
-    EXPECT_NE(src.find("pthread_create"), std::string::npos);
-    EXPECT_EQ(src.find("typedef double vd4") != std::string::npos, nu == 4);
-    EXPECT_EQ(compile_and_run(src, "pool_nu" + std::to_string(nu),
-                              nu == 0 ? "-pthread"
-                                      : "-pthread " + kVectorFlags),
-              0);
+    for (const bool fused : {true, false}) {
+      SCOPED_TRACE("simd_nu=" + std::to_string(nu) +
+                   (fused ? " fused" : " unfused"));
+      const StageList list = !fused    ? lower(multicore256())
+                             : nu == 0 ? lower_fused(multicore256())
+                                       : vector_plan_stages(4096, 2);
+      CodegenOptions opts;
+      opts.function_name = "dft_pool";
+      opts.emit_main = true;
+      opts.simd_nu = nu;
+      const std::string src = emit_c(list, opts);
+      EXPECT_NE(src.find("pool_barrier"), std::string::npos);
+      EXPECT_NE(src.find("sense"), std::string::npos);
+      EXPECT_NE(src.find("pthread_create"), std::string::npos);
+      if (fused) {
+        EXPECT_EQ(src.find("typedef double vd4") != std::string::npos,
+                  nu == 4);
+      } else {
+        EXPECT_NE(src.find("for (long j = lo; j < hi; ++j)"),
+                  std::string::npos);
+        EXPECT_NE(src.find("const int *inm = s"), std::string::npos);
+      }
+      EXPECT_EQ(compile_and_run(src,
+                                "pool_nu" + std::to_string(nu) +
+                                    (fused ? "" : "_unfused"),
+                                nu == 0 ? "-pthread"
+                                        : "-pthread " + kVectorFlags),
+                0);
+    }
   }
 }
 
+/// main() for a generated WHT_N entry point `wht`: a seeded complex
+/// signal against the direct Hadamard sum
+/// y[k] = sum_l (-1)^popcount(k & l) x[l]; exit code 0 within 1e-9*N.
+std::string wht_driver(idx_t n) {
+  return "#include <stdio.h>\n"
+         "void wht(const double *x, double *y, double *b0, double *b1);\n"
+         "enum { N = " + std::to_string(n) + " };\n"
+         "static double x[2*N], y[2*N], b0[2*N], b1[2*N];\n"
+         "int main(void) {\n"
+         "  unsigned s = 12345u;\n"
+         "  for (int i = 0; i < 2*N; ++i) {\n"
+         "    s = s*1103515245u + 12345u;\n"
+         "    x[i] = ((double)(s >> 8) / (double)(1u<<24)) - 0.5;\n"
+         "  }\n"
+         "  wht(x, y, b0, b1);\n"
+         "  double err = 0;\n"
+         "  for (long k = 0; k < N; ++k) {\n"
+         "    double re = 0, im = 0;\n"
+         "    for (long l = 0; l < N; ++l) {\n"
+         "      int odd = 0;\n"
+         "      for (long b = k & l; b; b &= b - 1) odd ^= 1;\n"
+         "      re += odd ? -x[2*l] : x[2*l];\n"
+         "      im += odd ? -x[2*l+1] : x[2*l+1];\n"
+         "    }\n"
+         "    double d = y[2*k] - re; if (d < 0) d = -d;\n"
+         "    double e = y[2*k+1] - im; if (e < 0) e = -e;\n"
+         "    if (d > err) err = d;\n"
+         "    if (e > err) err = e;\n"
+         "  }\n"
+         "  printf(\"max error %g\\n\", err);\n"
+         "  return err < 1e-9 * N ? 0 : 1;\n"
+         "}\n";
+}
+
 TEST(CodegenC, WhtProgramSelfTests) {
-  // Generated WHT code: butterflies only. The self-test main checks
-  // against the direct DFT, which does not apply here, so emit without
-  // main and link a handwritten driver instead? Simpler: validate the
-  // source compiles as a translation unit.
-  auto f = rewrite::expand_whts(spl::WHT(64), 8);
-  auto list = lower_fused(f);
-  CodegenOptions opts;
-  opts.function_name = "wht64";
-  const std::string src = emit_c(list, opts);
-  EXPECT_NE(src.find("static void wht8"), std::string::npos);
-  const std::string dir = ::testing::TempDir();
-  const std::string cfile = dir + "/wht64.c";
-  {
-    std::ofstream os(cfile);
-    os << src;
+  // Generated WHT code: butterflies only, checked against the direct
+  // Hadamard sum by a linked driver (the emitted main() checks a DFT).
+  for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
+    for (const int p : {1, 2}) {
+      SCOPED_TRACE("simd_nu=" + std::to_string(nu) + " p=" +
+                   std::to_string(p));
+      core::PlannerOptions o;
+      o.threads = p;
+      o.vector_nu = nu;
+      const StageList list = core::plan_wht(256, o)->stages();
+      CodegenOptions opts;
+      opts.function_name = "wht";
+      opts.simd_nu = nu;
+      const std::string src = emit_c(list, opts);
+      EXPECT_NE(src.find("static void wht"), std::string::npos);
+      EXPECT_EQ(src.find("pool_barrier") != std::string::npos, p > 1);
+      EXPECT_EQ(src.find("typedef double vd4") != std::string::npos,
+                nu == 4);
+      EXPECT_EQ(compile_and_run(
+                    src, "wht_nu" + std::to_string(nu) + "_p" +
+                             std::to_string(p),
+                    "-pthread" + (nu == 0 ? std::string() : " " + kVectorFlags),
+                    wht_driver(list.n)),
+                0);
+    }
   }
-  const std::string compile =
-      "cc -O2 -std=c99 -c -o " + dir + "/wht64.o " + cfile;
-  EXPECT_EQ(std::system(compile.c_str()), 0);
 }
 
 TEST(CodegenC, EmitsTablesAndCodelets) {

@@ -8,8 +8,9 @@
 //      with exactly the intended typed diagnostic — mutation testing of
 //      the validator itself, mirrored by the WILL_FAIL ctest lint gates;
 //   3. string-level tampering with an otherwise clean emission (removed
-//      barrier, de-atomized job pointer, perturbed twiddle) is caught —
-//      the validator reads the *text*, not the emitter's intentions.
+//      barrier, de-atomized job pointer, perturbed twiddle, a flipped
+//      operator in the fixed code) is caught — the validator reads the
+//      *text*, not the emitter's intentions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -39,14 +40,10 @@ class MutationGuard {
   MutationGuard& operator=(const MutationGuard&) = delete;
 };
 
-/// Emits `list` in the validated dialect — pthreads pool when any stage
-/// is parallel, sequential otherwise — at the requested SIMD width.
+/// Emits `list` — pthreads pool when any stage is parallel, sequential
+/// otherwise — at the requested SIMD width.
 std::string emit_validated(const backend::StageList& list, idx_t nu) {
-  idx_t maxp = 1;
-  for (const auto& s : list.stages) maxp = std::max(maxp, s.parallel_p);
   backend::CodegenOptions cg;
-  cg.threading = maxp > 1 ? backend::CodegenThreading::kPthreadsPool
-                          : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
   return backend::emit_c(list, cg);
 }
@@ -80,9 +77,9 @@ analysis::CodegenReport check_mutant_emission(backend::CodegenMutation m) {
 // 1. Clean validation: no false positives.
 // ---------------------------------------------------------------------
 
-// The acceptance sweep of the issue: every planner output across
-// 2^4..2^14 x p in {1,2,4} x nu in {1,4} must emit a program the
-// validator accepts without a single finding.
+// Every planner output across 2^4..2^14 x p in {1,2,4} x nu in {1,4}
+// must emit a program the validator accepts without a single finding,
+// and that reads back into a model which writes the same text.
 TEST(CodegenCheckSweep, PlannerSweepValidatesClean) {
   for (int logn = 4; logn <= 14; ++logn) {
     const idx_t n = idx_t{1} << logn;
@@ -94,6 +91,11 @@ TEST(CodegenCheckSweep, PlannerSweepValidatesClean) {
             analysis::check_codegen(source, list);
         EXPECT_TRUE(rep.clean()) << "n=" << n << " p=" << p << " nu=" << nu
                                  << "\n" << rep.to_string();
+        backend::CProgram model;
+        std::string err;
+        ASSERT_TRUE(backend::read_c(source, &model, &err)) << err;
+        EXPECT_TRUE(backend::write_c(model) == source)
+            << "n=" << n << " p=" << p << " nu=" << nu;
       }
     }
   }
@@ -241,6 +243,16 @@ TEST_F(CodegenTamperTest, PerturbedTwiddleValueFlagged) {
       << rep.to_string();
 }
 
+TEST_F(CodegenTamperTest, FlippedOperatorInFixedCodeIsParseError) {
+  // The code around the values is fixed text: one flipped operator in a
+  // scaled load makes the source leave the emitted syntax.
+  const analysis::CodegenReport rep =
+      check(tampered("re[l] = ar*iscl[2*l] - ai*iscl[2*l+1];",
+                     "re[l] = ar*iscl[2*l] + ai*iscl[2*l+1];"));
+  EXPECT_EQ(rep.count(analysis::CodegenDiag::kParseError), 1)
+      << rep.to_string();
+}
+
 TEST_F(CodegenTamperTest, ForeignDialectRejected) {
   // A TU the emitter never produced (e.g. OpenMP output) must be a
   // parse error, not a silent pass.
@@ -289,6 +301,27 @@ TEST(CodegenCheckEdge, MulticoreDerivationValidates) {
   EXPECT_NE(source.find("pool_barrier"), std::string::npos);
   const analysis::CodegenReport rep = analysis::check_codegen(source, list);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
+}
+
+// Unfused lower() lists keep copy stages (one of them scaled) and
+// table-addressed sides, which no fused plan emits.
+TEST(CodegenCheckEdge, UnfusedListsValidate) {
+  const spl::FormulaPtr balanced =
+      rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64));
+  const spl::FormulaPtr multicore = rewrite::expand_dfts_balanced(
+      rewrite::derive_multicore_ct(256, 16, 2, 2));
+  for (const spl::FormulaPtr& f : {balanced, multicore}) {
+    const backend::StageList list = backend::lower(f);
+    for (idx_t nu : {idx_t{0}, idx_t{4}}) {
+      const std::string source = emit_validated(list, nu);
+      EXPECT_NE(source.find("for (long j = lo; j < hi; ++j)"),
+                std::string::npos);
+      const analysis::CodegenReport rep =
+          analysis::check_codegen(source, list);
+      EXPECT_TRUE(rep.clean()) << "n=" << list.n << " nu=" << nu << "\n"
+                               << rep.to_string();
+    }
+  }
 }
 
 // Per-thread chunk bounds that are not multiples of the vector width

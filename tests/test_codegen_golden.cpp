@@ -1,13 +1,12 @@
 // Golden-snapshot tests of the emitted C dialect.
 //
-// analysis::codegen_check is an exact-regeneration validator: it parses
-// the emitter's restricted dialect and regenerates canonical text from
-// the parsed parameters. That only stays sound if dialect changes are
-// *deliberate* — an emitter edit that changes the rendered shape must
-// also teach the validator. These snapshots turn silent dialect drift
-// into a failing test with a line diff: two deterministic derivations
-// (no planner, no timing, no machine dependence) are emitted and
-// compared byte-for-byte against committed golden files.
+// The emitter's syntax (backend/codegen_c) writes the code around the
+// values once, and analysis::codegen_check reads it back through the
+// same syntax, so it trusts that code. These snapshots pin it: an edit
+// that changes the rendered shape becomes a failing test with a line
+// diff. Two deterministic derivations (no planner, no timing, no
+// machine dependence) are emitted and compared byte-for-byte against
+// committed golden files.
 //
 // To bless an intentional dialect change:
 //   SPIRAL_UPDATE_GOLDEN=1 ./test_codegen_golden
@@ -80,11 +79,8 @@ void expect_matches(const std::string& source, const std::string& name) {
   EXPECT_TRUE(want == source) << first_line_diff(want, source);
 }
 
-std::string emit_validated(const backend::StageList& list, idx_t nu,
-                           bool pooled) {
+std::string emit_validated(const backend::StageList& list, idx_t nu) {
   backend::CodegenOptions cg;
-  cg.threading = pooled ? backend::CodegenThreading::kPthreadsPool
-                        : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
   return backend::emit_c(list, cg);
 }
@@ -94,8 +90,7 @@ std::string emit_validated(const backend::StageList& list, idx_t nu,
 TEST(CodegenGolden, ScalarSequentialDft64) {
   const backend::StageList list = backend::lower_fused(
       rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64)));
-  expect_matches(emit_validated(list, 0, /*pooled=*/false),
-                 "golden_scalar_dft64.c");
+  expect_matches(emit_validated(list, 0), "golden_scalar_dft64.c");
 }
 
 // Pooled SIMD snapshot: the paper's multicore derivation DFT_256 =
@@ -105,8 +100,7 @@ TEST(CodegenGolden, PooledSimdMulticoreDft256) {
   const backend::StageList list =
       backend::lower_fused(rewrite::expand_dfts_balanced(
           rewrite::derive_multicore_ct(256, 16, 2, 2)));
-  expect_matches(emit_validated(list, 4, /*pooled=*/true),
-                 "golden_pool_simd_dft256.c");
+  expect_matches(emit_validated(list, 4), "golden_pool_simd_dft256.c");
 }
 
 }  // namespace

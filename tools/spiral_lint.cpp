@@ -168,20 +168,15 @@ void check_locality(const spiral::backend::StageList& list, int threads,
   item->locality_ok = item->locality.clean(max_ratio);
 }
 
-/// --validate-codegen: emits the plan's program as C (pthreads pool when
-/// parallel, the requested SIMD width) and runs the static translation
-/// validator on the result. With --mutate-codegen a seeded emitter
-/// defect is active, and CI gates on the validator catching it — before
-/// any compiler runs.
+/// --validate-codegen: emits the plan's program as C at the requested
+/// SIMD width and runs the static translation validator on the result.
+/// With --mutate-codegen a seeded emitter defect is active, and CI gates
+/// on the validator catching it — before any compiler runs.
 void check_codegen_emission(const spiral::backend::StageList& list,
                             spiral::idx_t nu, spiral::idx_t mu,
                             LintItem* item) {
   using namespace spiral;
-  idx_t maxp = 1;
-  for (const auto& s : list.stages) maxp = std::max(maxp, s.parallel_p);
   backend::CodegenOptions cg;
-  cg.threading = maxp > 1 ? backend::CodegenThreading::kPthreadsPool
-                          : backend::CodegenThreading::kNone;
   cg.simd_nu = nu;
   const std::string source = backend::emit_c(list, cg);
   analysis::CodegenCheckOptions cko;
