@@ -102,7 +102,7 @@ class Fenwick {
 /// most a line (0 or 1 new lines per iteration per lane) advances cn
 /// independent sequential streams — e.g. the stride-m twiddle stages
 /// DFT_cn o D, whose lanes sit m apart but each walk forward
-/// contiguously. cn is capped by the codelet table size (64), well
+/// contiguously. cn is at most 64 (the largest codelet), well
 /// under the tracker's capacity even with both sides plus twiddles
 /// live at once.
 bool side_streaming(bool affine, const backend::BitStrideMap& m, idx_t cn,

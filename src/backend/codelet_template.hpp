@@ -1,0 +1,135 @@
+// Straight-line DFT and WHT codelets, expanded by the C++ compiler.
+//
+// Codelet<L, N, Kind> computes DFT_N (Kind = -1 forward, +1 inverse,
+// unscaled) or WHT_N (Kind = 0) for N a 2-power up to 64, on split re/im
+// arrays of the lane type L::V: a GCC/Clang vector of W doubles (W
+// codelet calls at once, one per lane) or plain double. The recursion is
+// the radix-2 breakdown rule (paper Section 2.3)
+//
+//   DFT_2m = (DFT_2 (x) I_m) T^{2m}_m (I_2 (x) DFT_m) L^{2m}_2,
+//   WHT_2m = (DFT_2 (x) I_m) (I_2 (x) WHT_m),
+//
+// unrolled at compile time into one basic block: L^{2m}_2 becomes a
+// compile-time input stride, and each twiddle w_{2m}^j of T^{2m}_m has a
+// compile-time index j. w^0 is a copy and w^{m/2} = -+i an exact swap of
+// re and im with one sign change; every other twiddle is read at a fixed
+// index of the table of 64th roots (codelet_roots), whose entries are
+// spl::root_of_unity values and so bit-identical to root_of_unity(2m, j).
+//
+// The lane type L is a template parameter so that every instantiation is
+// named after its caller's types: the SIMD variant TUs pass a type of
+// their own namespace (simd_kernels.hpp), the scalar codelets a type of
+// theirs, and no two ISA builds of one body can share a symbol.
+#pragma once
+
+#include <utility>
+
+#include "util/common.hpp"
+
+namespace spiral::backend {
+
+/// Largest codelet size: the table of roots below covers every twiddle of
+/// DFT_N, N <= 64.
+inline constexpr int kMaxCodelet = 64;
+
+/// w_64^k = e^{sign 2 pi i k / 64}, k < 64, split re/im.
+struct CodeletRoots {
+  double re[kMaxCodelet];
+  double im[kMaxCodelet];
+};
+
+/// The process-lifetime roots for sign -1 or +1 (backend/codelets.cpp).
+[[nodiscard]] const CodeletRoots& codelet_roots(int sign);
+
+/// y[k], k < N, of DFT_N / WHT_N applied to x[j * S], j < N.
+template <class L, int N, int Kind, int S = 1>
+struct Codelet {
+  using V = typename L::V;
+
+  [[gnu::always_inline]] static inline void run(const V* xr, const V* xi,
+                                                V* yr, V* yi,
+                                                const CodeletRoots& w) {
+    if constexpr (N == 1) {
+      yr[0] = xr[0];
+      yi[0] = xi[0];
+    } else {
+      constexpr int M = N / 2;
+      // The DFT splits its input even/odd (L^{2m}_2), the WHT in halves.
+      using Half = Codelet<L, M, Kind, Kind == 0 ? S : 2 * S>;
+      constexpr int second = Kind == 0 ? M * S : S;
+      Half::run(xr, xi, yr, yi, w);
+      Half::run(xr + second, xi + second, yr + M, yi + M, w);
+      butterflies(yr, yi, w, std::make_integer_sequence<int, M>());
+    }
+  }
+
+ private:
+  template <int... J>
+  [[gnu::always_inline]] static inline void butterflies(
+      V* yr, V* yi, const CodeletRoots& w, std::integer_sequence<int, J...>) {
+    (butterfly<J>(yr, yi, w), ...);
+  }
+
+  /// y[J], y[J + N/2] <- y[J] +- w_N^J y[J + N/2].
+  template <int J>
+  [[gnu::always_inline]] static inline void butterfly(V* yr, V* yi,
+                                                      const CodeletRoots& w) {
+    constexpr int M = N / 2;
+    const V ur = yr[J], ui = yi[J];
+    const V br = yr[J + M], bi = yi[J + M];
+    if constexpr (Kind == 0 || J == 0) {
+      yr[J] = ur + br;
+      yi[J] = ui + bi;
+      yr[J + M] = ur - br;
+      yi[J + M] = ui - bi;
+    } else if constexpr (2 * J == M) {
+      // w_N^{N/4} = Kind * i: b * (-i) = (bi, -br), b * i = (-bi, br).
+      if constexpr (Kind < 0) {
+        yr[J] = ur + bi;
+        yi[J] = ui - br;
+        yr[J + M] = ur - bi;
+        yi[J + M] = ui + br;
+      } else {
+        yr[J] = ur - bi;
+        yi[J] = ui + br;
+        yr[J + M] = ur + bi;
+        yi[J + M] = ui - br;
+      }
+    } else {
+      constexpr int k = J * (kMaxCodelet / N);
+      const double c = w.re[k], s = w.im[k];
+      const V tr = br * c - bi * s;
+      const V ti = br * s + bi * c;
+      yr[J] = ur + tr;
+      yi[J] = ui + ti;
+      yr[J + M] = ur - tr;
+      yi[J + M] = ui - ti;
+    }
+  }
+};
+
+/// Pick<n, kind>::fn for a runtime codelet size n (a 2-power <= 64) and
+/// kind (the DFT sign, or 0 for the WHT); nullptr for any other size.
+/// Every kind shares the size-1 instantiation, the identity.
+template <template <int, int> class Pick, int Kind>
+auto select_codelet_size(idx_t n) -> decltype(Pick<1, 0>::fn) {
+  switch (n) {
+    case 1: return Pick<1, 0>::fn;
+    case 2: return Pick<2, Kind>::fn;
+    case 4: return Pick<4, Kind>::fn;
+    case 8: return Pick<8, Kind>::fn;
+    case 16: return Pick<16, Kind>::fn;
+    case 32: return Pick<32, Kind>::fn;
+    case 64: return Pick<64, Kind>::fn;
+    default: return nullptr;
+  }
+}
+
+template <template <int, int> class Pick>
+auto select_codelet(idx_t n, int kind) -> decltype(Pick<1, 0>::fn) {
+  if (kind < 0) return select_codelet_size<Pick, -1>(n);
+  if (kind > 0) return select_codelet_size<Pick, 1>(n);
+  return select_codelet_size<Pick, 0>(n);
+}
+
+}  // namespace spiral::backend

@@ -1,25 +1,22 @@
-// Unrolled DFT codelets — the base cases of the generated programs.
+// DFT and WHT codelets — the base cases of the generated programs.
 //
-// A codelet computes one DFT_n (n small) with fully general addressing:
-// input elements come either from a strided location (a stage side whose
-// element bits keep one stride, e.g. an affine one) or through a row of
-// absolute indices read off a bit-stride map (the result of fusing
-// permutations into the loop, paper Section 3.1 / the loop-merging
-// framework [11]), optionally multiplied by fused diagonal entries
-// (twiddles) on load.
+// A codelet computes one DFT_n or WHT_n (n a 2-power up to 64) with fully
+// general addressing: input elements come either from a strided location
+// (a stage side whose element bits keep one stride, e.g. an affine one)
+// or through a row of absolute indices read off a bit-stride map (the
+// result of fusing permutations into the loop, paper Section 3.1 / the
+// loop-merging framework [11]), optionally multiplied by fused diagonal
+// entries (twiddles) on load.
 //
-// Sizes 2 and 4 are hand-unrolled (radix-2 DIT); the other powers of two
-// up to 64 use an in-register iterative radix-2. Lowering emits no other
-// size.
+// The arithmetic is the straight-line code of backend/codelet_template
+// at one lane (plain double), the same template the SIMD drivers
+// instantiate at W lanes.
 #pragma once
 
 #include "util/aligned_vector.hpp"
 #include "util/common.hpp"
 
 namespace spiral::backend {
-
-/// Largest codelet size with a fast-path implementation.
-inline constexpr idx_t kCodeletMax = 32;
 
 /// Addressing descriptor for one codelet invocation.
 ///
@@ -49,25 +46,15 @@ void dft_codelet(idx_t n, int sign, const CodeletIo& io);
 /// self-inverse up to scaling) with the given addressing. n a power of 2.
 void wht_codelet(idx_t n, const CodeletIo& io);
 
-/// Read-only view of the radix-2 tables behind the power-of-two codelet
-/// network: the bit-reversal order and the per-stage butterfly twiddles.
-/// The SIMD layer broadcasts these scalar tables across its lanes, so
-/// scalar and vector codelets share one numeric source of truth.
-struct CodeletTables {
-  /// stage_tw[s] holds the 2^s twiddles of the size-2^(s+1) stage.
-  const cplx* stage_tw[6] = {};
-  const std::int32_t* bitrev = nullptr;
-};
-
-/// Tables for DFT_n (power-of-two n in [2, 64]). The returned pointers
-/// reference immutable process-lifetime statics.
-[[nodiscard]] CodeletTables codelet_tables(idx_t n, int sign);
-
 struct Stage;
 class BitStrideMap;
 
-/// Runs iterations [lo, hi) of a stage through the scalar codelets (or
-/// the copy/scale loop of a pure data stage): the interpreter's scalar
+/// A stage's codelet kind, as backend/codelet_template counts it: the DFT
+/// sign (-1/+1) of a DFT stage, 0 for a WHT stage or a data stage.
+[[nodiscard]] int codelet_kind(const Stage& s);
+
+/// Runs iterations [lo, hi) of a stage through the scalar codelets (a
+/// data stage through the size-1 one, a copy): the interpreter's scalar
 /// path and the head/tail around the SIMD drivers' packs. The sides are
 /// addressed through `in` and `out` — the stage's own maps, or a stage
 /// group's block-rebased ones (backend/stage_group) — while codelet,
@@ -79,8 +66,10 @@ void run_stage_scalar(const Stage& s, const BitStrideMap& in,
                       const BitStrideMap& out, const cplx* src, cplx* dst,
                       idx_t lo, idx_t hi);
 
-/// Real flop count of the codelet implementation for 2-power size n
-/// (used by the machine model; matches the actual arithmetic performed).
+/// Real flop count of DFT_n (2-power n) in the radix-2 upper-bound
+/// model: log2(n) stages of n/2 butterflies, each with one complex
+/// multiply. The codelets do fewer (w^0 and w^{n/4} cost no multiply);
+/// the machine model and the locality figures use this bound uniformly.
 [[nodiscard]] double codelet_flops(idx_t n);
 
 /// Flop count of the WHT codelet (2 real adds per complex add).

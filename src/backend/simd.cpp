@@ -1,9 +1,9 @@
 // Portable half of the SIMD layer: ISA detection (environment override +
 // CPU probe), per-stage planning, the scalar head/tail driver, and the
 // generic kernel variant. This TU is compiled WITHOUT target-specific -m
-// flags, so everything here — including the generic W=2/4/8 kernels,
-// which GCC lowers to baseline 128-bit (SSE2/NEON) instruction pairs —
-// is safe to execute on any supported CPU.
+// flags, so everything here — including the generic W=2 kernels, which
+// GCC lowers to baseline 128-bit (SSE2/NEON) instructions — is safe to
+// execute on any supported CPU.
 #define SPIRAL_SIMD_VARIANT generic
 #include "backend/simd_kernels.hpp"
 
@@ -12,6 +12,8 @@
 #include <cctype>
 #include <cstdlib>
 #include <string>
+
+#include "backend/codelets.hpp"
 
 namespace spiral::backend::simd {
 
@@ -42,13 +44,18 @@ bool g_vecform_mutation = false;
 // -1 = no override; otherwise the forced Isa value (tests only).
 std::atomic<int> g_isa_override{-1};
 
-/// What the hardware can actually run (ignoring overrides).
+/// What the hardware can actually run and the build has drivers for
+/// (ignoring overrides): a variant TU compiled without its ISA flags has
+/// none, and its tier is then out of reach.
 Isa host_isa() {
 #if defined(SPIRAL_SIMD_DISABLED)
   return Isa::kScalar;
 #elif defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx512f") && pack_fn_avx512(8, 2, -1)) {
+    return Isa::kAvx512;
+  }
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      pack_fn_avx2(4, 2, -1)) {
     return Isa::kAvx2;
   }
   return Isa::kVec128;  // SSE2 is the x86-64 baseline
@@ -78,19 +85,15 @@ Isa clamp(Isa a, Isa cap) {
   return static_cast<int>(a) <= static_cast<int>(cap) ? a : cap;
 }
 
-/// Picks the strongest variant TU that can serve `width` under `isa`.
-/// Narrow kernels still prefer the stronger TU when available: an AVX2
-/// build of the W=2 kernel uses VEX encodings and avoids SSE/AVX
-/// transition stalls next to the wider stages.
-PackFn resolve_pack_fn(idx_t width, Isa isa) {
-  if (static_cast<int>(isa) >= static_cast<int>(Isa::kAvx512)) {
-    if (PackFn f = pack_fn_avx512(width)) return f;
-  }
-  if (static_cast<int>(isa) >= static_cast<int>(Isa::kAvx2)) {
-    if (PackFn f = pack_fn_avx2(width)) return f;
-  }
-  if (static_cast<int>(isa) >= static_cast<int>(Isa::kVec128)) {
-    return pack_fn_generic(width);
+/// The driver of `isa`'s variant TU. Each TU holds every width up to its
+/// ISA's, so narrow stages on a wide host also run VEX/EVEX encodings
+/// (no SSE/AVX transition stalls next to the wider stages).
+PackFn resolve_pack_fn(idx_t width, idx_t cn, int kind, Isa isa) {
+  switch (isa) {
+    case Isa::kAvx512: return pack_fn_avx512(width, cn, kind);
+    case Isa::kAvx2: return pack_fn_avx2(width, cn, kind);
+    case Isa::kVec128: return pack_fn_generic(width, cn, kind);
+    case Isa::kScalar: return nullptr;
   }
   return nullptr;
 }
@@ -160,11 +163,9 @@ Isa detect_isa() {
 StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   StagePlan p;
   if (max_nu < 2 || isa == Isa::kScalar || s.iters < 2) return p;
-  if (s.is_compute) {
-    // The vector network is the iterative radix-2 (plus the WHT
-    // butterflies), as the scalar codelets.
-    if (!util::is_pow2(s.cn) || s.cn > 64) return p;
-  } else if (s.cn != 1) {
+  // Drivers exist for 2-power codelets up to 64 and for data stages.
+  if (s.is_compute ? !util::is_pow2(s.cn) || s.cn > kMaxCodelet
+                   : s.cn != 1) {
     return p;
   }
   idx_t cap = std::min(isa_width(isa), max_nu);
@@ -173,7 +174,7 @@ StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   const SideVecInfo sv = stage_vector_sides(s, cap);
   if (sv.width < 2) return p;
   set_forms(p, sv);
-  p.fn = resolve_pack_fn(p.width, isa);
+  p.fn = resolve_pack_fn(p.width, s.cn, codelet_kind(s), isa);
   if (p.fn == nullptr) return StagePlan{};
   p.in_scale = scale_form(s.in_scale, s.cn, p.width);
   p.out_scale = scale_form(s.out_scale, s.cn, p.width);
@@ -212,6 +213,8 @@ void run_stage_simd(const Stage& s, const BitStrideMap& in,
   if (b < hi) run_stage_scalar(s, in, out, src, dst, b, hi);
 }
 
-PackFn pack_fn_generic(idx_t width) { return generic::pack_fn(width); }
+PackFn pack_fn_generic(idx_t width, idx_t cn, int kind) {
+  return generic::pack_fn<2>(width, cn, kind);
+}
 
 }  // namespace spiral::backend::simd

@@ -5,9 +5,10 @@
 // executable. A stage whose input and output maps both prove one of the
 // short-vector forms at width W runs through a lane-batched driver: W
 // consecutive iterations become the W lanes of a vector register pair
-// (split-lane complex: separate re/im vectors), the whole radix-2
-// codelet network is evaluated with vector adds/muls and broadcast
-// twiddles, and the proven form selects the load/store addressing:
+// (split-lane complex: separate re/im vectors), the straight-line
+// codelet of backend/codelet_template runs once on the pack with vector
+// adds/muls and broadcast twiddle constants, and the proven form selects
+// the load/store addressing:
 //
 //   kAcrossIterations — lanes are contiguous in memory: one wide load
 //     plus a re/im deinterleave shuffle (the "A (x) I_nu" shape);
@@ -68,7 +69,8 @@ struct StagePlan;
 
 /// Variant kernel entry: runs iterations [it0, it1) of a stage (both
 /// multiples of the plan width) through the lane-batched driver, its
-/// sides addressed through the given input and output maps.
+/// sides addressed through the given input and output maps. Each entry
+/// serves one (width, codelet size, codelet kind).
 using PackFn = void (*)(const Stage&, const BitStrideMap&,
                         const BitStrideMap&, const StagePlan&, const cplx*,
                         cplx*, idx_t, idx_t);
@@ -93,8 +95,9 @@ struct StagePlan {
 };
 
 /// Builds the execution plan for one stage at widths up to max_nu on the
-/// given ISA. Returns an inactive plan when no form proves (or the stage
-/// shape is outside the vector network: non-2-power codelets, cn > 64).
+/// given ISA, with the driver for the stage's codelet size and kind.
+/// Returns an inactive plan when no form proves (or no driver serves the
+/// stage: non-2-power codelets, cn > 64).
 [[nodiscard]] StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa);
 
 /// Plan `p` of stage `s` (active) with its sides addressed through `in`
@@ -126,11 +129,14 @@ void set_vecform_mutation(bool enabled) noexcept;
 [[nodiscard]] bool vecform_mutation() noexcept;
 
 /// Per-ISA-variant kernel resolvers, defined one per translation unit
-/// (simd.cpp / simd_avx2.cpp / simd_avx512.cpp). A resolver returns
-/// nullptr when its TU was built without the ISA (compiler too old,
-/// wrong architecture, or SPIRAL_SIMD=OFF at configure time).
-[[nodiscard]] PackFn pack_fn_generic(idx_t width);
-[[nodiscard]] PackFn pack_fn_avx2(idx_t width);
-[[nodiscard]] PackFn pack_fn_avx512(idx_t width);
+/// (simd.cpp / simd_avx2.cpp / simd_avx512.cpp): the driver for a width
+/// (up to the ISA's: 2, 4 and 8 respectively), a codelet size cn and a
+/// codelet kind (backend::codelet_kind). A resolver returns nullptr for
+/// a shape it has no driver for, and for every shape when its TU was
+/// built without the ISA (compiler too old, wrong architecture, or
+/// SPIRAL_SIMD=OFF at configure time).
+[[nodiscard]] PackFn pack_fn_generic(idx_t width, idx_t cn, int kind);
+[[nodiscard]] PackFn pack_fn_avx2(idx_t width, idx_t cn, int kind);
+[[nodiscard]] PackFn pack_fn_avx512(idx_t width, idx_t cn, int kind);
 
 }  // namespace spiral::backend::simd

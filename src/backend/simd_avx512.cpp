@@ -1,7 +1,7 @@
-// AVX-512F kernel variant (see simd_avx2.cpp for the pattern): compiled
-// with -mavx512f -mfma when supported, giving the W=8 kernel single zmm
-// operations. Dispatch only reaches this variant when the CPU reports
-// avx512f at runtime.
+// AVX-512F kernel variant (see simd_avx2.cpp for the pattern): W = 2, 4
+// and 8, compiled with -mavx512f -mfma when supported, giving the W=8
+// kernels single zmm operations. Dispatch only reaches this variant when
+// the CPU reports avx512f at runtime.
 #include "backend/simd.hpp"
 
 #if defined(__AVX512F__) && defined(__FMA__)
@@ -11,11 +11,13 @@
 
 namespace spiral::backend::simd {
 
-PackFn pack_fn_avx512(idx_t width) {
+PackFn pack_fn_avx512(idx_t width, idx_t cn, int kind) {
 #if defined(__AVX512F__) && defined(__FMA__)
-  return avx512::pack_fn(width);
+  return avx512::pack_fn<8>(width, cn, kind);
 #else
   (void)width;
+  (void)cn;
+  (void)kind;
   return nullptr;
 #endif
 }

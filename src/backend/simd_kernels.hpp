@@ -11,11 +11,13 @@
 // instantiations across differently-flagged TUs).
 //
 // Number model: split-lane complex. A pack of W consecutive iterations
-// occupies vector re[l]/im[l] registers per codelet element l; the
-// radix-2 network multiplies by BROADCAST twiddles (one (stage, j)
-// twiddle is shared by all lanes), so the arithmetic is pure vector
-// mul/add/fma with no in-network shuffles. The twiddle values come from
-// backend::codelet_tables — the same tables the scalar codelets read.
+// occupies vector re[l]/im[l] registers per codelet element l, and the
+// codelet is the straight-line code of backend/codelet_template at lane
+// type Ops<W>: every twiddle is a broadcast constant shared by all lanes,
+// so the arithmetic is pure vector mul/add/fma with no shuffles. One
+// driver is instantiated per (W, cn, kind); the plan picks it
+// (pack_fn), so cn is a compile-time constant inside. The scalar
+// codelets instantiate the same template at one lane.
 #pragma once
 
 #ifndef SPIRAL_SIMD_VARIANT
@@ -24,7 +26,7 @@
 
 #include <cstring>
 
-#include "backend/codelets.hpp"
+#include "backend/codelet_template.hpp"
 #include "backend/simd.hpp"
 
 namespace spiral::backend::simd {
@@ -177,13 +179,13 @@ inline void store_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
 
 /// Multiplies a pack by a side scale: lane 0's value indices come from one
 /// map row, the other lanes' values BY THE RECORDED FORM (gather: exact).
-template <int W>
-inline void scale_pack(const StageScale& sc, ScaleForm form, idx_t cn,
-                       idx_t it, typename VecT<W>::type* re,
+template <int W, int CN>
+inline void scale_pack(const StageScale& sc, ScaleForm form, idx_t it,
+                       typename VecT<W>::type* re,
                        typename VecT<W>::type* im) {
-  std::int32_t row[64];
-  sc.map().row(it * cn, cn, row);
-  for (idx_t l = 0; l < cn; ++l) {
+  std::int32_t row[static_cast<std::size_t>(CN)];
+  sc.map().row(it * CN, CN, row);
+  for (idx_t l = 0; l < CN; ++l) {
     typename VecT<W>::type sr, si;
     if (form == ScaleForm::kBroadcast) {
       sr = bcast<W>(sc.re()[row[l]]);
@@ -193,7 +195,7 @@ inline void scale_pack(const StageScale& sc, ScaleForm form, idx_t cn,
       si = Ops<W>::loadu(sc.im() + row[l]);
     } else {
       for (int v = 0; v < W; ++v) {
-        const idx_t i = sc.map().at((it + v) * cn + l);
+        const idx_t i = sc.map().at((it + v) * CN + l);
         sr[v] = sc.re()[i];
         si[v] = sc.im()[i];
       }
@@ -204,90 +206,61 @@ inline void scale_pack(const StageScale& sc, ScaleForm form, idx_t cn,
   }
 }
 
-/// The lane-batched driver: iterations [it0, it1), both multiples of W.
-template <int W>
+/// The lane-batched driver for codelets of CN elements and kind Kind (the
+/// DFT sign, 0 for WHT_CN; CN = 1 is a data stage): iterations
+/// [it0, it1), both multiples of W.
+template <int W, int CN, int Kind>
 void run_packs(const Stage& s, const BitStrideMap& in_bits,
                const BitStrideMap& out_bits, const StagePlan& plan,
                const cplx* src, cplx* dst, idx_t it0, idx_t it1) {
   using V = typename VecT<W>::type;
-  const idx_t cn = s.cn;
-  CodeletTables tabs;
-  const bool dft_net = s.is_compute && !s.wht && cn >= 2;
-  if (dft_net) tabs = codelet_tables(cn, s.sign);
-  V re[64], im[64];
+  const CodeletRoots& roots = codelet_roots(Kind < 0 ? -1 : 1);
+  constexpr auto n = static_cast<std::size_t>(CN);
+  V xr[n], xi[n], yr[n], yi[n];
   // Lane 0's addresses, one map row per side and pack.
-  std::int32_t in_row[64], out_row[64];
+  std::int32_t in_row[n], out_row[n];
   for (idx_t it = it0; it < it1; it += W) {
-    in_bits.row(it * cn, cn, in_row);
-    for (idx_t l = 0; l < cn; ++l) {
-      load_lanes<W>(in_bits, cn, plan.in_form, src, it, l, in_row[l], re[l],
-                    im[l]);
+    in_bits.row(it * CN, CN, in_row);
+    for (idx_t l = 0; l < CN; ++l) {
+      load_lanes<W>(in_bits, CN, plan.in_form, src, it, l, in_row[l], xr[l],
+                    xi[l]);
     }
     if (plan.in_scale != ScaleForm::kNone) {
-      scale_pack<W>(s.in_scale, plan.in_scale, cn, it, re, im);
+      scale_pack<W, CN>(s.in_scale, plan.in_scale, it, xr, xi);
     }
-    if (s.is_compute && s.wht) {
-      for (idx_t h = 1; h < cn; h *= 2) {
-        for (idx_t base = 0; base < cn; base += 2 * h) {
-          for (idx_t j = 0; j < h; ++j) {
-            const V ur = re[base + j], ui = im[base + j];
-            const V vr = re[base + j + h], vi = im[base + j + h];
-            re[base + j] = ur + vr;
-            im[base + j] = ui + vi;
-            re[base + j + h] = ur - vr;
-            im[base + j + h] = ui - vi;
-          }
-        }
-      }
-    } else if (dft_net) {
-      for (idx_t i = 0; i < cn; ++i) {
-        const idx_t r = tabs.bitrev[i];
-        if (r > i) {
-          const V tr = re[i], ti = im[i];
-          re[i] = re[r];
-          im[i] = im[r];
-          re[r] = tr;
-          im[r] = ti;
-        }
-      }
-      const int k = util::log2_exact(cn);
-      for (int st = 0; st < k; ++st) {
-        const idx_t h = idx_t{1} << st;
-        const cplx* tw = tabs.stage_tw[st];
-        for (idx_t j = 0; j < h; ++j) {
-          const V wr = bcast<W>(tw[j].real());
-          const V wi = bcast<W>(tw[j].imag());
-          for (idx_t base = 0; base < cn; base += 2 * h) {
-            const idx_t a = base + j, b = base + j + h;
-            const V vr = re[b] * wr - im[b] * wi;
-            const V vi = re[b] * wi + im[b] * wr;
-            re[b] = re[a] - vr;
-            im[b] = im[a] - vi;
-            re[a] += vr;
-            im[a] += vi;
-          }
-        }
-      }
-    }
+    Codelet<Ops<W>, CN, Kind>::run(xr, xi, yr, yi, roots);
     if (plan.out_scale != ScaleForm::kNone) {
-      scale_pack<W>(s.out_scale, plan.out_scale, cn, it, re, im);
+      scale_pack<W, CN>(s.out_scale, plan.out_scale, it, yr, yi);
     }
-    out_bits.row(it * cn, cn, out_row);
-    for (idx_t l = 0; l < cn; ++l) {
-      store_lanes<W>(out_bits, cn, plan.out_form, dst, it, l, out_row[l],
-                     re[l], im[l]);
+    out_bits.row(it * CN, CN, out_row);
+    for (idx_t l = 0; l < CN; ++l) {
+      store_lanes<W>(out_bits, CN, plan.out_form, dst, it, l, out_row[l],
+                     yr[l], yi[l]);
     }
   }
 }
 
-/// Resolves this variant's kernel for a width (2-power in [2, 8]).
-inline PackFn pack_fn(idx_t width) {
-  switch (width) {
-    case 2: return &run_packs<2>;
-    case 4: return &run_packs<4>;
-    case 8: return &run_packs<8>;
-    default: return nullptr;
+template <int W>
+struct PackPick {
+  template <int N, int Kind>
+  struct At {
+    static constexpr PackFn fn = &run_packs<W, N, Kind>;
+  };
+};
+
+/// This variant's driver for a width (2-power in [2, MaxW]: the widths
+/// its ISA dispatches), codelet size (2-power <= 64) and kind
+/// (backend::codelet_kind); nullptr outside.
+template <int MaxW>
+PackFn pack_fn(idx_t width, idx_t cn, int kind) {
+  if (width == 2) return select_codelet<PackPick<2>::At>(cn, kind);
+  if constexpr (MaxW >= 4) {
+    if (width == 4) return select_codelet<PackPick<4>::At>(cn, kind);
   }
+  if constexpr (MaxW >= 8) {
+    if (width == 8) return select_codelet<PackPick<8>::At>(cn, kind);
+  }
+  return nullptr;
 }
 
 }  // namespace SPIRAL_SIMD_VARIANT

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <numbers>
+#include <vector>
 
 #include "analysis/verify.hpp"
 #include "backend/lower.hpp"
@@ -82,5 +85,64 @@ inline util::cvec reference_dft(const util::cvec& x, int sign = -1) {
   }
   return y;
 }
+
+using cplx_ld = std::complex<long double>;
+
+/// DFT_n(x) (n a 2-power) by iterative radix-2 in long double, with
+/// long-double twiddles: the reference double-precision error is
+/// measured against (its own error is ~2^11 times smaller).
+inline std::vector<cplx_ld> reference_fft_ld(const util::cvec& x,
+                                             int sign = -1) {
+  const std::size_t n = x.size();
+  const int k = util::log2_exact(static_cast<idx_t>(n));
+  std::vector<cplx_ld> a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (int b = 0; b < k; ++b) r |= ((i >> b) & 1) << (k - 1 - b);
+    a[r] = cplx_ld(x[i].real(), x[i].imag());
+  }
+  for (std::size_t h = 1; h < n; h *= 2) {
+    for (std::size_t j = 0; j < h; ++j) {
+      const long double t = static_cast<long double>(sign) *
+                            std::numbers::pi_v<long double> *
+                            static_cast<long double>(j) /
+                            static_cast<long double>(h);
+      const cplx_ld w(std::cos(t), std::sin(t));
+      for (std::size_t b = j; b < n; b += 2 * h) {
+        const cplx_ld u = a[b], v = a[b + h] * w;
+        a[b] = u + v;
+        a[b + h] = u - v;
+      }
+    }
+  }
+  return a;
+}
+
+/// WHT_n(x) by the Hadamard sum y[k] = sum_l (-1)^{popcount(k & l)} x[l],
+/// in long double.
+inline std::vector<cplx_ld> reference_wht_ld(const util::cvec& x) {
+  const std::size_t n = x.size();
+  std::vector<cplx_ld> y(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t l = 0; l < n; ++l) {
+      const cplx_ld v(x[l].real(), x[l].imag());
+      y[k] += (__builtin_popcountll(k & l) % 2 == 0) ? v : -v;
+    }
+  }
+  return y;
+}
+
+/// ||got - want||_2 / ||want||_2.
+inline double rel_l2(const util::cvec& got, const std::vector<cplx_ld>& want) {
+  long double err = 0, ref = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err += std::norm(cplx_ld(got[i].real(), got[i].imag()) - want[i]);
+    ref += std::norm(want[i]);
+  }
+  return static_cast<double>(std::sqrt(err / ref));
+}
+
+/// The unit roundoff of double, u = 2^-53.
+inline constexpr double kUnitRoundoff = 0x1.0p-53;
 
 }  // namespace spiral::testing

@@ -1,17 +1,21 @@
 // Tests for the SIMD codelet layer (backend/simd): lane-batched vector
 // drivers selected per stage from the proven VecForm shapes, with the
-// scalar interpreter as both the fallback and the parity oracle. The
-// whole suite also runs under SPIRAL_SIMD=OFF (ctest leg
+// scalar interpreter as the fallback and a same-program parity oracle.
+// Scalar and vector codelets expand one template (codelet_template.hpp),
+// so every result is also checked against references that share no
+// code with it: the radix-2 baseline, direct sums, and long-double
+// transforms. The whole suite also runs under SPIRAL_SIMD=OFF (ctest leg
 // test_simd_forced_off), where every assertion must hold with the
 // drivers disabled — parity trivially, activation checks via the guard.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
-#include "backend/codelets.hpp"
 #include "backend/program.hpp"
 #include "backend/simd.hpp"
 #include "backend/vectorize.hpp"
+#include "baselines/fft_iterative.hpp"
 #include "core/spiral_fft.hpp"
 #include "test_helpers.hpp"
 #include "util/aligned_vector.hpp"
@@ -42,13 +46,14 @@ util::cvec scalar_oracle(const core::FftPlan& plan, const util::cvec& x) {
   return y;
 }
 
-// The tentpole acceptance sweep: scalar vs SIMD parity over
-// 2^4..2^16 x p in {1,2,4} x nu in {2,4}, on the identical stage list.
+// Scalar vs SIMD parity over 2^4..2^16 x p in {1,2,4} x nu in {2,4,8},
+// on the identical stage list (nu = 8 is where the W = 8 bodies run),
+// and every output against the radix-2 baseline.
 TEST(Simd, ParitySweepDft) {
   for (int k = 4; k <= 16; ++k) {
     const idx_t n = idx_t{1} << k;
     for (int p : {1, 2, 4}) {
-      for (idx_t nu : {idx_t{2}, idx_t{4}}) {
+      for (idx_t nu : {idx_t{2}, idx_t{4}, idx_t{8}}) {
         PlannerOptions o;
         o.threads = p;
         o.vector_nu = nu;
@@ -58,6 +63,8 @@ TEST(Simd, ParitySweepDft) {
         util::cvec got(x.size());
         plan->execute(x.data(), got.data());
         EXPECT_LE(max_diff(got, want), fft_tolerance(n))
+            << "n=" << n << " p=" << p << " nu=" << nu;
+        EXPECT_LE(max_diff(got, baselines::fft_iterative(x)), fft_tolerance(n))
             << "n=" << n << " p=" << p << " nu=" << nu;
         if (n <= (idx_t{1} << 10)) {
           EXPECT_LE(max_diff(got, reference_dft(x)), fft_tolerance(n))
@@ -70,16 +77,20 @@ TEST(Simd, ParitySweepDft) {
 
 TEST(Simd, ParityWht) {
   for (idx_t n : {idx_t{64}, idx_t{1024}, idx_t{4096}}) {
-    for (idx_t nu : {idx_t{2}, idx_t{4}}) {
+    const util::cvec x = random_signal(n, n ^ 0xabcd);
+    const auto hadamard = spiral::testing::reference_wht_ld(x);
+    for (idx_t nu : {idx_t{2}, idx_t{4}, idx_t{8}}) {
       PlannerOptions o;
       o.threads = 2;
       o.vector_nu = nu;
       const auto plan = core::plan_wht(n, o);
-      const util::cvec x = random_signal(n, n ^ 0xabcd);
       const util::cvec want = scalar_oracle(*plan, x);
       util::cvec got(x.size());
       plan->execute(x.data(), got.data());
       EXPECT_LE(max_diff(got, want), fft_tolerance(n)) << "n=" << n;
+      EXPECT_LE(spiral::testing::rel_l2(got, hadamard),
+                util::log2_exact(n) * spiral::testing::kUnitRoundoff)
+          << "n=" << n << " nu=" << nu;
     }
   }
 }
@@ -126,8 +137,8 @@ TEST(Simd, StridedLaneShapeOccurs) {
 }
 
 // Boundary at the codelet-size cap: a whole-transform single codelet
-// (iters == 1) cannot batch lanes across iterations; cn above the table
-// cap or non-2-power cn must refuse a plan before touching the maps.
+// (iters == 1) cannot batch lanes across iterations; cn above 64 or
+// non-2-power cn must refuse a plan before touching the maps.
 TEST(Simd, CodeletBoundary) {
   PlannerOptions o;
   o.vector_nu = 4;
@@ -145,7 +156,7 @@ TEST(Simd, CodeletBoundary) {
   Stage s = plan32->stages().stages.front();
   s.cn = 33;  // kMaxCodeletSize + 1, not a 2-power
   EXPECT_FALSE(simd::plan_stage(s, 4, simd::Isa::kAvx2).active);
-  s.cn = 128;  // 2-power but beyond the shared codelet-table cap
+  s.cn = 128;  // 2-power but beyond the largest codelet
   EXPECT_FALSE(simd::plan_stage(s, 4, simd::Isa::kAvx2).active);
 
   if (host_has_simd()) {
@@ -154,6 +165,83 @@ TEST(Simd, CodeletBoundary) {
     p64.enable_simd(4);
     EXPECT_TRUE(p64.simd_active());
   }
+}
+
+// Every driver instantiation — codelet sizes 2..64 x (forward DFT,
+// inverse DFT, WHT) x each width a variant TU holds — in every TU the
+// host can dispatch, run on one pack and checked lane by lane against
+// long-double references (radix-2 DFT, Hadamard sum) within
+// 2 log2(cn) u.
+TEST(Simd, EveryCodeletInstantiation) {
+  if (!host_has_simd()) GTEST_SKIP() << "no vector ISA on this host";
+  const simd::Isa isa = simd::detect_isa();
+  struct Variant {
+    const char* name;
+    simd::Isa needs;
+    simd::PackFn (*resolve)(idx_t, idx_t, int);
+  };
+  const Variant variants[] = {
+      {"generic", simd::Isa::kVec128, &simd::pack_fn_generic},
+      {"avx2", simd::Isa::kAvx2, &simd::pack_fn_avx2},
+      {"avx512", simd::Isa::kAvx512, &simd::pack_fn_avx512}};
+  int ran = 0;
+  for (const Variant& v : variants) {
+    if (static_cast<int>(isa) < static_cast<int>(v.needs)) continue;
+    for (idx_t w : {idx_t{2}, idx_t{4}, idx_t{8}}) {
+      for (int c = 1; c <= 6; ++c) {
+        const idx_t cn = idx_t{1} << c;
+        for (int kind : {-1, 1, 0}) {
+          const simd::PackFn fn = v.resolve(w, cn, kind);
+          // The detected tier's TU holds every width up to its own.
+          if (v.needs == isa && w <= simd::isa_width(isa)) {
+            EXPECT_NE(fn, nullptr) << v.name << " W=" << w << " cn=" << cn;
+          }
+          if (fn == nullptr) continue;
+          // One pack: lane `it` of element l sits at l*w + it on both
+          // sides, the contiguous-lane form.
+          const int lw = util::log2_exact(w);
+          std::vector<idx_t> strides;
+          for (int b = 0; b < c; ++b) strides.push_back(w << b);
+          for (int b = 0; b < lw; ++b) strides.push_back(idx_t{1} << b);
+          Stage s;
+          s.iters = w;
+          s.cn = cn;
+          s.is_compute = true;
+          s.wht = kind == 0;
+          s.sign = kind == 0 ? -1 : kind;
+          s.in_bits = BitStrideMap(0, strides);
+          s.out_bits = s.in_bits;
+          simd::StagePlan plan;
+          plan.active = true;
+          plan.width = w;
+          plan.in_form = VecForm::kAcrossIterations;
+          plan.out_form = VecForm::kAcrossIterations;
+          plan.fn = fn;
+          const util::cvec x = random_signal(w * cn, cn * 131 + w + kind);
+          util::cvec y(x.size());
+          fn(s, s.in_bits, s.out_bits, plan, x.data(), y.data(), 0, w);
+          for (idx_t it = 0; it < w; ++it) {
+            util::cvec lane_x(cn), lane_y(cn);
+            for (idx_t l = 0; l < cn; ++l) {
+              lane_x[l] = x[l * w + it];
+              lane_y[l] = y[l * w + it];
+            }
+            const auto want = kind == 0
+                                  ? spiral::testing::reference_wht_ld(lane_x)
+                                  : spiral::testing::reference_fft_ld(
+                                        lane_x, kind);
+            EXPECT_LE(spiral::testing::rel_l2(lane_y, want),
+                      2 * c * spiral::testing::kUnitRoundoff)
+                << v.name << " W=" << w << " cn=" << cn << " kind=" << kind
+                << " lane=" << it;
+          }
+          ++ran;
+        }
+      }
+    }
+  }
+  // The generic TU alone holds 6 sizes x 3 kinds at W = 2.
+  EXPECT_GE(ran, 18);
 }
 
 // Forced scalar dispatch: the test hook (and the SPIRAL_SIMD=off env
@@ -196,18 +284,6 @@ TEST(Simd, BufferAlignment) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % 64, 0u);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % 64, 0u);
   }
-}
-
-// Scalar and vector codelets read the same twiddle tables: the accessor
-// must hand out exactly the process-lifetime tables pow2_tables builds.
-TEST(Simd, CodeletTablesShared) {
-  const CodeletTables t = codelet_tables(16, -1);
-  ASSERT_NE(t.bitrev, nullptr);
-  for (int st = 0; st < 4; ++st) ASSERT_NE(t.stage_tw[st], nullptr);
-  // Same pointers on re-query: tables are shared, not rebuilt.
-  const CodeletTables t2 = codelet_tables(16, -1);
-  EXPECT_EQ(t.bitrev, t2.bitrev);
-  EXPECT_EQ(t.stage_tw[0], t2.stage_tw[0]);
 }
 
 // Mutation detectability: mis-reporting a strided-lane stage as
