@@ -4,9 +4,13 @@
 
 #include "backend/codelet_template.hpp"
 #include "backend/stage.hpp"
+#include "rewrite/breakdown.hpp"
 #include "spl/twiddle.hpp"
 
 namespace spiral::backend {
+
+static_assert(rewrite::kMaxCodeletSize <= kMaxCodelet,
+              "every leaf the planner may choose needs a codelet");
 
 namespace {
 

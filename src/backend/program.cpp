@@ -251,7 +251,21 @@ void Program::enable_simd(idx_t nu) {
       g.simd.push_back(simd::plan_sides(simd_plans_[si], list_.stages[si],
                                         g.in[m], g.out[m]));
     }
+    // The last member's write to the full-size buffer streams past the
+    // cache when the buffer exceeds the team's combined L2: the next step
+    // would find little of it there, and the stores skip the line reads.
+    const Stage& last = list_.stages[g.group.stage(g.group.count - 1, count)];
+    const idx_t team = std::max<idx_t>(last.parallel_p, 1);
+    const bool beyond_l2 = static_cast<std::size_t>(list_.n) * sizeof(cplx) >
+                           static_cast<std::size_t>(team) * kL2Bytes;
+    simd::StagePlan& sp = g.simd.back();
+    sp.stream_out =
+        beyond_l2 && simd::can_stream_out(sp, last.cn, g.out.back());
   }
+}
+
+bool Program::group_streams(std::size_t g) const {
+  return !groups_[g].simd.empty() && groups_[g].simd.back().stream_out;
 }
 
 }  // namespace spiral::backend

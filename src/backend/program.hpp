@@ -80,6 +80,18 @@ class Program {
     return simd_plans_;
   }
 
+  /// The stage groups (backend/stage_group), in execution order.
+  [[nodiscard]] std::size_t group_count() const noexcept {
+    return groups_.size();
+  }
+  [[nodiscard]] const StageGroup& group(std::size_t g) const {
+    return groups_[g].group;
+  }
+  /// True when group g's last member writes the full-size buffer with
+  /// non-temporal stores (SIMD on, the buffer beyond the team's combined
+  /// L2, and simd::can_stream_out proven on its output map).
+  [[nodiscard]] bool group_streams(std::size_t g) const;
+
   [[nodiscard]] idx_t size() const noexcept { return list_.n; }
   [[nodiscard]] const StageList& stages() const noexcept { return list_; }
   [[nodiscard]] ExecPolicy policy() const noexcept { return policy_; }
@@ -97,7 +109,8 @@ class Program {
     StageGroup group;
     std::vector<BitStrideMap> in, out;
     /// Per member, the stage's SIMD plan re-proven on in[m]/out[m]
-    /// (scales stay on the stage); empty while SIMD is off.
+    /// (scales stay on the stage); empty while SIMD is off. Only the last
+    /// member's plan may set stream_out.
     std::vector<simd::StagePlan> simd;
   };
 

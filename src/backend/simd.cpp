@@ -199,6 +199,27 @@ StagePlan plan_sides(const StagePlan& p, const Stage& s,
   return q;
 }
 
+bool can_stream_out(const StagePlan& p, idx_t cn, const BitStrideMap& out) {
+  const idx_t w = p.width;
+  if (!p.active || p.out_form != VecForm::kAcrossIterations ||
+      w * static_cast<idx_t>(sizeof(cplx)) < 64) {
+    return false;
+  }
+  // Lane 0 of a pack is a position whose lane bits [log2 cn,
+  // log2 cn + log2 W) are clear; every other bit, the base and the outer
+  // digit must move the address by multiples of W.
+  const int c = util::log2_exact(cn);
+  const int lw = util::log2_exact(w);
+  if (out.base() % w != 0 || out.outer_stride() % w != 0) return false;
+  for (int b = 0; b < out.bits(); ++b) {
+    if ((b < c || b >= c + lw) &&
+        out.strides()[static_cast<std::size_t>(b)] % w != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void run_stage_simd(const Stage& s, const BitStrideMap& in,
                     const BitStrideMap& out, const StagePlan& plan,
                     const cplx* src, cplx* dst, idx_t lo, idx_t hi) {

@@ -29,7 +29,10 @@
 // source serves SSE2, AVX2, AVX-512 and NEON). All loads/stores go
 // through memcpy (unaligned-safe encodings, same speed on the 64 B
 // aligned buffers util::AlignedAllocator guarantees), so a vector driver
-// can never fault on alignment.
+// can never fault on alignment. The one exception is a stage group's
+// streamed final write (StagePlan::stream_out): its non-temporal stores
+// need aligned addresses, which the plan proves for the map and the
+// driver checks for the buffer before it streams.
 #pragma once
 
 #include <vector>
@@ -91,6 +94,10 @@ struct StagePlan {
   VecForm out_form = VecForm::kNone;
   ScaleForm in_scale = ScaleForm::kNone;
   ScaleForm out_scale = ScaleForm::kNone;
+  /// The driver writes the output side with non-temporal stores when the
+  /// destination is 64 B aligned (checked once per call), then fences.
+  /// Set only where can_stream_out proves every store whole lines.
+  bool stream_out = false;
   PackFn fn = nullptr;
 };
 
@@ -109,6 +116,14 @@ struct StagePlan {
 [[nodiscard]] StagePlan plan_sides(const StagePlan& p, const Stage& s,
                                    const BitStrideMap& in,
                                    const BitStrideMap& out);
+
+/// True when plan `p` (active, for codelets of cn) can write through the
+/// output map `out` with full-line non-temporal stores: the output form
+/// is kAcrossIterations, one pack element covers whole 64 B lines
+/// (W * 16 B >= 64 B), and `out` puts every pack's lane 0 at a multiple
+/// of W — proven from its base and strides, as the forms are.
+[[nodiscard]] bool can_stream_out(const StagePlan& p, idx_t cn,
+                                  const BitStrideMap& out);
 
 /// Runs iterations [lo, hi) of a stage under an active plan for the
 /// sides `in`/`out`: scalar head/tail around the lane-batched middle

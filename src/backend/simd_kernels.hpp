@@ -24,7 +24,12 @@
 #error "define SPIRAL_SIMD_VARIANT before including simd_kernels.hpp"
 #endif
 
+#include <cstdint>
 #include <cstring>
+
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 #include "backend/codelet_template.hpp"
 #include "backend/simd.hpp"
@@ -50,13 +55,16 @@ struct VecT<8> {
 /// Per-width shuffle/load helpers. Loads and stores use memcpy: the
 /// compilers emit the unaligned-encoding moves, which run at full speed
 /// on the 64 B-aligned buffers the library allocates and cannot fault on
-/// the caller-provided ones.
+/// the caller-provided ones. kStream marks the widths whose interleaved
+/// pair is whole 64 B lines and whose TU has the ISA's non-temporal
+/// store: stream() (aligned addresses only) and fence() then exist.
 template <int W>
 struct Ops;
 
 template <>
 struct Ops<2> {
   using V = VecT<2>::type;
+  static constexpr bool kStream = false;  // half a line
   static inline V loadu(const double* p) {
     V v;
     std::memcpy(&v, p, sizeof(V));
@@ -83,6 +91,13 @@ struct Ops<4> {
     return v;
   }
   static inline void storeu(double* p, V v) { std::memcpy(p, &v, sizeof(V)); }
+#if defined(__AVX__)
+  static constexpr bool kStream = true;
+  static inline void stream(double* p, V v) { _mm256_stream_pd(p, v); }
+  static inline void fence() { _mm_sfence(); }
+#else
+  static constexpr bool kStream = false;
+#endif
   static inline void deinterleave(V a, V b, V& re, V& im) {
     re = __builtin_shufflevector(a, b, 0, 2, 4, 6);
     im = __builtin_shufflevector(a, b, 1, 3, 5, 7);
@@ -102,6 +117,13 @@ struct Ops<8> {
     return v;
   }
   static inline void storeu(double* p, V v) { std::memcpy(p, &v, sizeof(V)); }
+#if defined(__AVX512F__)
+  static constexpr bool kStream = true;
+  static inline void stream(double* p, V v) { _mm512_stream_pd(p, v); }
+  static inline void fence() { _mm_sfence(); }
+#else
+  static constexpr bool kStream = false;
+#endif
   static inline void deinterleave(V a, V b, V& re, V& im) {
     re = __builtin_shufflevector(a, b, 0, 2, 4, 6, 8, 10, 12, 14);
     im = __builtin_shufflevector(a, b, 1, 3, 5, 7, 9, 11, 13, 15);
@@ -152,16 +174,24 @@ inline void load_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
 }
 
 /// Stores one pack element back through the output map (mirror of
-/// load_lanes).
+/// load_lanes). `stream`: contiguous lanes go out through non-temporal
+/// stores (the caller proved them whole, aligned lines).
 template <int W>
 inline void store_lanes(const BitStrideMap& m, idx_t cn, VecForm form,
-                        cplx* dst, idx_t it, idx_t l, idx_t a0,
+                        bool stream, cplx* dst, idx_t it, idx_t l, idx_t a0,
                         typename VecT<W>::type re,
                         typename VecT<W>::type im) {
   if (form == VecForm::kAcrossIterations) {
     typename VecT<W>::type y0, y1;
     Ops<W>::interleave(re, im, y0, y1);
     double* p = reinterpret_cast<double*>(dst + a0);
+    if constexpr (Ops<W>::kStream) {
+      if (stream) {
+        Ops<W>::stream(p, y0);
+        Ops<W>::stream(p + W, y1);
+        return;
+      }
+    }
     Ops<W>::storeu(p, y0);
     Ops<W>::storeu(p + W, y1);
     return;
@@ -219,6 +249,13 @@ void run_packs(const Stage& s, const BitStrideMap& in_bits,
   V xr[n], xi[n], yr[n], yi[n];
   // Lane 0's addresses, one map row per side and pack.
   std::int32_t in_row[n], out_row[n];
+  // The plan proved lane 0 at multiples of W; a 64 B-aligned buffer then
+  // makes every streamed store whole lines. Other buffers store plainly.
+  bool stream = false;
+  if constexpr (Ops<W>::kStream) {
+    stream = plan.stream_out &&
+             reinterpret_cast<std::uintptr_t>(dst) % 64 == 0;
+  }
   for (idx_t it = it0; it < it1; it += W) {
     in_bits.row(it * CN, CN, in_row);
     for (idx_t l = 0; l < CN; ++l) {
@@ -234,9 +271,14 @@ void run_packs(const Stage& s, const BitStrideMap& in_bits,
     }
     out_bits.row(it * CN, CN, out_row);
     for (idx_t l = 0; l < CN; ++l) {
-      store_lanes<W>(out_bits, CN, plan.out_form, dst, it, l, out_row[l],
-                     yr[l], yi[l]);
+      store_lanes<W>(out_bits, CN, plan.out_form, stream, dst, it, l,
+                     out_row[l], yr[l], yi[l]);
     }
+  }
+  // Non-temporal stores are weakly ordered: fence them before the stage
+  // barrier's release publishes the data to the other workers.
+  if constexpr (Ops<W>::kStream) {
+    if (stream) Ops<W>::fence();
   }
 }
 

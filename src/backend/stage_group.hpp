@@ -15,6 +15,11 @@
 // both sides are bit permutations and a's output gives every block bit
 // the same stride as b's input: then block j of b reads exactly the
 // elements block j of a wrote, and no block needs another's data.
+//
+// When the transform's buffer exceeds the team's combined L2, the group's
+// last write cannot stay cached for the next step, so Program streams it
+// with non-temporal stores (simd::StagePlan::stream_out): the lines are
+// written without first being read for ownership.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +29,11 @@
 
 namespace spiral::backend {
 
+/// The per-core L2 the schedule is sized for (2 MiB).
+inline constexpr std::size_t kL2Bytes = std::size_t{2} << 20;
+
 /// log2 of the block: 2^13 positions, 8192 complex doubles (128 KiB), so
-/// a worker's two block scratches fit a 2 MiB L2 with room for the
+/// a worker's two block scratches fit a kL2Bytes L2 with room for the
 /// twiddles streaming through.
 inline constexpr int kGroupBlockBits = 13;
 inline constexpr idx_t kGroupBlock = idx_t{1} << kGroupBlockBits;

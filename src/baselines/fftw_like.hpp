@@ -23,12 +23,13 @@
 
 #include "backend/program.hpp"
 #include "backend/stage.hpp"
+#include "rewrite/breakdown.hpp"
 
 namespace spiral::baselines {
 
 struct FftwLikeOptions {
-  int threads = 1;       ///< max threads the planner may use
-  idx_t leaf = 32;       ///< codelet leaf size
+  int threads = 1;  ///< max threads the planner may use
+  idx_t leaf = rewrite::kMaxCodeletSize;  ///< codelet leaf size
   /// Block size of the block-cyclic loop schedule (iterations per block).
   /// FFTW 3.1 picks this without regard to the cache line length mu (the
   /// paper: "mu and the interplay of p and mu is not explicitly used") —

@@ -271,6 +271,13 @@ std::string FftPlan::describe() const {
        << ", " << vec << "/" << program_->stages().stages.size()
        << " stages vectorized\n";
   }
+  for (std::size_t g = 0; g < program_->group_count(); ++g) {
+    const backend::StageGroup& sg = program_->group(g);
+    os << "group " << g << ": execution stages " << sg.first << "-"
+       << sg.first + sg.count - 1
+       << (program_->group_streams(g) ? ", streamed final write\n"
+                                      : "\n");
+  }
   os << program_->stages().summary();
   return os.str();
 }

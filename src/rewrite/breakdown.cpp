@@ -96,7 +96,7 @@ FormulaPtr expand_whts(const FormulaPtr& f, idx_t leaf) {
 
 RuleTreePtr RuleTree::leaf(idx_t n) {
   require(n >= 2 && n <= kMaxCodeletSize,
-          "codelet leaf size out of range [2, 32]");
+          "codelet leaf size out of range [2, 64]");
   auto t = std::make_shared<RuleTree>();
   t->n = n;
   t->kind = BreakdownKind::kBaseCase;

@@ -22,7 +22,7 @@
 namespace spiral::rewrite {
 
 /// Largest DFT size implemented as a straight-line codelet by the backend.
-inline constexpr idx_t kMaxCodeletSize = 32;
+inline constexpr idx_t kMaxCodeletSize = 64;
 
 /// Applies the Cooley-Tukey rule (1) once with the given split:
 /// size = m * n. Throws on invalid split.

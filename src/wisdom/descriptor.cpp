@@ -79,7 +79,7 @@ RuleTreePtr parse_tree_at(std::string_view s, std::size_t& pos) {
       require(n <= (idx_t{1} << 40), "parse_ruletree: leaf size overflow");
       ++pos;
     }
-    return RuleTree::leaf(n);  // enforces the [2, 32] codelet range
+    return RuleTree::leaf(n);  // enforces the [2, 64] codelet range
   }
   BreakdownKind kind;
   if (s.substr(pos, 3) == "ct(") {

@@ -1,14 +1,16 @@
 // Tests for the Program executor: the one interpreter walk gives identical
 // results inline, on a folded (smaller) team and on a full team; in-place
 // execution; barrier elision; repeated execution; stage groups run block
-// by block bit-identically to the flat stage walk; symbolic scales are
-// shared, never copied, and read bit-identically to expanded tables.
+// by block bit-identically to the flat stage walk, and their streamed
+// final writes change no bits; symbolic scales are shared, never copied,
+// and read bit-identically to expanded tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
@@ -339,19 +341,19 @@ bool bit_identical(const util::cvec& a, const util::cvec& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
-TEST(StageGroups, Large4mPlanFormsTwoThreeStageGroups) {
-  // The large-4m shape (n = 2^22, p = 4, nu = 4): each DFT_2048 half of
-  // formula (14) is three full-array stages, linked by the block proof;
-  // the global transpose between the halves breaks the link.
+TEST(StageGroups, Large4mPlanFormsTwoTwoStageGroups) {
+  // The large-4m shape (n = 2^22, p = 4, nu = 4): each DFT_2048 = 32 x 64
+  // half of formula (14) is two full-array stages, linked by the block
+  // proof; the global transpose between the halves breaks the link.
   const auto list = lower_fused(
       core::planner_formula(idx_t{1} << 22, group_planner(4, 4)));
-  ASSERT_EQ(list.stages.size(), 6u);
+  ASSERT_EQ(list.stages.size(), 4u);
   const auto groups = find_stage_groups(list);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].first, 0u);
-  EXPECT_EQ(groups[0].count, 3u);
-  EXPECT_EQ(groups[1].first, 3u);
-  EXPECT_EQ(groups[1].count, 3u);
+  EXPECT_EQ(groups[0].count, 2u);
+  EXPECT_EQ(groups[1].first, 2u);
+  EXPECT_EQ(groups[1].count, 2u);
   EXPECT_EQ(kGroupBlock, 8192);
 }
 
@@ -479,6 +481,71 @@ TEST(StageGroups, MutantGroupingComputesWrongOutput) {
   mutant.execute(ctx, x.data(), y.data());
   EXPECT_FALSE(bit_identical(y, want));
   EXPECT_GT(max_diff(y, want), 1.0);
+}
+
+// ---- Streamed group writes (StagePlan::stream_out) --------------------
+
+TEST(StreamedWrites, AlignedAndOffsetOutputsAgreeBitForBit) {
+  // At 2^20 (16 MiB, above the L2 of a team of 1 or 4) every group's last
+  // member streams into a 64 B-aligned y. The same y one element off
+  // takes the plain stores, and the stages run alone never stream: all
+  // three agree bit for bit. nu = 8 runs the W = 8 stream.
+  const idx_t lanes = simd::isa_width(simd::detect_isa());
+  if (lanes < 4) GTEST_SKIP() << "no 4-lane vector ISA on this host";
+  const idx_t n = idx_t{1} << 20;
+  util::Rng rng(34);
+  const auto x = rng.complex_signal(n);
+  const std::pair<int, idx_t> shapes[] = {{1, 4}, {4, 4}, {1, 8}};
+  for (const auto& [p, nu] : shapes) {
+    if (nu > lanes) continue;
+    SCOPED_TRACE("p=" + std::to_string(p) + " nu=" + std::to_string(nu));
+    const auto plan = core::plan_dft(n, group_planner(p, nu));
+    Program prog(plan->stages(), ExecPolicy::kThreadPool);
+    prog.enable_simd(nu);
+    ASSERT_EQ(prog.group_count(), 2u);
+    for (std::size_t g = 0; g < prog.group_count(); ++g) {
+      EXPECT_TRUE(prog.group_streams(g)) << "group " << g;
+    }
+    ExecContext ctx;
+    util::cvec y(x.size());
+    prog.execute(ctx, x.data(), y.data());
+    util::cvec shifted(x.size() + 1);
+    prog.execute(ctx, x.data(), shifted.data() + 1);
+    const util::cvec off(shifted.begin() + 1, shifted.end());
+    EXPECT_TRUE(bit_identical(y, off)) << "offset y";
+    EXPECT_TRUE(bit_identical(y, stage_by_stage(plan->stages(), nu, x)))
+        << "stages alone";
+  }
+}
+
+TEST(StreamedWrites, NoStreamWithinTheTeamsL2) {
+  // 2^16 (1 MiB) fits the L2 of one core and of four: the groups write
+  // through the cache, and describe() names no streamed write.
+  const auto plan = core::plan_dft(idx_t{1} << 16, group_planner(4, 4));
+  Program prog(plan->stages(), ExecPolicy::kThreadPool);
+  prog.enable_simd(4);
+  ASSERT_EQ(prog.group_count(), 2u);
+  for (std::size_t g = 0; g < prog.group_count(); ++g) {
+    EXPECT_FALSE(prog.group_streams(g)) << "group " << g;
+  }
+  EXPECT_NE(plan->describe().find("group 1: execution stages 2-3\n"),
+            std::string::npos)
+      << plan->describe();
+  EXPECT_EQ(plan->describe().find("streamed"), std::string::npos);
+}
+
+TEST(StreamedWrites, DescribeNamesTheStreamedGroups) {
+  if (simd::isa_width(simd::detect_isa()) < 4) {
+    GTEST_SKIP() << "no 4-lane vector ISA on this host";
+  }
+  const auto plan = core::plan_dft(idx_t{1} << 20, group_planner(4, 4));
+  const std::string d = plan->describe();
+  EXPECT_NE(d.find("group 0: execution stages 0-1, streamed final write\n"),
+            std::string::npos)
+      << d;
+  EXPECT_NE(d.find("group 1: execution stages 2-3, streamed final write\n"),
+            std::string::npos)
+      << d;
 }
 
 // ---- Symbolic scales (StageScale) -------------------------------------

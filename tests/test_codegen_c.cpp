@@ -55,11 +55,12 @@ int compile_and_run(const std::string& src, const std::string& name,
   return WEXITSTATUS(rc);
 }
 
-/// Balanced DFT_64: lower_fused() gives two codelet stages with affine
-/// sides; lower() keeps the permutation and twiddle passes as copy
-/// stages (one of them scaled) and every side as a table.
+/// Balanced DFT_64 at leaf 32, CT(8, 8): lower_fused() gives two codelet
+/// stages with affine sides; lower() keeps the permutation and twiddle
+/// passes as copy stages (one of them scaled) and every side as a table.
 spl::FormulaPtr balanced64() {
-  return rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64));
+  return rewrite::formula_from_ruletree(
+      rewrite::balanced_ruletree(64, /*leaf=*/32));
 }
 
 /// The paper's DFT_256 = CT(16,16) with smp(2,2): parallel stages.

@@ -306,8 +306,10 @@ TEST(CodegenCheckEdge, MulticoreDerivationValidates) {
 // Unfused lower() lists keep copy stages (one of them scaled) and
 // table-addressed sides, which no fused plan emits.
 TEST(CodegenCheckEdge, UnfusedListsValidate) {
-  const spl::FormulaPtr balanced =
-      rewrite::formula_from_ruletree(rewrite::balanced_ruletree(64));
+  // Leaf 32 splits DFT_64 as CT(8, 8), whose unfused lowering has copy
+  // loops; a DFT_64 leaf would be one codelet stage without any.
+  const spl::FormulaPtr balanced = rewrite::formula_from_ruletree(
+      rewrite::balanced_ruletree(64, /*leaf=*/32));
   const spl::FormulaPtr multicore = rewrite::expand_dfts_balanced(
       rewrite::derive_multicore_ct(256, 16, 2, 2));
   for (const spl::FormulaPtr& f : {balanced, multicore}) {

@@ -38,7 +38,8 @@ TEST(Breakdown, CooleyTukeyRejectsBadSplits) {
 TEST(RuleTreeTest, LeafValidation) {
   EXPECT_NO_THROW(RuleTree::leaf(2));
   EXPECT_NO_THROW(RuleTree::leaf(32));
-  EXPECT_THROW(RuleTree::leaf(64), std::invalid_argument);
+  EXPECT_NO_THROW(RuleTree::leaf(64));
+  EXPECT_THROW(RuleTree::leaf(128), std::invalid_argument);
   EXPECT_THROW(RuleTree::leaf(1), std::invalid_argument);
 }
 

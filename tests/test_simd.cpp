@@ -118,13 +118,16 @@ TEST(Simd, DriversEngageOnVectorPlans) {
   EXPECT_GE(active, 2) << plan->describe();
 }
 
-// The n=4096 derivation proves the strided-lane shape (the L^{nu^2}_nu
-// register-transpose base case) on at least one input side — the shape
-// the mutation gate below relies on being exercised.
+// The n=4096 derivation at leaf 32 (64 x 64 splits its DFT_64s as 8 x 8)
+// proves the strided-lane shape (the L^{nu^2}_nu register-transpose base
+// case) on at least one input side — the shape the mutation gate below
+// relies on being exercised. At the default leaf 4096 is 64 x 64: two
+// codelet stages with contiguous lanes only.
 TEST(Simd, StridedLaneShapeOccurs) {
   if (!host_has_simd()) GTEST_SKIP() << "no vector ISA on this host";
   PlannerOptions o;
   o.vector_nu = 4;
+  o.leaf = 32;
   const auto plan = core::plan_dft(4096, o);
   bool strided = false;
   for (const auto& s : plan->stages().stages) {
@@ -294,6 +297,7 @@ TEST(Simd, VecformMutationIsDetectable) {
   if (!host_has_simd()) GTEST_SKIP() << "no vector ISA on this host";
   PlannerOptions o;
   o.vector_nu = 4;
+  o.leaf = 32;  // the strided-lane plan of StridedLaneShapeOccurs
   const auto plan = core::plan_dft(4096, o);
   const util::cvec x = random_signal(4096, 4096);
   const util::cvec want = scalar_oracle(*plan, x);

@@ -54,7 +54,7 @@ TEST(RuleTreeWire, RejectsMalformedInput) {
       "64junk",      // garbage after leaf
       "foo(2,2)",    // unknown rule
       "ct(1,2)",     // leaf below codelet range
-      "ct(64,64)",   // leaf above codelet range (64 > 32)
+      "ct(128,2)",   // leaf above codelet range (128 > 64)
       "ct(8 ,8)",    // stray whitespace
       "ct(,8)",      // missing child
   };
@@ -317,7 +317,7 @@ TEST(PlanDescriptorTest, ValidateRejectsBadDescriptors) {
   d.n = 255;
   EXPECT_THROW(d.validate(), std::invalid_argument);
   d = sample_descriptor();
-  d.leaf = 64;  // > kMaxCodeletSize
+  d.leaf = 128;  // > kMaxCodeletSize
   EXPECT_THROW(d.validate(), std::invalid_argument);
   d = sample_descriptor();
   d.direction = 0;
