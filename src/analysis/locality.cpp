@@ -198,10 +198,18 @@ LocalityReport analyze_locality(const backend::StageList& program,
               : 1;
       const idx_t b = s.sched_block;
       const idx_t cn = s.cn;
-      // The input scale's stored value for position it*cn + l, as a line.
-      auto tw_line = [&](idx_t it, idx_t l) {
-        return s.in_scale.map().at(it * cn + l) / mu_elems;
+      // The lines of the input scale's stored values for position
+      // it*cn + l, one per factor; the factors' values lie back to back
+      // in the stage's twiddle region.
+      auto tw_lines = [&](idx_t it, idx_t l, auto&& visit) {
+        idx_t offset = 0;
+        for (const auto& f : s.in_scale.factors()) {
+          visit((offset + f.map().at(it * cn + l)) / mu_elems);
+          offset += static_cast<idx_t>(f.size());
+        }
       };
+      const std::size_t tw_reads =
+          has_tw ? s.in_scale.factors().size() : 0;
       auto step_of = [&](int c, idx_t step) -> idx_t {
         if (b == 0) {
           const idx_t lo = static_cast<idx_t>(c) * s.iters / p_eff;
@@ -322,8 +330,7 @@ LocalityReport analyze_locality(const backend::StageList& program,
             its.push_back(it);
           }
           const std::size_t stream_len =
-              its.size() * static_cast<std::size_t>(cn) *
-              (has_tw ? 3 : 2);
+              its.size() * static_cast<std::size_t>(cn) * (2 + tw_reads);
           fen.reset(stream_len);
           last_pos.clear();
           std::int64_t pos = 0;
@@ -368,7 +375,11 @@ LocalityReport analyze_locality(const backend::StageList& program,
             for (idx_t l = 0; l < cn; ++l) {
               access(src, s.in_index(it, l) / mu_elems, in_stream,
                      in_resident[k] != 0);
-              if (has_tw) access(twr, tw_line(it, l), true, tw_resident);
+              if (has_tw) {
+                tw_lines(it, l, [&](idx_t line) {
+                  access(twr, line, true, tw_resident);
+                });
+              }
             }
             for (idx_t l = 0; l < cn; ++l) {
               access(dst, s.out_index(it, l) / mu_elems, out_stream,
@@ -475,7 +486,10 @@ LocalityReport analyze_locality(const backend::StageList& program,
           more = true;
           for (idx_t l = 0; l < cn; ++l) {
             touch(c, src, s.in_index(it, l) / mu_elems, false);
-            if (has_tw) touch(c, twr, tw_line(it, l), false);
+            if (has_tw) {
+              tw_lines(it, l,
+                       [&](idx_t line) { touch(c, twr, line, false); });
+            }
           }
           for (idx_t l = 0; l < cn; ++l) {
             touch(c, dst, s.out_index(it, l) / mu_elems, true);

@@ -266,7 +266,7 @@ void header(C& c, CProgram& p, idx_t& k) {
   c.lit(" stage(s). */\n#include <math.h>\n#include <string.h>\n"
         "#include <stdlib.h>\n");
   c.opt(p.pooled,
-        "#include <pthread.h>\n#include <stdatomic.h>\n#include <sched.h>\n");
+        "#include <pthread.h>\n#include <stdatomic.h>\n");
   c.opt(p.has_main, "#include <stdio.h>\n");
   c.lit("\n");
   // Vector typedefs for every emission width (GNU C vector extensions:
@@ -641,7 +641,8 @@ void walk(C& c, std::vector<CStep>& steps, bool pooled) {
   }
 }
 
-/// Persistent-pool runtime: sense-reversing spin barrier, detached
+/// Persistent-pool runtime: sense-reversing barrier (spin, then park on a
+/// condition variable, so idle workers stop burning CPU), detached
 /// workers, per-thread chunk dispatch and the whole-program walk every
 /// pool thread (master included) executes, one barrier per stage
 /// transition: a transform costs k+1 barriers (dispatch, k-1
@@ -654,17 +655,34 @@ void pool_runtime(C& c, CProgram& p) {
   c.lit(" };\n"
         "static _Atomic int pool_sense = 0;\n"
         "static _Atomic int pool_count = 0;\n"
+        "static _Atomic int pool_sleepers = 0;\n"
+        "static pthread_mutex_t pool_mu = PTHREAD_MUTEX_INITIALIZER;\n"
+        "static pthread_cond_t pool_cv = PTHREAD_COND_INITIALIZER;\n"
         "static void pool_barrier(void) {\n"
         "  int my = !atomic_load_explicit(&pool_sense, memory_order_relaxed);\n"
         "  if (atomic_fetch_add_explicit(&pool_count, 1, "
         "memory_order_acq_rel) == POOL_P - 1) {\n"
         "    atomic_store_explicit(&pool_count, 0, memory_order_relaxed);\n"
-        "    atomic_store_explicit(&pool_sense, my, memory_order_release);\n"
+        "    /* seq_cst store, then load: a parked waiter is either seen "
+        "here or sees the new sense itself */\n"
+        "    atomic_store(&pool_sense, my);\n"
+        "    if (atomic_load(&pool_sleepers) > 0) {\n"
+        "      pthread_mutex_lock(&pool_mu);\n"
+        "      pthread_cond_broadcast(&pool_cv);\n"
+        "      pthread_mutex_unlock(&pool_mu);\n"
+        "    }\n"
         "  } else {\n"
         "    int spins = 0;\n"
         "    while (atomic_load_explicit(&pool_sense, memory_order_acquire) "
-        "!= my)\n"
-        "      if (++spins > 4096) sched_yield();\n"
+        "!= my) {\n"
+        "      if (++spins <= 4096) continue;\n"
+        "      pthread_mutex_lock(&pool_mu);\n"
+        "      atomic_fetch_add(&pool_sleepers, 1);\n"
+        "      while (atomic_load(&pool_sense) != my) "
+        "pthread_cond_wait(&pool_cv, &pool_mu);\n"
+        "      atomic_fetch_sub(&pool_sleepers, 1);\n"
+        "      pthread_mutex_unlock(&pool_mu);\n"
+        "    }\n"
         "  }\n}\n");
   // The job pointers must be _Atomic: they are written by the master and
   // read by workers on the far side of pool_barrier, and plain globals

@@ -82,22 +82,52 @@ void multiply(BitDiag& acc, const util::cvec& f, const std::vector<int>& fbits) 
   acc = BitDiag{std::move(out), std::move(uni)};
 }
 
+/// acc := acc * f. f multiplies into acc's last factor while the merged
+/// table stays within kMaxScaleValues (or acc is at kMaxScaleFactors),
+/// and becomes a factor of its own otherwise. The scale's product of
+/// factors rounds as std::complex's product does, so the appended factor
+/// gives the values the merged table would; an empty acc starts from a
+/// table of ones, as a single multiply does.
+void multiply(DiagFactors& acc, const util::cvec& f,
+              const std::vector<int>& fbits) {
+  if (acc.empty()) acc.emplace_back();
+  BitDiag& last = acc.back();
+  std::size_t merged = last.bits.size();
+  for (const int b : fbits) {
+    merged += std::find(last.bits.begin(), last.bits.end(), b) ==
+              last.bits.end();
+  }
+  if (last.values.empty() || (idx_t{1} << merged) <= kMaxScaleValues ||
+      acc.size() == kMaxScaleFactors) {
+    multiply(last, f, fbits);
+  } else {
+    acc.push_back(BitDiag{f, fbits});
+  }
+}
+
 /// Number of position bits of a stage of `positions` = q * 2^B
 /// positions, q odd. Diagonals never depend on the outer digit.
 int position_bits(idx_t positions) {
   return __builtin_ctzll(static_cast<unsigned long long>(positions));
 }
 
-/// A diagonal as the scale of a stage of `positions` positions and
-/// codelets of cn: the values reordered projected iteration bits (>=
-/// log2 cn) first, ascending, then element bits, so SIMD lanes read one
-/// broadcast value or W contiguous ones. O(|values|).
-StageScale to_scale(const BitDiag& d, idx_t positions, idx_t cn) {
-  if (d.values.empty()) return {};
+/// A diagonal factor as a scale factor of a stage of `positions`
+/// positions and codelets of cn, its values reordered by the projected
+/// position bits: the lane bits [log2 cn, log2 cn + kLaneBits) first, so
+/// the W <= 8 lanes of a pack read one broadcast value or W contiguous
+/// ones; then the element bits, so one pack's values for its cn elements
+/// lie together instead of in cn runs 2^k values apart (which, at 2-power
+/// strides of 4 KiB and more, all fall into one L1 set); then the other
+/// iteration bits. Each group ascending. O(|values|).
+StageScale::Factor to_factor(const BitDiag& d, idx_t positions, idx_t cn) {
   const int c = position_bits(cn);
+  auto group = [c](int q) {
+    if (q < c) return 1;
+    return q < c + kLaneBits ? 0 : 2;
+  };
   std::vector<int> sorted = d.bits;
-  std::sort(sorted.begin(), sorted.end(), [c](int x, int y) {
-    return std::pair{x < c, x} < std::pair{y < c, y};
+  std::sort(sorted.begin(), sorted.end(), [&group](int x, int y) {
+    return std::pair{group(x), x} < std::pair{group(y), y};
   });
   // Old value bit i is new bit rank[i], its position bit's place in
   // sorted; g maps a new value index to the old one.
@@ -115,43 +145,69 @@ StageScale to_scale(const BitDiag& d, idx_t positions, idx_t cn) {
     im[static_cast<std::size_t>(u)] = z.imag();
   }
   const int b = position_bits(positions);
-  return StageScale(std::move(re), std::move(im),
-                    BitStrideMap(0, bit_gather(sorted, b).strides(),
-                                 positions >> b));
+  return {std::move(re), std::move(im),
+          BitStrideMap(0, bit_gather(sorted, b).strides(), positions >> b)};
 }
 
-/// An expanded scale table as a BitDiag over all position bits; it must
-/// repeat over the outer digit.
-BitDiag lift(util::cvec&& t) {
-  if (t.empty()) return {};
-  const auto period = std::size_t{1}
-                      << position_bits(static_cast<idx_t>(t.size()));
-  for (std::size_t k = period; k < t.size(); ++k) {
-    util::require(t[k] == t[k - period],
-                  "fuse: scale table varies over the outer digit");
+StageScale to_scale(const DiagFactors& d, idx_t positions, idx_t cn) {
+  if (d.empty()) return {};
+  std::vector<StageScale::Factor> factors;
+  for (const BitDiag& f : d) factors.push_back(to_factor(f, positions, cn));
+  return StageScale(std::move(factors));
+}
+
+/// A stage scale as diagonal factors, each read off its factor's map:
+/// value bit i is the position bit with stride 2^i. Lowered scales have
+/// this form; it must not vary over the outer digit.
+DiagFactors lift(const StageScale& sc) {
+  DiagFactors d;
+  for (const StageScale::Factor& f : sc.factors()) {
+    const BitStrideMap& m = f.map();
+    util::require(m.base() == 0 && m.outer_stride() == 0,
+                  "fuse: scale varies over the outer digit");
+    BitDiag g;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      g.values.emplace_back(f.re()[i], f.im()[i]);
+    }
+    g.bits.assign(static_cast<std::size_t>(position_bits(
+                      static_cast<idx_t>(f.size()))),
+                  -1);
+    for (int q = 0; q < m.bits(); ++q) {
+      const idx_t st = m.strides()[static_cast<std::size_t>(q)];
+      if (st == 0) continue;
+      const auto i = static_cast<std::size_t>(util::log2_exact(st));
+      util::require(util::is_pow2(st) && i < g.bits.size() && g.bits[i] < 0,
+                    "fuse: scale map is not a bit projection");
+      g.bits[i] = q;
+    }
+    util::require(std::find(g.bits.begin(), g.bits.end(), -1) == g.bits.end(),
+                  "fuse: scale map is not a bit projection");
+    d.push_back(std::move(g));
   }
-  t.resize(period);
-  BitDiag d{std::move(t), {}};
-  for (int b = 0; (std::size_t{1} << b) < period; ++b) d.bits.push_back(b);
   return d;
 }
 
 /// Folds a pure stage's diagonal f, read at position map pos
-/// (pos == nullptr: the identity), into acc: f's bits are renamed
-/// through pos, then multiplied in.
-void scale_by(BitDiag& acc, const BitDiag& f, const BitStrideMap* pos) {
-  if (f.values.empty()) return;
-  std::vector<int> fbits = f.bits;
+/// (pos == nullptr: the identity), into acc: each factor's bits are
+/// renamed through pos, then multiplied in.
+void scale_by(DiagFactors& acc, const DiagFactors& f,
+              const BitStrideMap* pos) {
+  std::vector<int> from;
   if (pos != nullptr) {
     // Bit q of pos(j) is bit b of j where pos.strides[b] == 2^q.
-    std::vector<int> from(pos->strides().size());
+    from.resize(pos->strides().size());
     for (std::size_t b = 0; b < from.size(); ++b) {
       from[static_cast<std::size_t>(util::log2_exact(pos->strides()[b]))] =
           static_cast<int>(b);
     }
-    for (int& q : fbits) q = from[static_cast<std::size_t>(q)];
   }
-  multiply(acc, f.values, fbits);
+  for (const BitDiag& g : f) {
+    std::vector<int> fbits = g.bits;
+    if (pos != nullptr) {
+      for (int& q : fbits) q = from[static_cast<std::size_t>(q)];
+    }
+    multiply(acc, g.values, fbits);
+  }
 }
 
 }  // namespace
@@ -290,8 +346,8 @@ int fuse(StageList& list) {
   lowered.reserve(list.stages.size());
   for (auto& s : list.stages) {
     LoweredStage ls{std::move(s), {}, {}};
-    ls.in_diag = lift(ls.stage.in_scale.expand());
-    ls.out_diag = lift(ls.stage.out_scale.expand());
+    ls.in_diag = lift(ls.stage.in_scale);
+    ls.out_diag = lift(ls.stage.out_scale);
     ls.stage.in_scale = {};
     ls.stage.out_scale = {};
     lowered.push_back(std::move(ls));

@@ -77,7 +77,7 @@ std::optional<AffineMap> BitStrideMap::affine(idx_t cn) const {
   return a;
 }
 
-StageScale::StageScale(util::dvec re, util::dvec im, BitStrideMap map)
+StageScale::Factor::Factor(util::dvec re, util::dvec im, BitStrideMap map)
     : map_(std::move(map)) {
   util::require(!re.empty() && re.size() == im.size(),
                 "stage scale: needs as many real as imaginary parts");
@@ -86,6 +86,20 @@ StageScale::StageScale(util::dvec re, util::dvec im, BitStrideMap map)
                 "stage scale: the map indexes past the values");
   values_ =
       std::make_shared<const Values>(Values{std::move(re), std::move(im)});
+}
+
+StageScale::StageScale(util::dvec re, util::dvec im, BitStrideMap map) {
+  factors_.emplace_back(std::move(re), std::move(im), std::move(map));
+}
+
+StageScale::StageScale(std::vector<Factor> factors)
+    : factors_(std::move(factors)) {
+  util::require(!factors_.empty() && factors_.size() <= kMaxScaleFactors,
+                "stage scale: needs 1 to kMaxScaleFactors factors");
+  for (const Factor& f : factors_) {
+    util::require(f.map().positions() == positions(),
+                  "stage scale: the factors cover different positions");
+  }
 }
 
 StageScale::StageScale(const util::cvec& table) {
@@ -101,6 +115,12 @@ StageScale::StageScale(const util::cvec& table) {
   for (int i = 0; i < b; ++i) st.push_back(idx_t{1} << i);
   *this = StageScale(std::move(re), std::move(im),
                      BitStrideMap(0, std::move(st), n >> b, idx_t{1} << b));
+}
+
+std::size_t StageScale::size() const noexcept {
+  std::size_t n = 0;
+  for (const Factor& f : factors_) n += f.size();
+  return n;
 }
 
 util::cvec StageScale::expand() const {

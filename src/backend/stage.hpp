@@ -125,43 +125,107 @@ class BitStrideMap {
   std::vector<std::int32_t> lo_{0}, hi_{0};
 };
 
+/// Most factors a StageScale holds: a SIMD plan records one lane form
+/// per factor (simd::StagePlan).
+inline constexpr std::size_t kMaxScaleFactors = 2;
+
+/// x, passed through a register the optimizer cannot see into: a product
+/// sent through here is rounded on its own and never contracted with a
+/// following add into a fused multiply-add. Works on double and on the
+/// GCC/Clang vector types of the SIMD kernels.
+template <class T>
+inline T rounded(T x) noexcept {
+#if defined(__GNUC__) && defined(__x86_64__)
+  __asm__("" : "+x"(x));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  __asm__("" : "+w"(x));
+#endif
+  return x;
+}
+
+/// The product of two scale factors: std::complex's a*b with every
+/// partial product rounded before the sum. Each consumer of a factored
+/// scale multiplies its factors this way (the SIMD kernels lane by lane),
+/// so all of them apply the same value.
+[[nodiscard]] inline cplx scale_product(cplx a, cplx b) noexcept {
+  return {rounded(a.real() * b.real()) - rounded(a.imag() * b.imag()),
+          rounded(a.real() * b.imag()) + rounded(a.imag() * b.real())};
+}
+
 /// A stage side's fused diagonal, kept symbolic (the scale function of
-/// loop merging, [11]): value(k) = values[map.at(k)] at position
-/// k = it*cn + l. The values are the diagonal's distinct entries, split
-/// re/im and shared by every copy; the map has stride 2^i on the position
-/// bit that value bit i reads, 0 elsewhere. Lowering orders the values
-/// iteration bits first, then element bits (materialize_scales), so SIMD
-/// lanes read one broadcast value or W contiguous ones.
+/// loop merging, [11]) as a product of factors. Each factor stores
+/// distinct values, split re/im and shared by every copy, and a map with
+/// stride 2^i on the position bit that value bit i reads, 0 elsewhere; its
+/// value at position k = it*cn + l is values[map.at(k)]. The scale's value
+/// at k is the factors' values multiplied left to right by
+/// scale_product. A diagonal whose table would outgrow the L2 is stored as
+/// two smaller factors (backend/fuse, kMaxScaleValues); every other one
+/// has a single factor. Lowering orders each factor's values lane bits
+/// first, then element bits, then the other iteration bits
+/// (materialize_scales), so SIMD lanes read one broadcast value or W
+/// contiguous ones per factor and a pack's values lie together.
 class StageScale {
  public:
+  class Factor {
+   public:
+    /// Every map entry must index the values.
+    Factor(util::dvec re, util::dvec im, BitStrideMap map);
+
+    /// Number of stored values.
+    [[nodiscard]] std::size_t size() const noexcept {
+      return values_->re.size();
+    }
+    [[nodiscard]] const BitStrideMap& map() const noexcept { return map_; }
+    [[nodiscard]] const double* re() const noexcept {
+      return values_->re.data();
+    }
+    [[nodiscard]] const double* im() const noexcept {
+      return values_->im.data();
+    }
+    /// The factor's value at position k.
+    [[nodiscard]] cplx at(idx_t k) const {
+      const idx_t i = map_.at(k);
+      return {re()[i], im()[i]};
+    }
+
+   private:
+    struct Values {
+      util::dvec re, im;
+    };
+    std::shared_ptr<const Values> values_;
+    BitStrideMap map_;
+  };
+
   StageScale() = default;
-  /// Every map entry must index the values.
+  /// One factor.
   StageScale(util::dvec re, util::dvec im, BitStrideMap map);
+  /// 1 to kMaxScaleFactors factors over the same positions.
+  explicit StageScale(std::vector<Factor> factors);
   /// An execution-order table: entry k at position k (empty: no scale).
   explicit StageScale(const util::cvec& table);
 
-  [[nodiscard]] bool empty() const noexcept { return !values_; }
-  /// Number of stored values (not positions).
-  [[nodiscard]] std::size_t size() const noexcept {
-    return values_ ? values_->re.size() : 0;
+  [[nodiscard]] bool empty() const noexcept { return factors_.empty(); }
+  [[nodiscard]] const std::vector<Factor>& factors() const noexcept {
+    return factors_;
   }
-  [[nodiscard]] idx_t positions() const noexcept { return map_.positions(); }
-  [[nodiscard]] const BitStrideMap& map() const noexcept { return map_; }
-  [[nodiscard]] const double* re() const noexcept { return values_->re.data(); }
-  [[nodiscard]] const double* im() const noexcept { return values_->im.data(); }
+  /// Number of stored values, over every factor (not positions).
+  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] idx_t positions() const noexcept {
+    return factors_.front().map().positions();
+  }
   /// The scale at position k.
   [[nodiscard]] cplx at(idx_t k) const {
-    return {re()[map_.at(k)], im()[map_.at(k)]};
+    cplx v = factors_.front().at(k);
+    for (std::size_t f = 1; f < factors_.size(); ++f) {
+      v = scale_product(v, factors_[f].at(k));
+    }
+    return v;
   }
   /// The execution-order table (positions() entries), for printing.
   [[nodiscard]] util::cvec expand() const;
 
  private:
-  struct Values {
-    util::dvec re, im;
-  };
-  std::shared_ptr<const Values> values_;
-  BitStrideMap map_;
+  std::vector<Factor> factors_;
 };
 
 /// One loop stage:

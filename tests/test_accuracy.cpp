@@ -7,8 +7,11 @@
 // planned programs to 0.5 * log2(n) * u, which the loose fft_tolerance
 // of the other suites (1e-10 scale) cannot see move.
 //
-// The per-path maxima, in units of log2(n) * u, are printed so a change
-// to the codelets can quote them.
+// The per-path and per-size maxima, in units of log2(n) * u, are printed
+// so a change to the codelets or the twiddles can quote them. From 2^18
+// on, the plans store their largest twiddle diagonal as two factors
+// (backend/fuse, kMaxScaleValues); the test asserts it, so the reference
+// covers the factored path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +30,7 @@ using spiral::testing::kUnitRoundoff;
 TEST(Accuracy, RelativeL2ErrorGrowsAtMostHalfLog2NUnits) {
   constexpr int kMinPoints = 1 << 16;  // per size, over independent signals
   std::map<idx_t, double> worst;       // nu -> max error / (log2(n) u)
+  std::map<int, double> worst_n;       // log2(n) -> the same over paths
   for (int k = 4; k <= 20; ++k) {
     const idx_t n = idx_t{1} << k;
     const int trials = std::max(1, kMinPoints >> k);
@@ -46,6 +50,16 @@ TEST(Accuracy, RelativeL2ErrorGrowsAtMostHalfLog2NUnits) {
         o.threads = p;
         o.vector_nu = nu;
         const auto plan = core::plan_dft(n, o);
+        std::size_t factors = 0;
+        for (const auto& s : plan->stages().stages) {
+          factors = std::max({factors, s.in_scale.factors().size(),
+                              s.out_scale.factors().size()});
+        }
+        if (k >= 18) {
+          EXPECT_EQ(factors, 2U) << "n=2^" << k << " nu=" << nu << " p=" << p;
+        } else {
+          EXPECT_LE(factors, 1U) << "n=2^" << k << " nu=" << nu << " p=" << p;
+        }
         util::cvec y(x.size());
         for (int t = 0; t < trials; ++t) {
           plan->execute(x.data() + t * n, y.data() + t * n);
@@ -54,8 +68,12 @@ TEST(Accuracy, RelativeL2ErrorGrowsAtMostHalfLog2NUnits) {
         EXPECT_LE(err, 0.5 * units)
             << "n=2^" << k << " nu=" << nu << " p=" << p << ": " << err;
         worst[nu] = std::max(worst[nu], err / units);
+        worst_n[k] = std::max(worst_n[k], err / units);
       }
     }
+  }
+  for (const auto& [k, w] : worst_n) {
+    std::printf("max relative L2 error, n=2^%d: %.3f log2(n) u\n", k, w);
   }
   for (const auto& [nu, w] : worst) {
     std::printf("max relative L2 error, nu=%lld: %.3f log2(n) u\n",

@@ -560,7 +560,7 @@ TEST(StageScales, CopiesShareOneValueBuffer) {
   std::vector<const double*> values;
   for (const Stage& s : list.stages) {
     for (const StageScale* sc : {&s.in_scale, &s.out_scale}) {
-      values.push_back(sc->empty() ? nullptr : sc->re());
+      values.push_back(sc->empty() ? nullptr : sc->factors()[0].re());
     }
   }
   ASSERT_NE(std::count(values.begin(), values.end(), nullptr),
@@ -577,7 +577,9 @@ TEST(StageScales, CopiesShareOneValueBuffer) {
       const double* want = values[i++];
       for (const Stage* s : {&prog.stages().stages[k], &copy.stages[k],
                              &one.stages().stages[0]}) {
-        EXPECT_EQ((s->*side).empty() ? nullptr : (s->*side).re(), want)
+        EXPECT_EQ((s->*side).empty() ? nullptr
+                                        : (s->*side).factors()[0].re(),
+                  want)
             << s->label;
       }
     }
@@ -676,10 +678,86 @@ TEST(StageScales, LaneFormsMatchExpandedTables) {
       if (!plan.active) continue;
       EXPECT_EQ(plan.width, table_plan.width);
       const ScaleForm form = plan.width == 2 ? c.form2 : c.form8;
-      EXPECT_EQ(plan.in_scale, form) << "W=" << plan.width;
-      EXPECT_EQ(plan.out_scale, c.out.empty() ? ScaleForm::kNone : form);
+      EXPECT_EQ(plan.in_scale[0], form) << "W=" << plan.width;
+      EXPECT_EQ(plan.out_scale[0], c.out.empty() ? ScaleForm::kNone : form);
     }
   }
+}
+
+TEST(StageScales, FactoredScalesMatchExpandedTables) {
+  // A scale of two factors multiplies the pack by their product, rounded
+  // as StageScale::at rounds it: on every ISA the host has, scalar
+  // included, the stage reproduces bit for bit the same stage with the
+  // scale expanded to one execution-order table. Each factor records its
+  // own lane form. Same DFT_4 (x) I_64 stage as above.
+  Stage s;
+  s.iters = 64;
+  s.cn = 4;
+  s.is_compute = true;
+  s.in_bits = BitStrideMap(0, {64, 128, 1, 2, 4, 8, 16, 32});
+  s.out_bits = s.in_bits;
+  using simd::ScaleForm;
+  auto two = [](std::vector<idx_t> a, std::vector<idx_t> b) {
+    return StageScale({random_scale(std::move(a), 43).factors()[0],
+                       random_scale(std::move(b), 44).factors()[0]});
+  };
+  s.in_scale = two({64, 128, 1, 2, 4, 8, 16, 32}, {1, 2, 0, 0, 0, 4, 8, 0});
+  s.out_scale = two({1, 2, 0, 0, 0, 4, 8, 0}, {1, 2, 0, 4, 0, 0, 8, 0});
+  ASSERT_EQ(s.in_scale.size(), 256U + 16U);
+  Stage table = s;
+  table.in_scale = StageScale(s.in_scale.expand());
+  table.out_scale = StageScale(s.out_scale.expand());
+  for (idx_t k = 0; k < 256; ++k) {
+    const auto& f = s.in_scale.factors();
+    const cplx want = scale_product(f[0].at(k), f[1].at(k));
+    ASSERT_EQ(s.in_scale.at(k), want);
+  }
+  const bool host_simd = simd::detect_isa() != simd::Isa::kScalar;
+  util::Rng rng(45);
+  const auto x = rng.complex_signal(256);
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kVec128, simd::Isa::kAvx2,
+        simd::Isa::kAvx512}) {
+    SCOPED_TRACE(simd::to_string(isa));
+    simd::StagePlan plan, table_plan;
+    const util::cvec want = run_stage(table, isa, x, &table_plan);
+    const util::cvec y = run_stage(s, isa, x, &plan);
+    EXPECT_TRUE(bit_identical(y, want));
+    EXPECT_EQ(plan.active, host_simd && isa != simd::Isa::kScalar);
+    if (!plan.active) continue;
+    const ScaleForm some =
+        plan.width == 2 ? ScaleForm::kBroadcast : ScaleForm::kGather;
+    EXPECT_EQ(plan.in_scale[0], ScaleForm::kContiguous);
+    EXPECT_EQ(plan.in_scale[1], ScaleForm::kBroadcast);
+    EXPECT_EQ(plan.out_scale[0], ScaleForm::kBroadcast);
+    EXPECT_EQ(plan.out_scale[1], some);
+  }
+}
+
+TEST(StageScales, Large4mFactorsReadAsBroadcastOrContiguous) {
+  // The 2^22 p = 4 nu = 4 plan's factored diagonal: the j split keeps
+  // the lane bits in one factor, so no factor's lanes need a gather. (A
+  // group member's rebased plan carries its stage plan's scale forms:
+  // scales are read by global position.)
+  StageList list =
+      lower_fused(core::planner_formula(idx_t{1} << 22, group_planner(4, 4)));
+  Program prog(std::move(list), ExecPolicy::kThreadPool);
+  prog.enable_simd(4);
+  if (!prog.simd_active()) GTEST_SKIP() << "no SIMD on this host";
+  int factored = 0;
+  for (std::size_t k = 0; k < prog.stages().stages.size(); ++k) {
+    const Stage& s = prog.stages().stages[k];
+    const simd::StagePlan& plan = prog.simd_plans()[k];
+    if (s.in_scale.factors().size() < 2) continue;
+    ++factored;
+    ASSERT_TRUE(plan.active) << s.label;
+    for (std::size_t f = 0; f < s.in_scale.factors().size(); ++f) {
+      EXPECT_TRUE(plan.in_scale[f] == simd::ScaleForm::kBroadcast ||
+                  plan.in_scale[f] == simd::ScaleForm::kContiguous)
+          << s.label << " factor " << f;
+    }
+  }
+  EXPECT_EQ(factored, 1);
 }
 
 }  // namespace

@@ -141,6 +141,58 @@ TEST(CodegenC, PersistentPoolProgramSelfTests) {
   }
 }
 
+/// main() for a pooled entry point `dft_pool` of size n: one call starts
+/// the workers; after they had time to park, the process's CPU time is
+/// read over a 100 ms idle window (the main thread sleeps, so it is the
+/// workers'); a second call must wake them and reproduce the first
+/// output. Exit code 0 when the window cost < 5 ms of CPU and the outputs
+/// agree; a worker that spins or yields instead of parking burns about
+/// the whole window per worker.
+std::string idle_driver(idx_t n) {
+  return "#define _POSIX_C_SOURCE 200809L\n"
+         "#include <stdio.h>\n#include <string.h>\n#include <time.h>\n"
+         "void dft_pool(const double *x, double *y, double *b0, double *b1);\n"
+         "enum { N = " + std::to_string(n) + " };\n"
+         "static double x[2*N], y[2*N], y2[2*N], b0[2*N], b1[2*N];\n"
+         "static double cpu_ms(void) {\n"
+         "  struct timespec t;\n"
+         "  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);\n"
+         "  return t.tv_sec * 1e3 + t.tv_nsec * 1e-6;\n}\n"
+         "static void sleep_ms(long ms) {\n"
+         "  struct timespec t = {ms / 1000, (ms % 1000) * 1000000L};\n"
+         "  nanosleep(&t, 0);\n}\n"
+         "int main(void) {\n"
+         "  for (int i = 0; i < 2*N; ++i) x[i] = (double)(i * 7919 % 97) / 97.0;\n"
+         "  dft_pool(x, y, b0, b1);\n"
+         "  sleep_ms(20);\n"
+         "  double c0 = cpu_ms();\n"
+         "  sleep_ms(100);\n"
+         "  double idle = cpu_ms() - c0;\n"
+         "  dft_pool(x, y2, b0, b1);\n"
+         "  int same = memcmp(y, y2, sizeof y) == 0;\n"
+         "  printf(\"idle window 100 ms: %.3f ms CPU, second call %s\\n\",\n"
+         "         idle, same ? \"identical\" : \"differs\");\n"
+         "  return idle < 5.0 && same ? 0 : 1;\n"
+         "}\n";
+}
+
+TEST(CodegenC, IdlePoolWorkersPark) {
+  // After the spin phase an idle worker of the emitted pool sleeps on a
+  // condition variable: its CPU time stays flat while no transform runs,
+  // and the next call still wakes it.
+  core::PlannerOptions o;
+  o.threads = 4;
+  const StageList list = core::plan_dft(1024, o)->stages();
+  CodegenOptions opts;
+  opts.function_name = "dft_pool";
+  const std::string src = emit_c(list, opts);
+  ASSERT_NE(src.find("enum { POOL_P = 4 }"), std::string::npos);
+  EXPECT_NE(src.find("pthread_cond_wait"), std::string::npos);
+  EXPECT_EQ(src.find("sched_yield"), std::string::npos);
+  EXPECT_EQ(compile_and_run(src, "pool_idle", "-pthread", idle_driver(list.n)),
+            0);
+}
+
 /// main() for a generated WHT_N entry point `wht`: a seeded complex
 /// signal against the direct Hadamard sum
 /// y[k] = sum_l (-1)^popcount(k & l) x[l]; exit code 0 within 1e-9*N.

@@ -10,9 +10,12 @@
 // Each identity is held to a relative L2 error of kBound * log2(n) * u
 // (u = 2^-53); test_accuracy measures a planned DFT alone at <= 0.5 of
 // that unit. The plans are the streamed 2^20 p=4 one (each stage group's
-// last write non-temporal) and the 2^12 = 64 x 64 one, at nu = 0 and 4.
+// last write non-temporal) and the 2^12 = 64 x 64 one, at nu = 0 and 4,
+// and the 2^22 p=4 nu=4 one, past the long-double reference's reach.
+// From 2^18 on, the largest twiddle diagonal is stored as two factors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -172,6 +175,11 @@ TEST_P(SelfChecks, PlanHasTheIntendedShape) {
     for (const auto& st : list.stages) EXPECT_EQ(st.cn, 64) << st.label;
     return;
   }
+  std::size_t factors = 0;
+  for (const auto& st : list.stages) {
+    factors = std::max(factors, st.in_scale.factors().size());
+  }
+  EXPECT_EQ(factors, 2u);
   backend::Program prog(list, backend::ExecPolicy::kThreadPool);
   prog.enable_simd(s.nu);
   ASSERT_GT(prog.group_count(), 0u);
@@ -185,7 +193,7 @@ TEST_P(SelfChecks, PlanHasTheIntendedShape) {
 INSTANTIATE_TEST_SUITE_P(
     Plans, SelfChecks,
     ::testing::Values(Shape{20, 4, 0}, Shape{20, 4, 4}, Shape{12, 1, 0},
-                      Shape{12, 1, 4}),
+                      Shape{12, 1, 4}, Shape{22, 4, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return "n2e" + std::to_string(info.param.lg) + "_p" +
              std::to_string(info.param.threads) + "_nu" +
