@@ -13,7 +13,7 @@ namespace spiral::backend::simd {
 
 PackFn pack_fn_avx512(idx_t width, idx_t cn, int kind) {
 #if defined(__AVX512F__) && defined(__FMA__)
-  return avx512::pack_fn<8>(width, cn, kind);
+  return avx512::pack_fn<kMaxWidth>(width, cn, kind);
 #else
   (void)width;
   (void)cn;
