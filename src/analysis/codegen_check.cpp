@@ -1,6 +1,7 @@
 #include "analysis/codegen_check.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -8,7 +9,9 @@
 
 #include "analysis/verify.hpp"
 #include "backend/codegen_c.hpp"
+#include "backend/codelet_template.hpp"
 #include "backend/vectorize.hpp"
+#include "spl/twiddle.hpp"
 #include "util/common.hpp"
 
 namespace spiral::analysis {
@@ -64,6 +67,7 @@ std::string CodegenReport::to_string() const {
 namespace {
 
 using backend::CCodelet;
+using backend::COp;
 using backend::CProgram;
 using backend::CSide;
 using backend::CStage;
@@ -101,80 +105,62 @@ std::vector<idx_t> canonical_shuffle(idx_t w, int mode) {
   return v;
 }
 
-/// Applies the codelet's radix-2 network to every unit vector and
-/// compares the resulting linear map against the reference DFT matrix
-/// M[k][j] = e^(sign*2*pi*i*k*j/n). Returns false (with *err filled) when
+/// Applies the codelet's body to each of the 2n real unit vectors (re
+/// and im separately: a straight-line body is only R-linear) and
+/// compares the stores with column j of DFT_n (e^(sign 2 pi i k j / n))
+/// or WHT_n, times 1 or i. Returns false (with *err filled) when an op
+/// reads a value not defined before it, a store names no temporary, or
 /// the map deviates beyond tolerance.
-bool simulate_dft_network(const CCodelet& c, std::string* err) {
-  const idx_t n = c.n;
-  const int k = util::log2_exact(n);
-  if (static_cast<idx_t>(c.rev.size()) != n) {
-    *err = "rev table has " + std::to_string(c.rev.size()) + " entries";
-    return false;
-  }
-  for (idx_t r : c.rev) {
-    if (r < 0 || r >= n) {
-      *err = "rev entry " + std::to_string(r) + " out of range";
+bool check_body(const CCodelet& c, std::string* err) {
+  const auto n = static_cast<std::size_t>(c.n);
+  auto defined = [&](idx_t v, std::size_t ops) {
+    return v >= 0 && static_cast<std::size_t>(v) < 2 * n + ops;
+  };
+  for (std::size_t k = 0; k < c.ops.size(); ++k) {
+    const COp& o = c.ops[k];
+    if (!defined(o.a, k) || (o.kind != COp::kMul && !defined(o.b, k))) {
+      *err = "t" + std::to_string(k) + " reads a value not defined before it";
       return false;
     }
   }
-  if (static_cast<int>(c.twr.size()) != k ||
-      static_cast<int>(c.twi.size()) != k) {
-    *err = "twiddle stage count != log2(n)";
+  if (c.out.size() != 2 * n ||
+      !std::all_of(c.out.begin(), c.out.end(), [&](idx_t v) {
+        return !defined(v, 0) && defined(v, c.ops.size());
+      })) {
+    *err = "does not store one temporary to each output";
     return false;
   }
-  for (int st = 0; st < k; ++st) {
-    const std::size_t h = std::size_t{1} << st;
-    if (c.twr[st].size() != h || c.twi[st].size() != h) {
-      *err = "twiddle table at h=" + std::to_string(h) + " mis-sized";
-      return false;
-    }
-  }
-  const auto un = static_cast<std::size_t>(n);
   double max_err = 0.0;
-  std::vector<double> re(un), im(un);
-  for (std::size_t col = 0; col < un; ++col) {
-    std::fill(re.begin(), re.end(), 0.0);
-    std::fill(im.begin(), im.end(), 0.0);
-    re[col] = 1.0;
-    // Exact emitted swap-loop semantics: if (rev[i] > i) swap.
-    for (std::size_t i = 0; i < un; ++i) {
-      const auto r = static_cast<std::size_t>(c.rev[i]);
-      if (r > i) {
-        std::swap(re[i], re[r]);
-        std::swap(im[i], im[r]);
-      }
+  std::vector<double> v(2 * n + c.ops.size());
+  for (std::size_t col = 0; col < 2 * n; ++col) {
+    std::fill(v.begin(), v.end(), 0.0);
+    v[col] = 1.0;
+    for (std::size_t k = 0; k < c.ops.size(); ++k) {
+      const COp& o = c.ops[k];
+      const double a = v[static_cast<std::size_t>(o.a)];
+      const double b =
+          o.kind == COp::kMul ? o.c : v[static_cast<std::size_t>(o.b)];
+      v[2 * n + k] = o.kind == COp::kAdd   ? a + b
+                     : o.kind == COp::kSub ? a - b
+                                           : a * b;
     }
-    for (int st = 0; st < k; ++st) {
-      const std::size_t h = std::size_t{1} << st;
-      for (std::size_t b = 0; b < un; b += 2 * h) {
-        for (std::size_t j = 0; j < h; ++j) {
-          const std::size_t u = b + j;
-          const std::size_t x = b + j + h;
-          const double wr = c.twr[st][j];
-          const double wi = c.twi[st][j];
-          const double vr = re[x] * wr - im[x] * wi;
-          const double vi = re[x] * wi + im[x] * wr;
-          re[x] = re[u] - vr;
-          im[x] = im[u] - vi;
-          re[u] += vr;
-          im[u] += vi;
-        }
-      }
-    }
-    for (std::size_t row = 0; row < un; ++row) {
-      const double ang = (c.sign < 0 ? -1.0 : 1.0) * 2.0 *
-                         3.14159265358979323846 *
-                         static_cast<double>(row * col % un) /
-                         static_cast<double>(n);
-      max_err = std::max({max_err, std::fabs(re[row] - std::cos(ang)),
-                          std::fabs(im[row] - std::sin(ang))});
+    const std::size_t j = col % n;
+    for (std::size_t row = 0; row < n; ++row) {
+      cplx m = c.wht ? cplx(std::popcount(row & j) % 2 ? -1.0 : 1.0)
+                     : spl::root_of_unity(c.n, static_cast<idx_t>(row * j),
+                                          c.sign);
+      if (col >= n) m *= cplx(0.0, 1.0);
+      const auto re = static_cast<std::size_t>(c.out[row]);
+      const auto im = static_cast<std::size_t>(c.out[n + row]);
+      max_err = std::max({max_err, std::fabs(v[re] - m.real()),
+                          std::fabs(v[im] - m.imag())});
     }
   }
   if (max_err > 1e-9 * static_cast<double>(n)) {
     std::ostringstream os;
     os.precision(17);
-    os << "linear map deviates from the DFT matrix by " << max_err;
+    os << "linear map deviates from the " << (c.wht ? "WHT" : "DFT")
+       << " matrix by " << max_err;
     *err = os.str();
     return false;
   }
@@ -486,8 +472,8 @@ void check_pool(Ctx& cx, const CProgram& p, idx_t team) {
   }
 }
 
-/// Every codelet a stage calls must be emitted; a DFT codelet's radix-2
-/// network over its rev/twiddle tables must compute the DFT matrix.
+/// Every codelet a stage calls must be emitted, and its body must compute
+/// the DFT or WHT matrix.
 void check_codelets(Ctx& cx, const CProgram& p) {
   std::set<std::tuple<bool, idx_t, int, idx_t>> needed;  // wht, n, sign, w
   for (const CStage& s : p.stages) {
@@ -501,7 +487,7 @@ void check_codelets(Ctx& cx, const CProgram& p) {
         (wht ? "wht" + std::to_string(cn)
              : "dft" + std::to_string(cn) + (sign < 0 ? "f" : "i")) +
         (w >= 2 ? "_v" + std::to_string(w) : "");
-    if (!util::is_pow2(cn) || cn > 4096) {
+    if (!util::is_pow2(cn) || cn > backend::kMaxCodelet) {
       cx.add(CodegenDiag::kCodeletMismatch, -1,
              name + ": codelet size is not a supported power of two");
       continue;
@@ -517,7 +503,7 @@ void check_codelets(Ctx& cx, const CProgram& p) {
       continue;
     }
     std::string err;
-    if (!wht && !simulate_dft_network(*it, &err)) {
+    if (!check_body(*it, &err)) {
       cx.add(CodegenDiag::kCodeletMismatch, -1, name + ": " + err);
     }
   }

@@ -11,10 +11,10 @@
 // is a parse-error; the code around the values is trusted, pinned by the
 // golden files and the compile-and-run tests. Every value a check
 // judges — bases, strides and index declaration types, index and scale
-// tables, shuffle lists, codelet tables, chunk arms, POOL_P, the job
-// pointers' _Atomic qualifiers, the walk's barriers and stage calls — is
-// read as a value, and three things are proven *statically*, before the
-// compiler ever runs:
+// tables, shuffle lists, codelet ops and constants, chunk arms, POOL_P,
+// the job pointers' _Atomic qualifiers, the walk's barriers and stage
+// calls — is read as a value, and three things are proven *statically*,
+// before the compiler ever runs:
 //
 //  (a) Footprints & synchronization. The per-(iteration, element)
 //      read/write indices, scale tables, and per-thread chunk bounds of
@@ -32,12 +32,14 @@
 //      the 2*idx interleaved-address overflow bound at the plan's actual
 //      n/p/nu.
 //
-//  (c) Codelet semantics. The rev/twiddle tables of every emitted DFT
-//      codelet (scalar and across-iterations SIMD variants) are read
-//      and the radix-2 network is applied symbolically to unit vectors;
-//      the resulting linear map must match the DFT matrix of the
-//      interpreter's stage semantics. The SIMD deinterleave/interleave
-//      shuffle index lists are verified lane by lane.
+//  (c) Codelet semantics. Every emitted DFT and WHT codelet (scalar and
+//      across-iterations SIMD variants) is a straight-line op list — the
+//      interpreter's codelet template, recorded — and is read back op by
+//      op. Applied to all 2n real unit vectors (re and im separately:
+//      the list is only R-linear), it must reproduce the DFT_n or WHT_n
+//      matrix; an operand read before its definition is a mismatch too.
+//      The SIMD deinterleave/interleave shuffle index lists are verified
+//      lane by lane.
 //
 // Wired as `spiral-lint --validate-codegen` with
 // `--mutate-codegen=<kind>` seeded emitter bugs for mutation testing.

@@ -15,8 +15,9 @@
 // compile-and-run tests (tests/test_codegen_*.cpp).
 //
 // The generated file contains:
-//   * static const index-map / twiddle tables for every stage,
-//   * one radix-2 codelet function per (size, sign, SIMD width) in use,
+//   * static const index-map / scale tables for every stage,
+//   * one straight-line codelet per (size, sign, SIMD width) in use: the
+//     interpreter's codelet template (codelet_template.hpp), recorded,
 //   * one entry point
 //       void <name>(const double* x, double* y, double* b0, double* b1)
 //     operating on interleaved complex data, with caller-provided
@@ -43,9 +44,9 @@ struct CodegenOptions {
   /// SIMD width in complex lanes (0 = scalar emission). Compute stages
   /// whose fused maps prove the contiguous-lane shape
   /// (kAcrossIterations on both sides) at this width are emitted as
-  /// GNU-C vector-extension bodies: split-lane complex registers,
-  /// broadcast-twiddle radix-2 network, one lane per iteration — the
-  /// same shapes the interpreter's backend/simd drivers execute. Other
+  /// GNU-C vector-extension bodies: split-lane complex registers, the
+  /// straight-line codelet over `vdW` values, one lane per iteration —
+  /// the same shapes the interpreter's backend/simd drivers execute. Other
   /// stages keep the scalar emission. Requires a GNU-compatible C
   /// compiler (gcc/clang).
   idx_t simd_nu = 0;
@@ -85,15 +86,27 @@ struct CStage {
   idx_t iters = 0;
 };
 
-/// One radix-2 codelet function; scalar when w == 0.
+/// One three-address operation of a codelet body: t = a + b, a - b or
+/// a * c. A value of a codelet over n points is re[j] (index j) or im[j]
+/// (n + j) as loaded, or the result t_k of its op k (2n + k).
+struct COp {
+  enum Kind { kAdd, kSub, kMul };
+  int kind = kAdd;
+  idx_t a = 0, b = 0;  ///< b: kAdd and kSub only
+  double c = 0.0;      ///< kMul: a root of codelet_roots, or -1 (negation)
+};
+
+/// One straight-line codelet function, DFT_n or WHT_n in place on re[],
+/// im[]: Codelet<L, n, Kind> of backend/codelet_template.hpp as recorded
+/// by emit_c; scalar when w == 0, else over `vdW` lanes.
 struct CCodelet {
   bool wht = false;
   idx_t n = 0;
   int sign = -1;
   idx_t w = 0;
-  std::vector<idx_t> rev;  ///< bit-reversal swap table (DFT only)
-  /// Twiddles of butterfly stage s (h = 2^s), split re/im (DFT only).
-  std::vector<std::vector<double>> twr, twi;
+  std::vector<COp> ops;
+  /// Stored after every op, in order: to re[k] (k < n), then im[k] (n + k).
+  std::vector<idx_t> out;
 };
 
 /// Buffers a stage call reads or writes, and their names in the C.

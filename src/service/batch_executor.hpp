@@ -124,7 +124,7 @@ struct ServiceOptions {
   /// Substrate knobs forwarded to the planner (vector_nu,
   /// cache_line_complex, leaf, ...). `threads` above overrides
   /// planner.threads; direction is taken from here too.
-  core::PlannerOptions planner;
+  core::PlannerOptions planner{};
   /// Plan cache to draw coalesced plans from; nullptr = a private cache.
   core::PlanCache* cache = nullptr;
   /// Construction does not start the batcher; call start(). Lets tests

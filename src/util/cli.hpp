@@ -16,12 +16,10 @@ class CliArgs {
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
       if (a.rfind("--", 0) == 0) {
-        auto eq = a.find('=');
-        if (eq == std::string::npos) {
-          flags_[a.substr(2)] = "1";
-        } else {
-          flags_[a.substr(2, eq - 2)] = a.substr(eq + 1);
-        }
+        const auto eq = a.find('=');
+        const bool bare = eq == std::string::npos;
+        flags_.insert_or_assign(a.substr(2, bare ? eq : eq - 2),
+                                bare ? std::string("1") : a.substr(eq + 1));
       } else {
         positional_.push_back(a);
       }

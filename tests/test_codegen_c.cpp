@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "rewrite/breakdown.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
+#include "util/rng.hpp"
 
 namespace spiral::backend {
 namespace {
@@ -253,6 +255,83 @@ TEST(CodegenC, WhtProgramSelfTests) {
                     wht_driver(list.n)),
                 0);
     }
+  }
+}
+
+/// main() for an entry point `fft` of size n: reads 2n doubles from
+/// `in`, transforms them and writes the 2n results to `out`; exit code
+/// 0 when both files were read and written whole.
+std::string file_driver(idx_t n, const std::string& in,
+                        const std::string& out) {
+  return "#include <stdio.h>\n"
+         "void fft(const double *x, double *y, double *b0, double *b1);\n"
+         "enum { N = " + std::to_string(n) + " };\n"
+         "static double x[2*N], y[2*N], b0[2*N], b1[2*N];\n"
+         "int main(void) {\n"
+         "  FILE *f = fopen(\"" + in + "\", \"rb\");\n"
+         "  if (!f || fread(x, sizeof x, 1, f) != 1) return 2;\n"
+         "  fclose(f);\n"
+         "  fft(x, y, b0, b1);\n"
+         "  f = fopen(\"" + out + "\", \"wb\");\n"
+         "  if (!f || fwrite(y, sizeof y, 1, f) != 1) return 3;\n"
+         "  return fclose(f) == 0 ? 0 : 4;\n"
+         "}\n";
+}
+
+TEST(CodegenC, ScalarProgramMatchesInterpreterBitForBit) {
+  // The emitted codelets are the interpreter's codelet template recorded
+  // op for op, and the scale tables are the interpreter's values, so at
+  // nu = 0 the emitted program computes the same bits as plan->execute
+  // once the C compiler may not contract a*b + c into an FMA. The DFT
+  // cases are the output-digest plans (tests/data/output_digests.txt)
+  // up to 2^12. Left out are the digest plans dft 2^16, 2^20 and 2^22
+  // (p = 1 and 4, forward) and dft 2^16 p = 4 inverse: the emitted index
+  // and scale tables grow with n, to 6.9 MB of C at 2^16 and hundreds of
+  // MB at 2^22.
+  struct Case {
+    bool wht;
+    idx_t n;
+    int threads;
+    int direction;
+  };
+  for (const Case& c : {Case{false, 1024, 1, -1}, Case{false, 1024, 4, -1},
+                        Case{false, 4096, 1, -1}, Case{false, 4096, 4, -1},
+                        Case{false, 4096, 4, 1}, Case{true, 1024, 2, -1}}) {
+    const std::string name = std::string(c.wht ? "wht" : "dft") + "_n" +
+                             std::to_string(c.n) + "_p" +
+                             std::to_string(c.threads) +
+                             (c.direction < 0 ? "_fwd" : "_inv");
+    SCOPED_TRACE(name);
+    core::PlannerOptions o;
+    o.threads = c.threads;
+    o.direction = c.direction;
+    const auto plan = c.wht ? core::plan_wht(c.n, o) : core::plan_dft(c.n, o);
+    util::Rng rng(static_cast<std::uint64_t>(c.n));
+    const util::cvec x = rng.complex_signal(c.n);
+    util::cvec want(x.size());
+    plan->execute(x.data(), want.data());
+
+    CodegenOptions opts;
+    opts.function_name = "fft";
+    const std::string dir = ::testing::TempDir();
+    const std::string in = dir + "/" + name + ".in";
+    const std::string out = dir + "/" + name + ".out";
+    std::ofstream(in, std::ios::binary)
+        .write(reinterpret_cast<const char*>(x.data()),
+               static_cast<std::streamsize>(x.size() * sizeof(cplx)));
+    ASSERT_EQ(compile_and_run(emit_c(plan->stages(), opts), name,
+                              "-ffp-contract=off -pthread",
+                              file_driver(c.n, in, out)),
+              0);
+    util::cvec got(x.size());
+    std::ifstream(out, std::ios::binary)
+        .read(reinterpret_cast<char*>(got.data()),
+              static_cast<std::streamsize>(got.size() * sizeof(cplx)));
+    idx_t differ = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (std::memcmp(&got[i], &want[i], sizeof(cplx)) != 0) ++differ;
+    }
+    EXPECT_EQ(differ, 0) << "of " << c.n << " outputs differ in some bit";
   }
 }
 

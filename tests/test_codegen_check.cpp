@@ -8,9 +8,10 @@
 //      with exactly the intended typed diagnostic — mutation testing of
 //      the validator itself, mirrored by the WILL_FAIL ctest lint gates;
 //   3. string-level tampering with an otherwise clean emission (removed
-//      barrier, de-atomized job pointer, perturbed twiddle, a flipped
-//      operator in the fixed code) is caught — the validator reads the
-//      *text*, not the emitter's intentions.
+//      barrier, de-atomized job pointer, a perturbed root or a flipped
+//      operator in a DFT or WHT codelet body, a flipped operator in the
+//      fixed code) is caught — the validator reads the *text*, not the
+//      emitter's intentions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -234,11 +235,41 @@ TEST_F(CodegenTamperTest, NonAtomicJobPointerFlagged) {
 }
 
 TEST_F(CodegenTamperTest, PerturbedTwiddleValueFlagged) {
-  // One wrong twiddle constant: structurally a perfectly-shaped codelet,
-  // but its linear map no longer equals the DFT matrix — only the
-  // symbolic unit-vector application can see this.
-  const analysis::CodegenReport rep = check(
-      tampered("{1,6.123233995736766e-17}", "{1,0.125}"));
+  // One wrong root constant in a straight-line DFT body: the text still
+  // parses, but the body's linear map no longer equals the DFT matrix —
+  // only applying it to unit vectors can see this.
+  const analysis::CodegenReport rep =
+      check(tampered(" * 0.70710678118654757;", " * 0.125;"));
+  EXPECT_EQ(rep.count(analysis::CodegenDiag::kParseError), 0)
+      << rep.to_string();
+  EXPECT_GT(rep.count(analysis::CodegenDiag::kCodeletMismatch), 0)
+      << rep.to_string();
+}
+
+TEST_F(CodegenTamperTest, ForwardReferenceInCodeletFlagged) {
+  // A body reading a temporary before its declaration would not compile;
+  // the validator names it without a compiler.
+  const analysis::CodegenReport rep =
+      check(tampered("t2 = t0 + t1;", "t2 = t9 + t1;"));
+  EXPECT_GT(rep.count(analysis::CodegenDiag::kCodeletMismatch), 0)
+      << rep.to_string();
+}
+
+TEST(CodegenTamper, FlippedWhtOperatorFlagged) {
+  // WHT bodies are straight-line op lists too: one `+` turned into `-`
+  // still parses and must be caught as a wrong linear map.
+  core::PlannerOptions opt;
+  opt.threads = 2;
+  opt.vector_nu = 4;
+  const backend::StageList list = core::plan_wht(1024, opt)->stages();
+  std::string source = emit_validated(list, 4);
+  ASSERT_TRUE(analysis::check_codegen(source, list).clean());
+  const std::size_t pos = source.find(" + ", source.find("static void wht"));
+  ASSERT_NE(pos, std::string::npos);
+  source.replace(pos, 3, " - ");
+  const analysis::CodegenReport rep = analysis::check_codegen(source, list);
+  EXPECT_EQ(rep.count(analysis::CodegenDiag::kParseError), 0)
+      << rep.to_string();
   EXPECT_GT(rep.count(analysis::CodegenDiag::kCodeletMismatch), 0)
       << rep.to_string();
 }

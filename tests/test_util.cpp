@@ -106,14 +106,14 @@ TEST(Util, PseudoMflopsMatchesPaperDefinition) {
 TEST(Util, StopwatchAdvances) {
   util::Stopwatch w;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(w.seconds(), 0.0);
   EXPECT_GT(sink, 0.0);
 }
 
 TEST(Util, TimeMinSecondsReturnsPositive) {
   volatile int sink = 0;
-  const double t = util::time_min_seconds([&] { sink += 1; }, 2, 1e-5);
+  const double t = util::time_min_seconds([&] { sink = sink + 1; }, 2, 1e-5);
   EXPECT_GT(t, 0.0);
   EXPECT_LT(t, 1.0);
 }

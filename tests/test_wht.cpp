@@ -67,7 +67,9 @@ TEST(Wht, ExpandProducesCodeletLeaves) {
   auto f = rewrite::expand_whts(spl::WHT(1 << 10), 8);
   std::function<void(const spl::FormulaPtr&)> walk =
       [&](const spl::FormulaPtr& g) {
-        if (g->kind == spl::Kind::kWHT) EXPECT_LE(g->n, 8);
+        if (g->kind == spl::Kind::kWHT) {
+          EXPECT_LE(g->n, 8);
+        }
         for (const auto& c : g->children) walk(c);
       };
   walk(f);
