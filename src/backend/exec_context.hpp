@@ -7,7 +7,7 @@
 // can therefore serve any number of client threads concurrently, each
 // bringing its own context:
 //
-//   backend::ExecContext ctx;                 // cheap; buffers grow lazily
+//   backend::ExecContext ctx;                 // cheap; scratch grows lazily
 //   plan->execute(ctx, x, y);                 // safe from many threads,
 //                                             // one context per thread
 //
@@ -23,6 +23,15 @@
 // single context must NOT be used by two threads at the same time — it is
 // the per-caller half of the plan/context split, not a synchronization
 // primitive.
+//
+// Scratch is allocated 64 B aligned and never initialized: growing a
+// buffer replaces it without copying, and nothing fills it. Each page is
+// first touched inside the walk by the worker whose step writes it, so a
+// 2^22 transform's first execution pays no serial 64 MiB fill on the
+// caller. No read can see a stale element: the verifier's lost-element
+// check proves every step writes every position of its destination
+// before the next step reads it, and inside a group each member writes
+// its whole block before the next member reads it.
 #pragma once
 
 #include <memory>
@@ -57,7 +66,7 @@ class ExecContext {
     lease_.release();
     stage_barrier_.reset();
     stage_barrier_size_ = 0;
-    for (util::cvec* b : {&buf_[0], &buf_[1], &group_scratch_}) {
+    for (util::scratch_cvec* b : {&buf_[0], &buf_[1], &group_scratch_}) {
       b->clear();
       b->shrink_to_fit();
     }
@@ -68,21 +77,16 @@ class ExecContext {
 
   /// Grows the scratch buffers to hold n elements (never shrinks).
   void ensure_buffers(idx_t n, bool need_second) {
-    if (static_cast<idx_t>(buf_[0].size()) < n) {
-      buf_[0].resize(static_cast<std::size_t>(n));
-    }
-    if (need_second && static_cast<idx_t>(buf_[1].size()) < n) {
-      buf_[1].resize(static_cast<std::size_t>(n));
-    }
+    const auto size = static_cast<std::size_t>(n);
+    util::grow_scratch(buf_[0], size);
+    if (need_second) util::grow_scratch(buf_[1], size);
   }
 
   /// Grows the stage-group scratch to `elems` elements (never shrinks):
   /// two block buffers per worker, which a group's intermediates
   /// ping-pong through while a block stays cache-resident.
   void ensure_group_scratch(idx_t elems) {
-    if (static_cast<idx_t>(group_scratch_.size()) < elems) {
-      group_scratch_.resize(static_cast<std::size_t>(elems));
-    }
+    util::grow_scratch(group_scratch_, static_cast<std::size_t>(elems));
   }
 
   /// The pool parallel stages should dispatch to: an explicitly borrowed
@@ -111,8 +115,8 @@ class ExecContext {
     return *stage_barrier_;
   }
 
-  util::cvec buf_[2];
-  util::cvec group_scratch_;
+  util::scratch_cvec buf_[2];
+  util::scratch_cvec group_scratch_;
   threading::PoolLease lease_;
   threading::ThreadPool* borrowed_pool_ = nullptr;
   std::unique_ptr<threading::SpinBarrier> stage_barrier_;

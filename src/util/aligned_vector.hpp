@@ -1,4 +1,4 @@
-// Cache-line aligned storage for complex signal vectors.
+// Cache-line aligned storage for signal vectors and execution scratch.
 //
 // The paper assumes "all shared data vectors are aligned at cache line
 // boundaries in the final program" (Section 3.1); the proofs that formula
@@ -63,6 +63,37 @@ struct AlignedAllocator {
     return (bytes + Align - 1) / Align * Align;
   }
 };
+
+/// AlignedAllocator whose default construction leaves the element unset,
+/// so growing a vector of it writes nothing. For scratch whose every read
+/// is proven to follow a write: each page is then first touched by
+/// whoever writes it, not by a fill on the thread that allocates.
+template <class T>
+struct UninitializedAllocator : AlignedAllocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+
+  UninitializedAllocator() noexcept = default;
+  template <class U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U*) noexcept {}
+};
+
+/// Cache-line aligned complex scratch that is never value-initialized.
+using scratch_cvec = std::vector<cplx, UninitializedAllocator<cplx>>;
+
+/// Grows `v` to at least n elements (never shrinks). Growth drops the old
+/// contents instead of copying them, and frees the old allocation before
+/// making the new one, so every element is unset afterwards.
+inline void grow_scratch(scratch_cvec& v, std::size_t n) {
+  if (v.size() >= n) return;
+  v = scratch_cvec();
+  v.resize(n);
+}
 
 /// Cache-line aligned vector of complex samples: the standard signal type.
 using cvec = std::vector<cplx, AlignedAllocator<cplx>>;

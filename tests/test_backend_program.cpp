@@ -2,8 +2,9 @@
 // results inline, on a folded (smaller) team and on a full team; in-place
 // execution; barrier elision; repeated execution; stage groups run block
 // by block bit-identically to the flat stage walk, and their streamed
-// final writes change no bits; symbolic scales are shared, never copied,
-// and read bit-identically to expanded tables.
+// final writes change no bits; a reused context's stale scratch never
+// reaches an output; symbolic scales are shared, never copied, and read
+// bit-identically to expanded tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -481,6 +482,87 @@ TEST(StageGroups, MutantGroupingComputesWrongOutput) {
   mutant.execute(ctx, x.data(), y.data());
   EXPECT_FALSE(bit_identical(y, want));
   EXPECT_GT(max_diff(y, want), 1.0);
+}
+
+// ---- Context scratch (ExecContext) ------------------------------------
+
+TEST(ContextScratch, StaleScratchNeverReachesTheOutput) {
+  // Context scratch is never initialized, and growing it keeps no old
+  // contents: a context that ran larger plans hands their leftovers to
+  // the next plan. Every read of scratch follows a write of the same
+  // position, so each output matches a fresh context's byte for byte.
+  // The leftovers come from a grouped 2^19 plan (buf_[0] and the group
+  // block scratch) and a flat 2^14 plan of four steps (buf_[1] too).
+  util::Rng rng(41);
+  const auto plan = [](int lg, int p) {
+    return core::plan_dft(idx_t{1} << lg, group_planner(p, 4));
+  };
+  const auto p19 = plan(19, 4);
+  const auto p14 = plan(14, 4);
+  ASSERT_FALSE(find_stage_groups(p19->stages()).empty());
+  ASSERT_TRUE(find_stage_groups(p14->stages()).empty());
+  ASSERT_GT(p14->stages().stages.size(), 2u);
+  const auto x19 = rng.complex_signal(idx_t{1} << 19);
+  const auto x14 = rng.complex_signal(idx_t{1} << 14);
+  util::cvec y19(x19.size()), y14(x14.size());
+  ExecContext used;
+  const auto dirty = [&] {
+    p19->execute(used, x19.data(), y19.data());
+    p14->execute(used, x14.data(), y14.data());
+  };
+  // `run(ctx, y)` writes the case's output into y.
+  const auto check = [&](const char* what, std::size_t n, const auto& run) {
+    SCOPED_TRACE(what);
+    util::cvec want(n), got(n);
+    {
+      ExecContext fresh;
+      run(fresh, want);
+    }
+    dirty();
+    run(used, got);
+    EXPECT_TRUE(bit_identical(got, want));
+  };
+
+  // 2^10 is two flat steps, 2^13 three (its middle step writes buf_[1]),
+  // 2^16 two stage groups; 2^18 runs sequentially.
+  const auto p10 = plan(10, 4);
+  const auto p13 = plan(13, 4);
+  const auto p16 = plan(16, 4);
+  const auto p18 = plan(18, 1);
+  ASSERT_EQ(p13->stages().stages.size(), 3u);
+  ASSERT_TRUE(find_stage_groups(p13->stages()).empty());
+  ASSERT_FALSE(find_stage_groups(p16->stages()).empty());
+  const Program single(
+      StageList{idx_t{1} << 16, {p16->stages().stages.back()}},
+      ExecPolicy::kThreadPool);
+  const auto x10 = rng.complex_signal(idx_t{1} << 10);
+  const auto x13 = rng.complex_signal(idx_t{1} << 13);
+  const auto x16 = rng.complex_signal(idx_t{1} << 16);
+  const auto x18 = rng.complex_signal(idx_t{1} << 18);
+  const auto out_of_place = [](const auto& plan, const util::cvec& x) {
+    return [&plan, &x](ExecContext& ctx, util::cvec& y) {
+      plan->execute(ctx, x.data(), y.data());
+    };
+  };
+  // In place: the multi-step walk moves x out in its first step; a single
+  // step copies x into buf_[0] first.
+  const auto in_place = [](const auto& prog, const util::cvec& x) {
+    return [&prog, &x](ExecContext& ctx, util::cvec& y) {
+      y = x;
+      prog.execute(ctx, y.data(), y.data());
+    };
+  };
+  for (const bool after_reset : {false, true}) {
+    SCOPED_TRACE(after_reset ? "after reset()" : "first use");
+    if (after_reset) used.reset();
+    check("2^10 p=4", x10.size(), out_of_place(p10, x10));
+    check("2^13 p=4", x13.size(), out_of_place(p13, x13));
+    check("2^16 p=4", x16.size(), out_of_place(p16, x16));
+    check("2^18 p=1", x18.size(), out_of_place(p18, x18));
+    check("2^13 p=4 in place", x13.size(), in_place(*p13, x13));
+    check("2^16 p=4 in place", x16.size(), in_place(*p16, x16));
+    check("single step in place", x16.size(), in_place(single, x16));
+  }
 }
 
 // ---- Streamed group writes (StagePlan::stream_out) --------------------

@@ -3,10 +3,13 @@
 // This exercises the full Spiral pipeline ending in actual generated code.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "backend/codegen_c.hpp"
 #include "backend/lower.hpp"
@@ -33,26 +36,42 @@ StageList vector_plan_stages(idx_t n, int threads) {
   return core::plan_dft(n, o)->stages();
 }
 
+/// Removes the listed files when it goes out of scope, so a case leaves
+/// nothing behind in the temporary directory, whether it passes or not.
+struct RemoveOnExit {
+  std::vector<std::string> paths;
+  ~RemoveOnExit() {
+    for (const std::string& p : paths) std::remove(p.c_str());
+  }
+};
+
 /// Writes `src` to dir/name.c (and `driver`, when given, to
 /// dir/name_driver.c), compiles them into one binary and runs it; returns
-/// the binary's exit status (or -1 on compile failure). The emitted
-/// main() calls the entry point with its own static scratch buffers and
-/// checks the result against a direct DFT; a driver supplies main()
-/// instead.
+/// the binary's exit status (or -1 on compile failure, with the compiler's
+/// messages added to the failure). The emitted main() calls the entry
+/// point with its own static scratch buffers and checks the result
+/// against a direct DFT; a driver supplies main() instead.
 int compile_and_run(const std::string& src, const std::string& name,
                     const std::string& extra_flags,
                     const std::string& driver = "") {
-  const std::string dir = ::testing::TempDir();
-  const std::string cfile = dir + "/" + name + ".c";
-  const std::string dfile = dir + "/" + name + "_driver.c";
-  const std::string bin = dir + "/" + name + ".bin";
+  const std::string stem = ::testing::TempDir() + "/" + name;
+  const std::string cfile = stem + ".c";
+  const std::string dfile = stem + "_driver.c";
+  const std::string bin = stem + ".bin";
+  const std::string log = stem + ".log";
+  const RemoveOnExit cleanup{{cfile, dfile, bin, log}};
   std::ofstream(cfile) << src;
   if (!driver.empty()) std::ofstream(dfile) << driver;
   const std::string compile = "cc -O2 -std=c99 " + extra_flags + " -o " +
                               bin + " " + cfile +
                               (driver.empty() ? "" : " " + dfile) +
-                              " -lm 2>" + dir + "/" + name + ".log";
-  if (std::system(compile.c_str()) != 0) return -1;
+                              " -lm 2>" + log;
+  if (std::system(compile.c_str()) != 0) {
+    std::ostringstream messages;
+    messages << std::ifstream(log).rdbuf();
+    ADD_FAILURE() << "cc failed on " << name << ":\n" << messages.str();
+    return -1;
+  }
   const int rc = std::system(bin.c_str());
   return WEXITSTATUS(rc);
 }
@@ -316,6 +335,7 @@ TEST(CodegenC, ScalarProgramMatchesInterpreterBitForBit) {
     const std::string dir = ::testing::TempDir();
     const std::string in = dir + "/" + name + ".in";
     const std::string out = dir + "/" + name + ".out";
+    const RemoveOnExit cleanup{{in, out}};
     std::ofstream(in, std::ios::binary)
         .write(reinterpret_cast<const char*>(x.data()),
                static_cast<std::streamsize>(x.size() * sizeof(cplx)));

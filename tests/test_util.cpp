@@ -1,4 +1,5 @@
-// Unit tests for src/util: integer helpers, aligned vectors, RNG, timing.
+// Unit tests for src/util: integer helpers, aligned vectors and scratch,
+// RNG, timing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,6 +69,28 @@ TEST(Util, AlignedVectorGrowsAndCopies) {
   EXPECT_EQ(v[999], cplx(999, -999));
   util::cvec w = v;  // allocator propagation
   EXPECT_EQ(w[123], v[123]);
+}
+
+TEST(Util, ScratchStaysAlignedAcrossGrowth) {
+  // The streamed group writes are taken only into a 64 B-aligned
+  // destination and silently fall back to plain stores otherwise, so a
+  // misaligned scratch would show only as a slowdown: check every size,
+  // from a few elements up to ones the allocator maps fresh.
+  const auto aligned = [](const util::scratch_cvec& v) {
+    return reinterpret_cast<std::uintptr_t>(v.data()) %
+               util::kBufferAlignment ==
+           0;
+  };
+  util::scratch_cvec grown;
+  for (std::size_t n : {1u, 3u, 17u, 64u, 1000u, 4097u, 1u << 16, 1u << 21}) {
+    util::grow_scratch(grown, n);
+    EXPECT_EQ(grown.size(), n);
+    EXPECT_TRUE(aligned(grown)) << "grown to " << n;
+  }
+  const cplx* const big = grown.data();
+  util::grow_scratch(grown, 5);  // never shrinks
+  EXPECT_EQ(grown.size(), std::size_t{1} << 21);
+  EXPECT_EQ(grown.data(), big);
 }
 
 TEST(Util, RngIsDeterministic) {

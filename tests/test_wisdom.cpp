@@ -5,6 +5,8 @@
 // plan with zero search invocations).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/plan_cache.hpp"
 #include "search/search.hpp"
 #include "spl/printer.hpp"
@@ -249,6 +251,7 @@ TEST(WisdomGlobal, FileRoundTrip) {
   EXPECT_EQ(r.imported, 1u);
   EXPECT_EQ(global_wisdom().size(), 1u);
   forget_wisdom();
+  std::remove(path.c_str());
   // Missing files are an error, not a crash.
   EXPECT_FALSE(import_wisdom_from_file("/nonexistent/nowhere.wisdom").ok);
 }
