@@ -1,6 +1,6 @@
 // Static locality analyzer evaluation: model-vs-simulator traffic
 // cross-validation and the model-pruned plan-search ablation
-// (PlannerOptions::model_prune_k).
+// (DpSearch(cost, leaf, model, k)).
 //
 // Part A (traffic): for k in [kmin, kmax] x p in {2, 4}, analyze the
 // multicore plan statically (analysis::analyze_locality) and replay it

@@ -4,7 +4,6 @@
 // complementing the simulated figure benches.
 #include <benchmark/benchmark.h>
 
-#include "backend/codelets.hpp"
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
 #include "baselines/fft_iterative.hpp"
@@ -18,14 +17,22 @@ using namespace spiral;
 
 void BM_Codelet(benchmark::State& state) {
   const idx_t n = state.range(0);
+  // One DFT_n over contiguous sides, as a one-stage program.
+  backend::Stage s;
+  s.iters = 1;
+  s.cn = n;
+  s.is_compute = true;
+  std::vector<idx_t> strides;
+  for (idx_t b = 1; b < n; b *= 2) strides.push_back(b);
+  s.in_bits = backend::BitStrideMap(0, strides);
+  s.out_bits = s.in_bits;
+  backend::Program prog(backend::StageList{n, {s}},
+                        backend::ExecPolicy::kSequential);
   util::Rng rng(static_cast<std::uint64_t>(n));
   const auto x = rng.complex_signal(n);
   util::cvec y(x.size());
-  backend::CodeletIo io;
-  io.x = x.data();
-  io.y = y.data();
   for (auto _ : state) {
-    backend::dft_codelet(n, -1, io);
+    prog.execute(x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

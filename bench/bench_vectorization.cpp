@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   }
 
   // Real host wall-clock: the lane-batched vector drivers against the
-  // scalar interpreter on the *identical* stage list (the vectorized
+  // one-lane driver on the *identical* stage list (the vectorized
   // derivation, once with enable_simd and once without), single thread
   // so the ratio is the codelet speedup, not a scheduling artifact.
   const auto isa = backend::simd::detect_isa();
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       backend::Program vec(plan->stages(), backend::ExecPolicy::kSequential);
       vec.enable_simd(w);
       int active = 0;
-      for (const auto& sp : vec.simd_plans()) active += sp.active ? 1 : 0;
+      for (const auto& sp : vec.stage_plans()) active += sp.width > 1;
       util::Rng rng(static_cast<std::uint64_t>(n) ^ 0x51);
       const auto x = rng.complex_signal(n);
       util::cvec y(x.size());

@@ -30,9 +30,9 @@
 // and is validated against the simulator within tolerance only.
 //
 // The predicted cycle count makes the pass usable as a *plan-time cost
-// model*: search::DpSearch can rank split candidates with it and
-// simulator-time only the top-k (PlannerOptions::model_prune_k), cutting
-// planning cost for large N (see search/cost.hpp).
+// model*: search::DpSearch(cost, leaf, model, k) can rank split
+// candidates with it and simulator-time only the top-k, cutting
+// planning cost for large N (search::locality_model_parallel_cost).
 #pragma once
 
 #include <string>

@@ -881,7 +881,8 @@ template <int N, int Kind>
 struct RecordPick {
   static constexpr void (*fn)(CCodelet&) = [](CCodelet& d) {
     RecLane::d = &d;
-    RecLane::V x[2 * N], y[2 * N];
+    constexpr auto n = static_cast<std::size_t>(2 * N);
+    RecLane::V x[n], y[n];
     for (int j = 0; j < 2 * N; ++j) x[j] = {j};
     Codelet<RecLane, N, Kind>::run(x, x + N, y, y + N,
                                    codelet_roots(Kind < 0 ? -1 : 1));

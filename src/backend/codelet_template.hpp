@@ -20,10 +20,12 @@
 //
 // The lane type L is a template parameter so that every instantiation is
 // named after its caller's types: the SIMD variant TUs pass a type of
-// their own namespace (simd_kernels.hpp), the scalar codelets a type of
-// theirs, and no two ISA builds of one body can share a symbol.
+// their own namespace (simd_kernels.hpp, plain double at one lane), the
+// C emitter's recorder one of its own, and no two ISA builds of one body
+// can share a symbol.
 #pragma once
 
+#include <cstddef>
 #include <utility>
 
 #include "util/common.hpp"
@@ -76,7 +78,7 @@ struct Codelet {
                                                    const V* xi, V* yr,
                                                    V* yi,
                                                    const CodeletRoots& w) {
-    V tr[N], ti[N];
+    V tr[static_cast<std::size_t>(N)], ti[static_cast<std::size_t>(N)];
     // Sub-DFT r reads x[(r + 8 j) S], j < 8, into t[8 r, 8 r + 8).
     rows(xr, xi, tr, ti, w, std::make_integer_sequence<int, 8>());
     twiddles(tr, ti, w, std::make_integer_sequence<int, N>());

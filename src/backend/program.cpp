@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "backend/codelets.hpp"
-
 namespace spiral::backend {
 
 const char* to_string(ExecPolicy p) {
@@ -49,6 +47,7 @@ Program::Program(StageList stages, ExecPolicy policy)
     }
     groups_.push_back(std::move(ge));
   }
+  enable_simd(1);
   std::size_t next_group = 0;
   for (std::size_t e = 0; e < count;) {
     Step step;
@@ -66,20 +65,6 @@ Program::Program(StageList stages, ExecPolicy policy)
 
 namespace {
 
-/// Executes iterations [lo, hi) of a stage with its sides addressed
-/// through `in`/`out`. `sp` is an active SIMD plan for those sides or
-/// null; an active plan routes through the lane-batched vector drivers
-/// (scalar head/tail for unaligned chunk bounds).
-void run_chunk(const Stage& s, const BitStrideMap& in,
-               const BitStrideMap& out, const simd::StagePlan* sp,
-               const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
-  if (sp != nullptr) {
-    simd::run_stage_simd(s, in, out, *sp, src, dst, lo, hi);
-  } else {
-    run_stage_scalar(s, in, out, src, dst, lo, hi);
-  }
-}
-
 /// Calls run(task, tasks) for each logical task of a p-way step that
 /// pool participant `tid` (of `workers`) owns: the tasks are folded onto
 /// the available threads when the pool is smaller than p. A sequential
@@ -96,17 +81,17 @@ void for_my_tasks(idx_t p, int tid, int workers, Run&& run) {
 
 /// Runs the iterations stage `s` assigns to `task` (of `tasks`):
 /// contiguous chunks by default, block-cyclic when sched_block > 0.
-void run_task(const Stage& s, const simd::StagePlan* sp, const cplx* src,
+void run_task(const Stage& s, const simd::StagePlan& sp, const cplx* src,
               cplx* dst, idx_t task, idx_t tasks) {
   if (s.sched_block == 0 || tasks == 1) {
-    run_chunk(s, s.in_bits, s.out_bits, sp, src, dst,
-              task * s.iters / tasks, (task + 1) * s.iters / tasks);
+    simd::run_stage(s, s.in_bits, s.out_bits, sp, src, dst,
+                    task * s.iters / tasks, (task + 1) * s.iters / tasks);
     return;
   }
   const idx_t b = s.sched_block;
   for (idx_t base = task * b; base < s.iters; base += tasks * b) {
-    run_chunk(s, s.in_bits, s.out_bits, sp, src, dst, base,
-              std::min(base + b, s.iters));
+    simd::run_stage(s, s.in_bits, s.out_bits, sp, src, dst, base,
+                    std::min(base + b, s.iters));
   }
 }
 
@@ -127,12 +112,10 @@ void Program::run_group(const GroupExec& g, const cplx* src, cplx* dst,
          ++j) {
       for (std::size_t m = 0; m < members; ++m) {
         const Stage& s = list_.stages[g.group.stage(m, count)];
-        const simd::StagePlan* sp =
-            !g.simd.empty() && g.simd[m].active ? &g.simd[m] : nullptr;
         const cplx* in = m == 0 ? src : scratch + ((m - 1) % 2) * block;
         cplx* out = m + 1 == members ? dst : scratch + (m % 2) * block;
-        run_chunk(s, g.in[m], g.out[m], sp, in, out, j * block / s.cn,
-                  (j + 1) * block / s.cn);
+        simd::run_stage(s, g.in[m], g.out[m], g.plans[m], in, out,
+                        j * block / s.cn, (j + 1) * block / s.cn);
       }
     }
   });
@@ -205,9 +188,8 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
                   scratch + 2 * kGroupBlock * tid, tid, workers);
       } else {
         const Stage& s = st[step.stage];
-        const simd::StagePlan* sp = simd_plan_for(step.stage);
         for_my_tasks(s.parallel_p, tid, workers, [&](idx_t t, idx_t tasks) {
-          run_task(s, sp, src, dst, t, tasks);
+          run_task(s, plans_[step.stage], src, dst, t, tasks);
         });
       }
       // A step transition needs a barrier only when a worker could read
@@ -230,26 +212,22 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
 }
 
 void Program::enable_simd(idx_t nu) {
-  simd_plans_.clear();
-  simd_on_ = false;
-  for (auto& g : groups_) g.simd.clear();
   const simd::Isa isa = simd::detect_isa();
-  if (nu < 2 || isa == simd::Isa::kScalar) return;
-  simd_plans_.reserve(list_.stages.size());
+  plans_.clear();
   for (const auto& s : list_.stages) {
-    simd_plans_.push_back(simd::plan_stage(s, nu, isa));
-    simd_on_ = simd_on_ || simd_plans_.back().active;
-  }
-  if (!simd_on_) {
-    simd_plans_.clear();
-    return;
+    plans_.push_back(simd::plan_stage(s, nu, isa));
+    if (plans_.back().fn == nullptr) {
+      throw std::invalid_argument("Program: no codelet driver serves stage '" +
+                                  s.label + "'");
+    }
   }
   const std::size_t count = list_.stages.size();
   for (auto& g : groups_) {
+    g.plans.clear();
     for (std::size_t m = 0; m < g.group.count; ++m) {
       const std::size_t si = g.group.stage(m, count);
-      g.simd.push_back(simd::plan_sides(simd_plans_[si], list_.stages[si],
-                                        g.in[m], g.out[m]));
+      g.plans.push_back(simd::plan_sides(plans_[si], list_.stages[si],
+                                         g.in[m], g.out[m]));
     }
     // The last member's write to the full-size buffer streams past the
     // cache when the buffer exceeds the team's combined L2: the next step
@@ -258,14 +236,19 @@ void Program::enable_simd(idx_t nu) {
     const idx_t team = std::max<idx_t>(last.parallel_p, 1);
     const bool beyond_l2 = static_cast<std::size_t>(list_.n) * sizeof(cplx) >
                            static_cast<std::size_t>(team) * kL2Bytes;
-    simd::StagePlan& sp = g.simd.back();
+    simd::StagePlan& sp = g.plans.back();
     sp.stream_out =
         beyond_l2 && simd::can_stream_out(sp, last.cn, g.out.back());
   }
 }
 
+bool Program::simd_active() const noexcept {
+  return std::any_of(plans_.begin(), plans_.end(),
+                     [](const simd::StagePlan& p) { return p.width > 1; });
+}
+
 bool Program::group_streams(std::size_t g) const {
-  return !groups_[g].simd.empty() && groups_[g].simd.back().stream_out;
+  return groups_[g].plans.back().stream_out;
 }
 
 }  // namespace spiral::backend

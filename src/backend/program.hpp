@@ -47,11 +47,12 @@ void set_pingpong_mutation(bool enabled) noexcept;
 
 class Program {
  public:
-  /// Takes ownership of the (fused) stage list. The program owns no
-  /// worker threads: parallel execution runs on the pool of the caller's
-  /// ExecContext (ExecContext::set_pool overrides the registry lease).
-  /// Throws std::invalid_argument on a stage addressed through an int32
-  /// table: execution reads the bit-stride maps only.
+  /// Takes ownership of the (fused) stage list and plans every stage at
+  /// width 1. The program owns no worker threads: parallel execution runs
+  /// on the pool of the caller's ExecContext (ExecContext::set_pool
+  /// overrides the registry lease). Throws std::invalid_argument on a
+  /// stage addressed through an int32 table (execution reads the
+  /// bit-stride maps only) and on one no codelet driver serves.
   Program(StageList stages, ExecPolicy policy);
 
   /// y = program(x) using the caller-supplied context. Out-of-place;
@@ -63,21 +64,20 @@ class Program {
   /// Convenience overload over an internal context (single-caller only).
   void execute(const cplx* x, cplx* y) { execute(self_ctx_, x, y); }
 
-  /// Builds per-stage SIMD execution plans at widths up to `nu`
-  /// (backend/simd): stages whose fused index maps prove a short-vector
-  /// shape run through the lane-batched vector drivers, the rest stay on
-  /// the scalar codelets. A no-op when the host ISA is unavailable or
-  /// forced off (SPIRAL_SIMD=OFF). Call once, before the program is
-  /// shared across threads — it mutates the (otherwise immutable) plan
-  /// state.
+  /// Re-plans every stage at widths up to `nu` (backend/simd): stages
+  /// whose fused index maps prove a short-vector shape run the
+  /// lane-batched driver at that width, the rest stay at width 1. Plans
+  /// stay at width 1 when the host ISA is unavailable or forced off
+  /// (SPIRAL_SIMD=OFF). Call once, before the program is shared across
+  /// threads — it mutates the (otherwise immutable) plan state.
   void enable_simd(idx_t nu);
 
-  /// True when at least one stage will execute through a vector driver.
-  [[nodiscard]] bool simd_active() const noexcept { return simd_on_; }
-  /// Per-stage SIMD plans (empty unless enable_simd found work).
-  [[nodiscard]] const std::vector<simd::StagePlan>& simd_plans()
+  /// True when at least one stage runs vectorized (width > 1).
+  [[nodiscard]] bool simd_active() const noexcept;
+  /// The execution plan of every stage, in StageList order.
+  [[nodiscard]] const std::vector<simd::StagePlan>& stage_plans()
       const noexcept {
-    return simd_plans_;
+    return plans_;
   }
 
   /// The stage groups (backend/stage_group), in execution order.
@@ -88,8 +88,8 @@ class Program {
     return groups_[g].group;
   }
   /// True when group g's last member writes the full-size buffer with
-  /// non-temporal stores (SIMD on, the buffer beyond the team's combined
-  /// L2, and simd::can_stream_out proven on its output map).
+  /// non-temporal stores (the buffer beyond the team's combined L2, and
+  /// simd::can_stream_out proven on its output map at width 4 or more).
   [[nodiscard]] bool group_streams(std::size_t g) const;
 
   [[nodiscard]] idx_t size() const noexcept { return list_.n; }
@@ -108,10 +108,10 @@ class Program {
   struct GroupExec {
     StageGroup group;
     std::vector<BitStrideMap> in, out;
-    /// Per member, the stage's SIMD plan re-proven on in[m]/out[m]
-    /// (scales stay on the stage); empty while SIMD is off. Only the last
-    /// member's plan may set stream_out.
-    std::vector<simd::StagePlan> simd;
+    /// Per member, the stage's plan re-proven on in[m]/out[m] (scales
+    /// stay on the stage). Only the last member's plan may set
+    /// stream_out.
+    std::vector<simd::StagePlan> plans;
   };
 
   /// One step of the interpreter walk: a stage, or a whole group (whose
@@ -121,12 +121,6 @@ class Program {
     int group = -1;         ///< index into groups_, -1 for a lone stage
   };
 
-  /// SIMD plan for stage index k, null when the stage runs scalar.
-  [[nodiscard]] const simd::StagePlan* simd_plan_for(std::size_t k) const {
-    if (simd_plans_.empty() || !simd_plans_[k].active) return nullptr;
-    return &simd_plans_[k];
-  }
-
   /// Participant `tid` (of `workers`) runs its share of group g's blocks,
   /// each through every member, using its two block buffers at scratch.
   void run_group(const GroupExec& g, const cplx* src, cplx* dst,
@@ -135,8 +129,7 @@ class Program {
   StageList list_;
   ExecPolicy policy_;
   int max_p_ = 1;
-  std::vector<simd::StagePlan> simd_plans_;  // one per stage when enabled
-  bool simd_on_ = false;
+  std::vector<simd::StagePlan> plans_;  // one per stage
   std::vector<GroupExec> groups_;
   std::vector<Step> steps_;  // the walk, in execution order
   ExecContext self_ctx_;  // backs the context-free execute()

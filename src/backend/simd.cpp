@@ -1,9 +1,10 @@
 // Portable half of the SIMD layer: ISA detection (environment override +
-// CPU probe), per-stage planning, the scalar head/tail driver, and the
-// generic kernel variant. This TU is compiled WITHOUT target-specific -m
-// flags, so everything here — including the generic W=2 kernels, which
-// GCC lowers to baseline 128-bit (SSE2/NEON) instructions — is safe to
-// execute on any supported CPU.
+// CPU probe), per-stage planning, the stage runner, and the generic
+// kernel variant. This TU is compiled WITHOUT target-specific -m flags,
+// so everything here — the one-lane drivers and the generic W=2 kernels,
+// which GCC lowers to baseline 128-bit (SSE2/NEON) instructions — is safe
+// to execute on any supported CPU, and no product is contracted into an
+// FMA.
 #define SPIRAL_SIMD_VARIANT generic
 #include "backend/simd_kernels.hpp"
 
@@ -169,29 +170,35 @@ Isa detect_isa() {
 
 StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa) {
   StagePlan p;
-  if (max_nu < 2 || isa == Isa::kScalar || s.iters < 2) return p;
   // Drivers exist for 2-power codelets up to 64 and for data stages.
   if (s.is_compute ? !util::is_pow2(s.cn) || s.cn > kMaxCodelet
                    : s.cn != 1) {
     return p;
   }
+  // One lane reads every side in the contiguous form and every scale
+  // factor as a broadcast.
+  const int kind = codelet_kind(s);
+  p.fn = p.edge_fn = pack_fn_generic(1, s.cn, kind);
+  p.in_scale = scale_forms(s.in_scale, s.cn, 1);
+  p.out_scale = scale_forms(s.out_scale, s.cn, 1);
+  if (max_nu < 2 || isa == Isa::kScalar || s.iters < 2) return p;
   idx_t cap = std::min(isa_width(isa), max_nu);
   while (cap > s.iters) cap /= 2;
   if (cap < 2) return p;
   const SideVecInfo sv = stage_vector_sides(s, cap);
   if (sv.width < 2) return p;
+  const PackFn fn = resolve_pack_fn(sv.width, s.cn, kind, isa);
+  if (fn == nullptr) return p;
   set_forms(p, sv);
-  p.fn = resolve_pack_fn(p.width, s.cn, codelet_kind(s), isa);
-  if (p.fn == nullptr) return StagePlan{};
+  p.fn = fn;
   p.in_scale = scale_forms(s.in_scale, s.cn, p.width);
   p.out_scale = scale_forms(s.out_scale, s.cn, p.width);
-  p.active = true;
   return p;
 }
 
 StagePlan plan_sides(const StagePlan& p, const Stage& s,
                      const BitStrideMap& in, const BitStrideMap& out) {
-  if (!p.active) return {};
+  if (p.width == 1) return p;
   // The forms depend on the iteration shape and the maps only, so the
   // proof runs on a scale-free copy of them.
   Stage shape;
@@ -200,7 +207,7 @@ StagePlan plan_sides(const StagePlan& p, const Stage& s,
   shape.in_bits = in;
   shape.out_bits = out;
   const SideVecInfo sv = stage_vector_sides(shape, p.width);
-  if (sv.width != p.width) return {};
+  if (sv.width != p.width) return plan_stage(s, 1, Isa::kScalar);
   StagePlan q = p;
   set_forms(q, sv);
   return q;
@@ -208,7 +215,7 @@ StagePlan plan_sides(const StagePlan& p, const Stage& s,
 
 bool can_stream_out(const StagePlan& p, idx_t cn, const BitStrideMap& out) {
   const idx_t w = p.width;
-  if (!p.active || p.out_form != VecForm::kAcrossIterations ||
+  if (p.out_form != VecForm::kAcrossIterations ||
       w * static_cast<idx_t>(sizeof(cplx)) < 64) {
     return false;
   }
@@ -227,21 +234,25 @@ bool can_stream_out(const StagePlan& p, idx_t cn, const BitStrideMap& out) {
   return true;
 }
 
-void run_stage_simd(const Stage& s, const BitStrideMap& in,
-                    const BitStrideMap& out, const StagePlan& plan,
-                    const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
+void run_stage(const Stage& s, const BitStrideMap& in,
+               const BitStrideMap& out, const StagePlan& plan,
+               const cplx* src, cplx* dst, idx_t lo, idx_t hi) {
   const idx_t w = plan.width;
   // Packs are anchored at absolute multiples of w (the shape proofs and
   // the scale forms both assume it), so a chunk with unaligned bounds
-  // runs a scalar head/tail.
+  // runs a one-lane head/tail, which addresses lane 0 exactly under
+  // every form.
   const idx_t a = std::min(((lo + w - 1) / w) * w, hi);
   const idx_t b = std::max((hi / w) * w, a);
-  if (lo < a) run_stage_scalar(s, in, out, src, dst, lo, a);
+  if (lo < a) plan.edge_fn(s, in, out, plan, src, dst, lo, a);
   if (a < b) plan.fn(s, in, out, plan, src, dst, a, b);
-  if (b < hi) run_stage_scalar(s, in, out, src, dst, b, hi);
+  if (b < hi) plan.edge_fn(s, in, out, plan, src, dst, b, hi);
 }
 
 PackFn pack_fn_generic(idx_t width, idx_t cn, int kind) {
+  if (width == 1) {
+    return select_codelet<generic::PackPick<1>::At>(cn, kind);
+  }
   return generic::pack_fn<2>(width, cn, kind);
 }
 

@@ -1,14 +1,17 @@
-// SIMD execution layer over the fused kernel IR.
+// SIMD execution layer over the fused kernel IR: the one stage driver.
 //
 // The vectorizability analysis (backend/vectorize) proves per-side lane
 // shapes on a stage's fused index maps; this module makes those proofs
-// executable. A stage whose input and output maps both prove one of the
-// short-vector forms at width W runs through a lane-batched driver: W
-// consecutive iterations become the W lanes of a vector register pair
-// (split-lane complex: separate re/im vectors), the straight-line
-// codelet of backend/codelet_template runs once on the pack with vector
-// adds/muls and broadcast twiddle constants, and the proven form selects
-// the load/store addressing:
+// executable. Every stage runs through the lane-batched driver at some
+// width W: W consecutive iterations become the W lanes of a vector
+// register pair (split-lane complex: separate re/im vectors), the
+// straight-line codelet of backend/codelet_template runs once on the
+// pack with vector adds/muls and broadcast twiddle constants, and the
+// proven form selects the load/store addressing. A stage whose maps
+// prove no form, every stage of a program planned without vectors, and
+// the head and tail of an unaligned chunk run at W = 1, where the lane
+// type is plain double and every form reads lane 0 through the exact
+// map. The forms at W >= 2:
 //
 //   kAcrossIterations — lanes are contiguous in memory: one wide load
 //     plus a re/im deinterleave shuffle (the "A (x) I_nu" shape);
@@ -46,7 +49,7 @@ namespace spiral::backend::simd {
 
 /// Instruction-set tiers the dispatcher distinguishes, in strength order.
 enum class Isa {
-  kScalar = 0,  ///< no vector driver (fallback / forced off)
+  kScalar = 0,  ///< one-lane drivers only (fallback / forced off)
   kVec128 = 1,  ///< 128-bit: SSE2 / NEON, 2 complex lanes
   kAvx2 = 2,    ///< 256-bit AVX2+FMA, 4 complex lanes
   kAvx512 = 3,  ///< 512-bit AVX-512F, 8 complex lanes
@@ -75,7 +78,7 @@ void clear_isa_override() noexcept;
 struct StagePlan;
 
 /// Variant kernel entry: runs iterations [it0, it1) of a stage (both
-/// multiples of the plan width) through the lane-batched driver, its
+/// multiples of the driver's width) through the lane-batched driver, its
 /// sides addressed through the given input and output maps. Each entry
 /// serves one (width, codelet size, codelet kind).
 using PackFn = void (*)(const Stage&, const BitStrideMap&,
@@ -94,38 +97,39 @@ enum class ScaleForm { kNone, kBroadcast, kContiguous, kGather };
 using ScaleForms = std::array<ScaleForm, kMaxScaleFactors>;
 
 /// Per-stage execution plan: the proven per-side forms at the chosen
-/// width, the side scales' lane forms (values stay on the stage), kernel.
+/// width, the side scales' lane forms (values stay on the stage), the
+/// drivers. Vectorized means width > 1.
 struct StagePlan {
-  bool active = false;  ///< a vector driver will serve this stage
-  idx_t width = 1;      ///< lanes W (2-power >= 2 when active)
-  VecForm in_form = VecForm::kNone;
-  VecForm out_form = VecForm::kNone;
+  idx_t width = 1;  ///< lanes W (a 2-power; 1 is the scalar program)
+  VecForm in_form = VecForm::kAcrossIterations;
+  VecForm out_form = VecForm::kAcrossIterations;
   ScaleForms in_scale{};
   ScaleForms out_scale{};
   /// The driver writes the output side with non-temporal stores when the
   /// destination is 64 B aligned (checked once per call), then fences.
   /// Set only where can_stream_out proves every store whole lines.
   bool stream_out = false;
-  PackFn fn = nullptr;
+  PackFn fn = nullptr;       ///< the driver at `width`
+  PackFn edge_fn = nullptr;  ///< the one-lane driver: head and tail
 };
 
 /// Builds the execution plan for one stage at widths up to max_nu on the
-/// given ISA, with the driver for the stage's codelet size and kind.
-/// Returns an inactive plan when no form proves (or no driver serves the
-/// stage: non-2-power codelets, cn > 64).
+/// given ISA, with the drivers for the stage's codelet size and kind. The
+/// plan is at width 1 when no form proves at width 2 or more; its
+/// drivers are null when none serves the stage (a non-2-power codelet,
+/// cn > 64, or a data stage with cn != 1).
 [[nodiscard]] StagePlan plan_stage(const Stage& s, idx_t max_nu, Isa isa);
 
-/// Plan `p` of stage `s` (active) with its sides addressed through `in`
-/// and `out` instead of the stage's maps — a stage group's block-rebased
-/// sides. The forms are proven again on those maps at p's width; kernel
-/// and scale forms carry over, since scales are read by global position.
-/// Inactive when a side does not prove at that width (the stage then runs
-/// scalar inside the group).
+/// Plan `p` of stage `s` with its sides addressed through `in` and `out`
+/// instead of the stage's maps — a stage group's block-rebased sides.
+/// The forms are proven again on those maps at p's width; drivers and
+/// scale forms carry over, since scales are read by global position.
+/// The stage's one-lane plan when a side does not prove at that width.
 [[nodiscard]] StagePlan plan_sides(const StagePlan& p, const Stage& s,
                                    const BitStrideMap& in,
                                    const BitStrideMap& out);
 
-/// True when plan `p` (active, for codelets of cn) can write through the
+/// True when plan `p` (for codelets of cn) can write through the
 /// output map `out` with full-line non-temporal stores: the output form
 /// is kAcrossIterations, one pack element covers whole 64 B lines
 /// (W * 16 B >= 64 B), and `out` puts every pack's lane 0 at a multiple
@@ -133,13 +137,13 @@ struct StagePlan {
 [[nodiscard]] bool can_stream_out(const StagePlan& p, idx_t cn,
                                   const BitStrideMap& out);
 
-/// Runs iterations [lo, hi) of a stage under an active plan for the
-/// sides `in`/`out`: scalar head/tail around the lane-batched middle
+/// Runs iterations [lo, hi) of a stage under its plan for the sides
+/// `in`/`out`: one-lane head/tail around the packs of the plan's width
 /// (packs stay anchored at absolute multiples of the width, as the form
 /// proofs require).
-void run_stage_simd(const Stage& s, const BitStrideMap& in,
-                    const BitStrideMap& out, const StagePlan& plan,
-                    const cplx* src, cplx* dst, idx_t lo, idx_t hi);
+void run_stage(const Stage& s, const BitStrideMap& in,
+               const BitStrideMap& out, const StagePlan& plan,
+               const cplx* src, cplx* dst, idx_t lo, idx_t hi);
 
 /// Mutation-testing hook (spiral-lint --mutate-vecform): plan_stage
 /// records any proven kStridedLanes side as kAcrossIterations, making
@@ -153,9 +157,10 @@ void set_vecform_mutation(bool enabled) noexcept;
 
 /// Per-ISA-variant kernel resolvers, defined one per translation unit
 /// (simd.cpp / simd_avx2.cpp / simd_avx512.cpp): the driver for a width
-/// (up to the ISA's: 2, 4 and 8 respectively), a codelet size cn and a
-/// codelet kind (backend::codelet_kind). A resolver returns nullptr for
-/// a shape it has no driver for, and for every shape when its TU was
+/// (up to the ISA's: 2, 4 and 8 respectively; the generic TU alone holds
+/// width 1), a codelet size cn and a codelet kind
+/// (backend::codelet_kind). A resolver returns nullptr for a shape it has
+/// no driver for, and the AVX ones for every shape when their TU was
 /// built without the ISA (compiler too old, wrong architecture, or
 /// SPIRAL_SIMD=OFF at configure time).
 [[nodiscard]] PackFn pack_fn_generic(idx_t width, idx_t cn, int kind);

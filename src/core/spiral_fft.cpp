@@ -39,17 +39,9 @@ rewrite::RuleTreeChooser make_chooser(const PlannerOptions& opt) {
     return [leaf](idx_t sz) { return rewrite::balanced_ruletree(sz, leaf); };
   }
   // DP autotuning over wall-clock time; the DpSearch memo is shared
-  // across all sizes requested by the expansion. With model_prune_k the
-  // static locality model (priced for this machine's line length) ranks
-  // each candidate list first and only the top k get timed.
-  search::CostFn model;
-  if (opt.model_prune_k >= 1) {
-    model = search::locality_model_cost(
-        machine::generic_config(1, opt.cache_line_complex));
-  }
-  auto dp = std::make_shared<search::DpSearch>(
-      search::walltime_cost(), opt.leaf, std::move(model),
-      opt.model_prune_k);
+  // across all sizes requested by the expansion.
+  auto dp =
+      std::make_shared<search::DpSearch>(search::walltime_cost(), opt.leaf);
   return [dp](idx_t sz) { return dp->best(sz).tree; };
 }
 
@@ -238,9 +230,9 @@ FftPlan::FftPlan(spl::FormulaPtr formula, backend::StageList stages,
       std::move(stages), backend::ExecPolicy::kThreadPool);
   if (opt.vector_nu >= 2) {
     // Make the vec rules executable: stages whose fused maps prove a
-    // short-vector shape at width nu run through the SIMD drivers
-    // (backend/simd). Plans without vector_nu keep the scalar codelets,
-    // so the interpreter baseline in the benches stays scalar.
+    // short-vector shape at width nu run the stage driver at that width
+    // (backend/simd). Plans without vector_nu keep every stage at one
+    // lane, so the interpreter baseline in the benches stays scalar.
     program_->enable_simd(opt.vector_nu);
   }
 }
@@ -266,7 +258,7 @@ std::string FftPlan::describe() const {
   os << "formula: " << spl::to_string(formula_) << "\n";
   if (program_->simd_active()) {
     int vec = 0;
-    for (const auto& sp : program_->simd_plans()) vec += sp.active ? 1 : 0;
+    for (const auto& sp : program_->stage_plans()) vec += sp.width > 1;
     os << "simd: " << backend::simd::to_string(backend::simd::detect_isa())
        << ", " << vec << "/" << program_->stages().stages.size()
        << " stages vectorized\n";

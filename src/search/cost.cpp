@@ -59,16 +59,6 @@ CostFn simulated_parallel_cost(const machine::MachineConfig& m, idx_t p,
   };
 }
 
-CostFn locality_model_cost(const machine::MachineConfig& m) {
-  return [m](const RuleTreePtr& tree) -> double {
-    auto f = rewrite::formula_from_ruletree(tree);
-    auto list = backend::lower_fused(f);
-    analysis::LocalityOptions opt;
-    opt.threads = 1;
-    return analysis::analyze_locality(list, m, opt).pred_cycles;
-  };
-}
-
 CostFn locality_model_parallel_cost(const machine::MachineConfig& m,
                                     idx_t p, idx_t mu) {
   return [m, p, mu](const RuleTreePtr& tree) -> double {

@@ -22,16 +22,12 @@ namespace spiral::search {
 [[nodiscard]] CostFn simulated_parallel_cost(
     const machine::MachineConfig& machine, idx_t p, idx_t mu);
 
-/// Cost = analysis::locality predicted cycles for the sequential fused
-/// program (no access-by-access simulation — static working sets and
-/// stack distances). Intended as the `model` argument of DpSearch: rank
-/// candidates cheaply, simulator-time only the survivors.
-[[nodiscard]] CostFn locality_model_cost(
-    const machine::MachineConfig& machine);
-
 /// Static-model twin of simulated_parallel_cost: same multicore CT
 /// derivation and the same +inf rejection of non-(p*mu)-divisible splits,
-/// but priced by analysis::locality instead of the simulator.
+/// but priced by analysis::locality instead of the simulator (no
+/// access-by-access simulation — static working sets and stack
+/// distances). Intended as the `model` argument of DpSearch: rank
+/// candidates cheaply, simulator-time only the survivors.
 [[nodiscard]] CostFn locality_model_parallel_cost(
     const machine::MachineConfig& machine, idx_t p, idx_t mu);
 

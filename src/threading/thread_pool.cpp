@@ -78,19 +78,4 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
   job_ = nullptr;
 }
 
-void ThreadPool::parallel_for(idx_t count,
-                              const std::function<void(idx_t)>& fn) {
-  if (threads_ == 1 || count <= 1) {
-    for (idx_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  const idx_t p = threads_;
-  run([&](int task) {
-    // Contiguous chunks: iterations [task*count/p, (task+1)*count/p).
-    const idx_t lo = static_cast<idx_t>(task) * count / p;
-    const idx_t hi = (static_cast<idx_t>(task) + 1) * count / p;
-    for (idx_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
 }  // namespace spiral::threading

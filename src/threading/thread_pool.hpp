@@ -53,10 +53,6 @@ class ThreadPool {
   /// from inside a task.
   void run(const std::function<void(int)>& fn);
 
-  /// Executes fn(i) for i in [0, count), distributing iterations over the
-  /// participants in contiguous chunks (the schedule rule (7) encodes).
-  void parallel_for(idx_t count, const std::function<void(idx_t)>& fn);
-
  private:
   /// How long an idle worker spins on the epoch before it parks. It
   /// must cover the gaps between the transforms of a burst (a warm p=4

@@ -1,8 +1,8 @@
 // Numerical error against n: the relative L2 error of the planned DFT,
 // measured against a long-double radix-2 reference for n = 2^4 ... 2^20
 // (over 2^16 points per size: several independent signals below 2^16)
-// on every execution path (scalar codelets at nu = 0, W = 4 and W = 8
-// vector codelets) at p = 1 and p = 4. A radix-2 FFT in floating point
+// on every execution path (the one-lane driver at nu = 0, W = 4 and
+// W = 8 vector packs) at p = 1 and p = 4. A radix-2 FFT in floating point
 // has a relative error of O(log2(n) * u), u = 2^-53; the gate holds the
 // planned programs to 0.5 * log2(n) * u, which the loose fft_tolerance
 // of the other suites (1e-10 scale) cannot see move.

@@ -691,7 +691,7 @@ util::cvec run_stage(const Stage& s, simd::Isa isa, const util::cvec& x,
   Program prog(StageList{s.total_elems(), {s}}, ExecPolicy::kSequential);
   prog.enable_simd(8);
   simd::clear_isa_override();
-  *plan = prog.simd_active() ? prog.simd_plans()[0] : simd::StagePlan{};
+  *plan = prog.stage_plans()[0];
   util::cvec y(x.size());
   prog.execute(x.data(), y.data());
   return y;
@@ -755,11 +755,12 @@ TEST(StageScales, LaneFormsMatchExpandedTables) {
       const util::cvec want = run_stage(table, isa, x, &table_plan);
       const util::cvec y = run_stage(s, isa, x, &plan);
       EXPECT_TRUE(bit_identical(y, want));
-      ASSERT_EQ(plan.active, table_plan.active);
-      EXPECT_EQ(plan.active, host_simd && isa != simd::Isa::kScalar);
-      if (!plan.active) continue;
-      EXPECT_EQ(plan.width, table_plan.width);
-      const ScaleForm form = plan.width == 2 ? c.form2 : c.form8;
+      ASSERT_EQ(plan.width, table_plan.width);
+      EXPECT_EQ(plan.width > 1, host_simd && isa != simd::Isa::kScalar);
+      // One lane reads every scale as a broadcast.
+      const ScaleForm form = plan.width == 1   ? ScaleForm::kBroadcast
+                             : plan.width == 2 ? c.form2
+                                               : c.form8;
       EXPECT_EQ(plan.in_scale[0], form) << "W=" << plan.width;
       EXPECT_EQ(plan.out_scale[0], c.out.empty() ? ScaleForm::kNone : form);
     }
@@ -805,8 +806,8 @@ TEST(StageScales, FactoredScalesMatchExpandedTables) {
     const util::cvec want = run_stage(table, isa, x, &table_plan);
     const util::cvec y = run_stage(s, isa, x, &plan);
     EXPECT_TRUE(bit_identical(y, want));
-    EXPECT_EQ(plan.active, host_simd && isa != simd::Isa::kScalar);
-    if (!plan.active) continue;
+    EXPECT_EQ(plan.width > 1, host_simd && isa != simd::Isa::kScalar);
+    if (plan.width == 1) continue;
     const ScaleForm some =
         plan.width == 2 ? ScaleForm::kBroadcast : ScaleForm::kGather;
     EXPECT_EQ(plan.in_scale[0], ScaleForm::kContiguous);
@@ -829,10 +830,10 @@ TEST(StageScales, Large4mFactorsReadAsBroadcastOrContiguous) {
   int factored = 0;
   for (std::size_t k = 0; k < prog.stages().stages.size(); ++k) {
     const Stage& s = prog.stages().stages[k];
-    const simd::StagePlan& plan = prog.simd_plans()[k];
+    const simd::StagePlan& plan = prog.stage_plans()[k];
     if (s.in_scale.factors().size() < 2) continue;
     ++factored;
-    ASSERT_TRUE(plan.active) << s.label;
+    ASSERT_GT(plan.width, 1) << s.label;
     for (std::size_t f = 0; f < s.in_scale.factors().size(); ++f) {
       EXPECT_TRUE(plan.in_scale[f] == simd::ScaleForm::kBroadcast ||
                   plan.in_scale[f] == simd::ScaleForm::kContiguous)

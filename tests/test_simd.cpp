@@ -1,15 +1,19 @@
-// Tests for the SIMD codelet layer (backend/simd): lane-batched vector
-// drivers selected per stage from the proven VecForm shapes, with the
-// scalar interpreter as the fallback and a same-program parity oracle.
-// Scalar and vector codelets expand one template (codelet_template.hpp),
-// so every result is also checked against references that share no
-// code with it: the radix-2 baseline, direct sums, and long-double
-// transforms. The whole suite also runs under SPIRAL_SIMD=OFF (ctest leg
-// test_simd_forced_off), where every assertion must hold with the
-// drivers disabled — parity trivially, activation checks via the guard.
+// Tests for the SIMD codelet layer (backend/simd): one lane-batched
+// stage driver, run per stage at the width its proven VecForm shapes
+// allow, at one lane (the scalar program) where none proves, with a
+// same-program parity oracle. Every width expands one template
+// (codelet_template.hpp), so every result is also checked against
+// references that share no code with it: the radix-2 baseline, direct
+// sums, and long-double transforms. The whole suite also runs under
+// SPIRAL_SIMD=OFF (ctest leg test_simd_forced_off), where every
+// assertion must hold with only the one-lane drivers — parity
+// trivially, activation checks via the guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "backend/program.hpp"
@@ -18,6 +22,7 @@
 #include "baselines/fft_iterative.hpp"
 #include "core/spiral_fft.hpp"
 #include "test_helpers.hpp"
+#include "threading/thread_pool.hpp"
 #include "util/aligned_vector.hpp"
 
 namespace spiral::backend {
@@ -35,9 +40,8 @@ util::cvec random_signal(idx_t n, std::uint64_t salt) {
   return rng.complex_signal(n);
 }
 
-/// Executes the plan's stage list through the scalar interpreter (no
-/// enable_simd), giving a same-program scalar oracle without a second
-/// planner run.
+/// Executes the plan's stage list at one lane (no enable_simd), giving a
+/// same-program scalar oracle without a second planner run.
 util::cvec scalar_oracle(const core::FftPlan& plan, const util::cvec& x) {
   Program prog(plan.stages(), ExecPolicy::kThreadPool);
   EXPECT_FALSE(prog.simd_active());
@@ -107,10 +111,10 @@ TEST(Simd, DriversEngageOnVectorPlans) {
   prog.enable_simd(4);
   ASSERT_TRUE(prog.simd_active());
   int active = 0;
-  for (const auto& sp : prog.simd_plans()) {
-    if (!sp.active) continue;
+  for (const auto& sp : prog.stage_plans()) {
+    EXPECT_NE(sp.edge_fn, nullptr);
+    if (sp.width == 1) continue;
     ++active;
-    EXPECT_GE(sp.width, 2);
     EXPECT_NE(sp.in_form, VecForm::kNone);
     EXPECT_NE(sp.out_form, VecForm::kNone);
     EXPECT_NE(sp.fn, nullptr);
@@ -132,7 +136,7 @@ TEST(Simd, StridedLaneShapeOccurs) {
   bool strided = false;
   for (const auto& s : plan->stages().stages) {
     const auto sp = simd::plan_stage(s, 4, simd::detect_isa());
-    strided = strided || (sp.active &&
+    strided = strided || (sp.width > 1 &&
                           (sp.in_form == VecForm::kStridedLanes ||
                            sp.out_form == VecForm::kStridedLanes));
   }
@@ -140,8 +144,9 @@ TEST(Simd, StridedLaneShapeOccurs) {
 }
 
 // Boundary at the codelet-size cap: a whole-transform single codelet
-// (iters == 1) cannot batch lanes across iterations; cn above 64 or
-// non-2-power cn must refuse a plan before touching the maps.
+// (iters == 1) cannot batch lanes across iterations and stays at one
+// lane; cn above 64 or non-2-power cn has no driver at any width, and
+// a program over such a stage is refused.
 TEST(Simd, CodeletBoundary) {
   PlannerOptions o;
   o.vector_nu = 4;
@@ -150,17 +155,18 @@ TEST(Simd, CodeletBoundary) {
   p32.enable_simd(4);
   for (const auto& s : plan32->stages().stages) {
     if (s.is_compute && s.iters < 2) {
-      EXPECT_FALSE(
-          simd::plan_stage(s, 4, simd::Isa::kAvx2).active);
+      EXPECT_EQ(simd::plan_stage(s, 4, simd::Isa::kAvx2).width, 1);
     }
   }
 
   // Synthetic ineligible codelet sizes: the gate must trip on cn alone.
   Stage s = plan32->stages().stages.front();
   s.cn = 33;  // kMaxCodeletSize + 1, not a 2-power
-  EXPECT_FALSE(simd::plan_stage(s, 4, simd::Isa::kAvx2).active);
+  EXPECT_EQ(simd::plan_stage(s, 4, simd::Isa::kAvx2).fn, nullptr);
   s.cn = 128;  // 2-power but beyond the largest codelet
-  EXPECT_FALSE(simd::plan_stage(s, 4, simd::Isa::kAvx2).active);
+  EXPECT_EQ(simd::plan_stage(s, 4, simd::Isa::kAvx2).fn, nullptr);
+  EXPECT_THROW(Program(StageList{32, {s}}, ExecPolicy::kSequential),
+               std::invalid_argument);
 
   if (host_has_simd()) {
     const auto plan64 = core::plan_dft(64, o);
@@ -171,10 +177,10 @@ TEST(Simd, CodeletBoundary) {
 }
 
 // Every driver instantiation — codelet sizes 2..64 x (forward DFT,
-// inverse DFT, WHT) x each width a variant TU holds — in every TU the
-// host can dispatch, run on one pack and checked lane by lane against
-// long-double references (radix-2 DFT, Hadamard sum) within
-// 2 log2(cn) u.
+// inverse DFT, WHT) x each width a variant TU holds, the generic TU's
+// one-lane drivers included — in every TU the host can dispatch, run on
+// one pack and checked lane by lane against long-double references
+// (radix-2 DFT, Hadamard sum) within 2 log2(cn) u.
 TEST(Simd, EveryCodeletInstantiation) {
   if (!host_has_simd()) GTEST_SKIP() << "no vector ISA on this host";
   const simd::Isa isa = simd::detect_isa();
@@ -190,13 +196,15 @@ TEST(Simd, EveryCodeletInstantiation) {
   int ran = 0;
   for (const Variant& v : variants) {
     if (static_cast<int>(isa) < static_cast<int>(v.needs)) continue;
-    for (idx_t w : {idx_t{2}, idx_t{4}, idx_t{8}}) {
+    for (idx_t w : {idx_t{1}, idx_t{2}, idx_t{4}, idx_t{8}}) {
       for (int c = 1; c <= 6; ++c) {
         const idx_t cn = idx_t{1} << c;
         for (int kind : {-1, 1, 0}) {
           const simd::PackFn fn = v.resolve(w, cn, kind);
-          // The detected tier's TU holds every width up to its own.
-          if (v.needs == isa && w <= simd::isa_width(isa)) {
+          // The detected tier's TU holds every width from 2 up to its
+          // own; the generic TU alone holds width 1.
+          if (w == 1 ? v.needs == simd::Isa::kVec128
+                     : v.needs == isa && w <= simd::isa_width(isa)) {
             EXPECT_NE(fn, nullptr) << v.name << " W=" << w << " cn=" << cn;
           }
           if (fn == nullptr) continue;
@@ -215,7 +223,6 @@ TEST(Simd, EveryCodeletInstantiation) {
           s.in_bits = BitStrideMap(0, strides);
           s.out_bits = s.in_bits;
           simd::StagePlan plan;
-          plan.active = true;
           plan.width = w;
           plan.in_form = VecForm::kAcrossIterations;
           plan.out_form = VecForm::kAcrossIterations;
@@ -243,12 +250,12 @@ TEST(Simd, EveryCodeletInstantiation) {
       }
     }
   }
-  // The generic TU alone holds 6 sizes x 3 kinds at W = 2.
-  EXPECT_GE(ran, 18);
+  // The generic TU alone holds 6 sizes x 3 kinds at W = 1 and at W = 2.
+  EXPECT_GE(ran, 36);
 }
 
 // Forced scalar dispatch: the test hook (and the SPIRAL_SIMD=off env
-// override it models) must keep every plan on the scalar codelets.
+// override it models) must keep every plan at one lane.
 TEST(Simd, ForcedScalarDispatch) {
   simd::set_isa_override(simd::Isa::kScalar);
   EXPECT_EQ(simd::detect_isa(), simd::Isa::kScalar);
@@ -287,6 +294,74 @@ TEST(Simd, BufferAlignment) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % 64, 0u);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % 64, 0u);
   }
+}
+
+/// True when a and b hold the same bytes.
+bool same_bytes(const util::cvec& a, const util::cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// The scalar program is the pack driver at one lane: a stage list run
+// at width 1 and the same list run at W = 2 from the generic TU give the
+// same bytes. Both widths expand one codelet and scale in one order, and
+// the generic TU has no FMA to contract into on x86-64, so any
+// difference is an addressing or driver fault. Also covers a 6-worker
+// pool, which folds each p = 4 stage into 6 chunks with unaligned bounds
+// (one-lane head and tail around the packs), and a block-cyclic stage
+// (sched_block = 1: every block is one iteration).
+TEST(Simd, ScalarPathIsThePackDriverBitForBit) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "bit identity across widths is an x86-64 property";
+#else
+  simd::set_isa_override(simd::Isa::kVec128);
+  if (simd::detect_isa() != simd::Isa::kVec128) {
+    simd::clear_isa_override();
+    GTEST_SKIP() << "vector drivers forced off";
+  }
+  threading::ThreadPool six(6);
+  auto same_at_both_widths = [&](const StageList& list, bool on_six) {
+    Program scalar(list, ExecPolicy::kThreadPool);
+    Program vec(list, ExecPolicy::kThreadPool);
+    vec.enable_simd(2);
+    EXPECT_FALSE(scalar.simd_active());
+    const util::cvec x = random_signal(list.n, list.n * 3 + on_six);
+    util::cvec want(x.size()), got(x.size());
+    ExecContext a, b;
+    if (on_six) {
+      a.set_pool(&six);
+      b.set_pool(&six);
+    }
+    scalar.execute(a, x.data(), want.data());
+    vec.execute(b, x.data(), got.data());
+    return vec.simd_active() && same_bytes(got, want);
+  };
+  for (int k = 4; k <= 18; ++k) {
+    const idx_t n = idx_t{1} << k;
+    for (int p : {1, 2, 4}) {
+      for (idx_t nu : {idx_t{2}, idx_t{4}}) {
+        PlannerOptions o;
+        o.threads = p;
+        o.vector_nu = nu;
+        const StageList list = core::plan_dft(n, o)->stages();
+        EXPECT_TRUE(same_at_both_widths(list, false))
+            << "n=" << n << " p=" << p << " nu=" << nu;
+      }
+    }
+  }
+  PlannerOptions o;
+  o.threads = 4;
+  o.vector_nu = 2;
+  StageList list = core::plan_dft(idx_t{1} << 12, o)->stages();
+  EXPECT_TRUE(same_at_both_widths(list, true)) << "6-worker pool";
+  auto parallel =
+      std::find_if(list.stages.begin(), list.stages.end(),
+                   [](const Stage& s) { return s.parallel_p > 1; });
+  EXPECT_NE(parallel, list.stages.end());
+  if (parallel != list.stages.end()) parallel->sched_block = 1;
+  EXPECT_TRUE(same_at_both_widths(list, false)) << "sched_block = 1";
+  simd::clear_isa_override();
+#endif
 }
 
 // Mutation detectability: mis-reporting a strided-lane stage as

@@ -114,55 +114,6 @@ TEST(ThreadPool, TasksSeeDistinctIds) {
   for (int t = 0; t < 4; ++t) EXPECT_EQ(seen[size_t(t)].load(), t + 1);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeOnce) {
-  ThreadPool pool(4);
-  constexpr idx_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  for (auto& h : hits) h.store(0);
-  pool.parallel_for(kCount, [&](idx_t i) { hits[size_t(i)].fetch_add(1); });
-  for (idx_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(hits[size_t(i)].load(), 1) << "iteration " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForSmallCountsDegradeGracefully) {
-  ThreadPool pool(4);
-  std::atomic<int> runs{0};
-  pool.parallel_for(1, [&](idx_t) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 1);
-  runs = 0;
-  pool.parallel_for(0, [&](idx_t) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 0);
-}
-
-TEST(ThreadPool, ParallelForUsesContiguousChunks) {
-  // Rule (7) semantics: consecutive iterations belong to one task.
-  ThreadPool pool(2);
-  constexpr idx_t kCount = 64;
-  std::vector<int> owner(kCount, -1);
-  // parallel_for doesn't expose the task id; reconstruct by thread id.
-  std::mutex m;
-  std::map<std::thread::id, int> ids;
-  pool.parallel_for(kCount, [&](idx_t i) {
-    std::lock_guard<std::mutex> lock(m);
-    auto [it, _] = ids.emplace(std::this_thread::get_id(),
-                               static_cast<int>(ids.size()));
-    owner[size_t(i)] = it->second;
-  });
-  // Each owner's iteration set is one contiguous range.
-  std::map<int, std::pair<idx_t, idx_t>> range;  // owner -> [min, max]
-  for (idx_t i = 0; i < kCount; ++i) {
-    auto [it, inserted] = range.emplace(owner[size_t(i)], std::pair{i, i});
-    if (!inserted) {
-      it->second.first = std::min(it->second.first, i);
-      it->second.second = std::max(it->second.second, i);
-    }
-  }
-  idx_t covered = 0;
-  for (const auto& [o, r] : range) covered += r.second - r.first + 1;
-  EXPECT_EQ(covered, kCount) << "ownership ranges overlap: non-contiguous";
-}
-
 TEST(ThreadPool, DestructionWithNoWorkIsClean) {
   for (int i = 0; i < 20; ++i) {
     ThreadPool pool(3);

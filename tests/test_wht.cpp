@@ -5,7 +5,6 @@
 
 #include <functional>
 
-#include "backend/codelets.hpp"
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
 #include "core/spiral_fft.hpp"
@@ -77,13 +76,22 @@ TEST(Wht, ExpandProducesCodeletLeaves) {
 
 TEST(Wht, CodeletMatchesReference) {
   for (idx_t n : {2, 4, 8, 16, 32}) {
+    // One WHT_n codelet over contiguous sides, as a one-stage program.
+    backend::Stage s;
+    s.iters = 1;
+    s.cn = n;
+    s.is_compute = true;
+    s.wht = true;
+    std::vector<idx_t> strides;
+    for (idx_t b = 1; b < n; b *= 2) strides.push_back(b);
+    s.in_bits = backend::BitStrideMap(0, strides);
+    s.out_bits = s.in_bits;
+    backend::Program prog(backend::StageList{n, {s}},
+                          backend::ExecPolicy::kSequential);
     util::Rng rng(n);
     const auto x = rng.complex_signal(n);
     util::cvec y(x.size());
-    backend::CodeletIo io;
-    io.x = x.data();
-    io.y = y.data();
-    backend::wht_codelet(n, io);
+    prog.execute(x.data(), y.data());
     EXPECT_LT(max_diff(y, reference_wht(x)), 1e-12) << n;
   }
 }
