@@ -10,6 +10,7 @@
 #include "analysis/verify.hpp"
 #include "backend/codegen_c.hpp"
 #include "backend/codelet_template.hpp"
+#include "backend/schedule.hpp"
 #include "backend/vectorize.hpp"
 #include "spl/twiddle.hpp"
 #include "util/common.hpp"
@@ -308,7 +309,7 @@ void diff_stage(Ctx& cx, int sid, const Stage& src, const CStage& es) {
            "dispatch covers " + std::to_string(es.iters) +
                " iteration(s), stage has " + std::to_string(src.iters));
   }
-  const idx_t want_team = src.parallel_p > 1 ? src.parallel_p : 1;
+  const idx_t want_team = backend::stage_tasks(src);
   if (es.team != want_team) {
     cx.add(CodegenDiag::kScheduleMismatch, sid,
            "dispatched over " + std::to_string(es.team) +
@@ -534,7 +535,9 @@ CodegenReport check_codegen(const std::string& source,
     return rep;
   }
   idx_t team = 1;
-  for (const Stage& s : list.stages) team = std::max(team, s.parallel_p);
+  for (const Stage& s : list.stages) {
+    team = std::max(team, backend::stage_tasks(s));
+  }
   if (p.pooled != (team > 1)) {
     cx.add(CodegenDiag::kScheduleMismatch, -1,
            p.pooled ? "worker pool emitted for a fully sequential plan"

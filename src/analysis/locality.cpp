@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "backend/codelets.hpp"
+#include "backend/schedule.hpp"
 
 namespace spiral::analysis {
 
@@ -190,13 +191,7 @@ LocalityReport analyze_locality(const backend::StageList& program,
       const bool has_tw = !s.in_scale.empty();
       const int twr = kRegTw0 + static_cast<int>(k);
 
-      const int p_eff =
-          (opt.threads > 1 && s.parallel_p > 1)
-              ? static_cast<int>(std::min<idx_t>(
-                    {s.parallel_p, static_cast<idx_t>(cfg.cores),
-                     static_cast<idx_t>(opt.threads)}))
-              : 1;
-      const idx_t b = s.sched_block;
+      const int p_eff = backend::model_tasks(s, opt.threads, cfg.cores);
       const idx_t cn = s.cn;
       // The lines of the input scale's stored values for position
       // it*cn + l, one per factor; the factors' values lie back to back
@@ -210,18 +205,6 @@ LocalityReport analyze_locality(const backend::StageList& program,
       };
       const std::size_t tw_reads =
           has_tw ? s.in_scale.factors().size() : 0;
-      auto step_of = [&](int c, idx_t step) -> idx_t {
-        if (b == 0) {
-          const idx_t lo = static_cast<idx_t>(c) * s.iters / p_eff;
-          const idx_t hi = static_cast<idx_t>(c + 1) * s.iters / p_eff;
-          const idx_t it = lo + step;
-          return it < hi ? it : idx_t{-1};
-        }
-        const idx_t q = step / b;
-        const idx_t r = step % b;
-        const idx_t it = (q * p_eff + c) * b + r;
-        return it < s.iters ? it : idx_t{-1};
-      };
 
       RegionState& SR = regions[static_cast<std::size_t>(src)];
       RegionState& DR = regions[static_cast<std::size_t>(dst)];
@@ -324,11 +307,9 @@ LocalityReport analyze_locality(const backend::StageList& program,
 
         for (int t = 0; t < p_eff; ++t) {
           its.clear();
-          for (idx_t step = 0;; ++step) {
-            const idx_t it = step_of(t, step);
-            if (it < 0) break;
-            its.push_back(it);
-          }
+          backend::for_each_run(s, t, p_eff, [&](idx_t lo, idx_t hi) {
+            for (idx_t it = lo; it < hi; ++it) its.push_back(it);
+          });
           const std::size_t stream_len =
               its.size() * static_cast<std::size_t>(cn) * (2 + tw_reads);
           fen.reset(stream_len);
@@ -480,7 +461,8 @@ LocalityReport analyze_locality(const backend::StageList& program,
       while (more) {
         more = false;
         for (int c = 0; c < p_eff; ++c) {
-          const idx_t it = step_of(c, steps[static_cast<std::size_t>(c)]);
+          const idx_t it = backend::iteration_at(
+              s, c, p_eff, steps[static_cast<std::size_t>(c)]);
           if (it < 0) continue;
           ++steps[static_cast<std::size_t>(c)];
           more = true;

@@ -47,7 +47,8 @@ namespace spiral::analysis {
 /// Knobs for the locality analysis.
 struct LocalityOptions {
   /// Threads the library would run with (the simulator's SimOptions
-  /// equivalent); per-stage parallelism is min(parallel_p, cores, threads).
+  /// equivalent); per-stage parallelism is backend::model_tasks,
+  /// min(parallel_p, cores, threads).
   int threads = 1;
   /// Directory passes over the program. 2 models steady-state (repeated)
   /// execution — the state the paper measures and Simulator::run_steady

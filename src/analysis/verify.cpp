@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "backend/schedule.hpp"
 #include "backend/stage_group.hpp"
 
 namespace spiral::analysis {
@@ -84,18 +85,6 @@ std::string Report::to_string() const {
 namespace {
 
 using backend::Stage;
-
-/// Iteration-to-task mapping of Program::run_task: contiguous chunks
-/// (thread t runs [t*iters/tasks, (t+1)*iters/tasks)) by default,
-/// block-cyclic (thread (it / b) % tasks) when sched_block > 0.
-idx_t task_of(const Stage& s, idx_t tasks, idx_t it) {
-  if (tasks <= 1) return 0;
-  if (s.sched_block > 0) return (it / s.sched_block) % tasks;
-  idx_t t = it * tasks / s.iters;
-  while ((t + 1) * s.iters / tasks <= it) ++t;
-  while (t * s.iters / tasks > it) --t;
-  return t;
-}
 
 std::string plural(std::int64_t c, const char* noun) {
   std::ostringstream os;
@@ -205,7 +194,7 @@ void verify_stage(const backend::StageList& program, int si,
     add(Diag::kIndexOutOfBounds, os.str(), out_oob);
   }
 
-  const idx_t tasks = s.parallel_p > 1 ? s.parallel_p : 1;
+  const idx_t tasks = backend::stage_tasks(s);
   const idx_t mu = std::max<idx_t>(1, opt.mu);
   const bool do_lines = opt.check_false_sharing && tasks > 1;
   const bool do_balance = opt.check_load_balance && tasks > 1;
@@ -225,7 +214,7 @@ void verify_stage(const backend::StageList& program, int si,
   std::int32_t fs_a = -1;
   idx_t fs_b = -1;
   for (idx_t it = 0; it < s.iters; ++it) {
-    const idx_t t = task_of(s, tasks, it);
+    const idx_t t = backend::task_of(s, tasks, it);
     if (do_balance) ++sc.task_iters[static_cast<std::size_t>(t)];
     for (idx_t l = 0; l < s.cn; ++l) {
       const idx_t e = s.out_index(it, l);
@@ -305,7 +294,7 @@ void verify_stage(const backend::StageList& program, int si,
   if (opt.check_races && opt.inplace_aliasing && tasks > 1) {
     sc.readers.assign(static_cast<std::size_t>(n), 0);
     for (idx_t it = 0; it < s.iters; ++it) {
-      const idx_t t = task_of(s, tasks, it);
+      const idx_t t = backend::task_of(s, tasks, it);
       for (idx_t l = 0; l < s.cn; ++l) {
         const idx_t e = s.in_index(it, l);
         if (e >= 0 && e < n) {

@@ -9,10 +9,11 @@
 // so a bug in lower/fuse/vectorize or a bad sched_block schedule cannot
 // silently reintroduce races or cache-line ping-pong.
 //
-// For each stage the verifier computes the exact per-thread read/write
+// For each stage the verifier computes the exact per-task read/write
 // footprints from its index maps plus the stage's schedule (parallel_p,
-// sched_block — the same iteration-to-thread mapping Program::run_stage
-// uses) and reports typed diagnostics:
+// sched_block, read through backend/schedule — the one iteration-to-task
+// mapping the interpreter executes on a team of any size) and reports
+// typed diagnostics:
 //
 //   * data races       — write/write overlap between threads within one
 //                        parallel stage; read/write overlap when the

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "backend/codelet_template.hpp"
+#include "backend/schedule.hpp"
 #include "backend/vectorize.hpp"
 #include "util/common.hpp"
 
@@ -940,7 +941,7 @@ CProgram build(const StageList& list, const CodegenOptions& opts) {
   p.has_main = opts.emit_main;
   p.entry = opts.function_name;
   for (const Stage& s : list.stages) {
-    p.pool_p = std::max(p.pool_p, s.parallel_p);
+    p.pool_p = std::max(p.pool_p, stage_tasks(s));
   }
   p.pooled = p.pool_p > 1;
   std::set<idx_t> types;
@@ -967,7 +968,7 @@ CProgram build(const StageList& list, const CodegenOptions& opts) {
       codelets.insert({false, !s.wht, s.cn, sign, 0});
       if (c.vec_w >= 2) codelets.insert({true, !s.wht, s.cn, sign, c.vec_w});
     }
-    c.team = s.parallel_p > 1 ? s.parallel_p : 1;
+    c.team = stage_tasks(s);
     c.iters = s.iters;
     p.stages.push_back(std::move(c));
   }

@@ -78,10 +78,12 @@ struct CStage {
   /// Shuffle lists of the vector body: ar, ai (deinterleave), o0, o1
   /// (interleave).
   std::vector<idx_t> shuffle[4];
-  /// The dispatch: `iters` iterations over `team` threads. A pooled
-  /// program writes it as the run_stage_chunk arm `if (t < team) stage(x,
-  /// y, (long)t*iters/team, (long)(t+1)*iters/team)`, or, when team == 1,
-  /// `if (t == 0) stage(x, y, 0, iters)`; a sequential one in its walk.
+  /// The dispatch: `iters` iterations split into `team` = stage_tasks
+  /// tasks (backend/schedule). A pooled program writes it as the
+  /// run_stage_chunk arm `if (t < team) stage(x, y, (long)t*iters/team,
+  /// (long)(t+1)*iters/team)`, the schedule's contiguous chunk, or, when
+  /// team == 1, `if (t == 0) stage(x, y, 0, iters)`; a sequential one in
+  /// its walk.
   idx_t team = 1;
   idx_t iters = 0;
 };

@@ -19,9 +19,12 @@
 // up a warm team instead of cold-starting one (zero thread spawns —
 // asserted in the pool-sharing tests). A context may be reused across
 // programs (buffers grow to the largest size seen; the lease is swapped
-// only when a program needs more threads than the leased pool has). A
-// single context must NOT be used by two threads at the same time — it is
-// the per-caller half of the plan/context split, not a synchronization
+// only when a program needs more threads than the leased pool has, and a
+// program needing fewer runs the very partition it was verified for on
+// the larger team). The walk synchronizes on the team's own barrier, so
+// a context holds no synchronization state of its own. A single context
+// must NOT be used by two threads at the same time — it is the
+// per-caller half of the plan/context split, not a synchronization
 // primitive.
 //
 // Scratch is allocated 64 B aligned and never initialized: growing a
@@ -33,8 +36,6 @@
 // before the next step reads it, and inside a group each member writes
 // its whole block before the next member reads it.
 #pragma once
-
-#include <memory>
 
 #include "threading/pool_registry.hpp"
 #include "threading/thread_pool.hpp"
@@ -64,8 +65,6 @@ class ExecContext {
   /// scratch buffers.
   void reset() {
     lease_.release();
-    stage_barrier_.reset();
-    stage_barrier_size_ = 0;
     for (util::scratch_cvec* b : {&buf_[0], &buf_[1], &group_scratch_}) {
       b->clear();
       b->shrink_to_fit();
@@ -91,8 +90,10 @@ class ExecContext {
 
   /// The pool parallel stages should dispatch to: an explicitly borrowed
   /// team if set, else the registry lease (acquired on first use, swapped
-  /// only if a program needs more participants than the leased team has —
-  /// programs needing fewer fold their tasks onto the larger team).
+  /// only if a program needs more participants than the leased team has).
+  /// A program needing fewer runs on the larger team unchanged: its
+  /// p-way stages still split into p tasks (backend/schedule), and the
+  /// participants beyond them idle through those steps.
   threading::ThreadPool* pool_for(int threads) {
     if (borrowed_pool_ != nullptr) return borrowed_pool_;
     if (!lease_ || lease_.pool()->size() < threads) {
@@ -101,26 +102,10 @@ class ExecContext {
     return lease_.pool();
   }
 
-  /// The team's inter-stage barrier for the interpreter walk: one
-  /// sense-reversing spin barrier per context, rebuilt only when the
-  /// worker-team size changes. Participant count must equal the executing
-  /// pool's size exactly — the barrier is crossed by every pool member
-  /// between consecutive stages of a pooled walk.
-  threading::SpinBarrier& stage_barrier_for(int participants) {
-    if (!stage_barrier_ || stage_barrier_size_ != participants) {
-      stage_barrier_ =
-          std::make_unique<threading::SpinBarrier>(participants);
-      stage_barrier_size_ = participants;
-    }
-    return *stage_barrier_;
-  }
-
   util::scratch_cvec buf_[2];
   util::scratch_cvec group_scratch_;
   threading::PoolLease lease_;
   threading::ThreadPool* borrowed_pool_ = nullptr;
-  std::unique_ptr<threading::SpinBarrier> stage_barrier_;
-  int stage_barrier_size_ = 0;
 };
 
 }  // namespace spiral::backend

@@ -156,37 +156,6 @@ StageScale to_scale(const DiagFactors& d, idx_t positions, idx_t cn) {
   return StageScale(std::move(factors));
 }
 
-/// A stage scale as diagonal factors, each read off its factor's map:
-/// value bit i is the position bit with stride 2^i. Lowered scales have
-/// this form; it must not vary over the outer digit.
-DiagFactors lift(const StageScale& sc) {
-  DiagFactors d;
-  for (const StageScale::Factor& f : sc.factors()) {
-    const BitStrideMap& m = f.map();
-    util::require(m.base() == 0 && m.outer_stride() == 0,
-                  "fuse: scale varies over the outer digit");
-    BitDiag g;
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      g.values.emplace_back(f.re()[i], f.im()[i]);
-    }
-    g.bits.assign(static_cast<std::size_t>(position_bits(
-                      static_cast<idx_t>(f.size()))),
-                  -1);
-    for (int q = 0; q < m.bits(); ++q) {
-      const idx_t st = m.strides()[static_cast<std::size_t>(q)];
-      if (st == 0) continue;
-      const auto i = static_cast<std::size_t>(util::log2_exact(st));
-      util::require(util::is_pow2(st) && i < g.bits.size() && g.bits[i] < 0,
-                    "fuse: scale map is not a bit projection");
-      g.bits[i] = q;
-    }
-    util::require(std::find(g.bits.begin(), g.bits.end(), -1) == g.bits.end(),
-                  "fuse: scale map is not a bit projection");
-    d.push_back(std::move(g));
-  }
-  return d;
-}
-
 /// Folds a pure stage's diagonal f, read at position map pos
 /// (pos == nullptr: the identity), into acc: each factor's bits are
 /// renamed through pos, then multiplied in.
@@ -337,25 +306,6 @@ int fuse_lowered(std::vector<LoweredStage>& st) {
         break;
       }
     }
-  }
-  return eliminated;
-}
-
-int fuse(StageList& list) {
-  std::vector<LoweredStage> lowered;
-  lowered.reserve(list.stages.size());
-  for (auto& s : list.stages) {
-    LoweredStage ls{std::move(s), {}, {}};
-    ls.in_diag = lift(ls.stage.in_scale);
-    ls.out_diag = lift(ls.stage.out_scale);
-    ls.stage.in_scale = {};
-    ls.stage.out_scale = {};
-    lowered.push_back(std::move(ls));
-  }
-  const int eliminated = fuse_lowered(lowered);
-  list.stages.clear();
-  for (auto& ls : lowered) {
-    list.stages.push_back(materialize_scales(std::move(ls)));
   }
   return eliminated;
 }

@@ -17,20 +17,6 @@
 
 namespace spiral::backend {
 
-/// Fuses a stage list in place:
-///   1. adjacent pure (non-compute) stages are composed into one;
-///   2. a pure stage directly right of a compute stage (i.e. applied
-///      before it) is folded into that stage's input maps/scales;
-///   3. a pure stage directly left of a compute stage (applied after it)
-///      is folded into its output maps/scales.
-/// Pure stages with no compute neighbour (e.g. a program that is a single
-/// permutation) survive. The stages must come from lower() (bit-stride
-/// sides, no tables); their affine flags are left as found. Their scales
-/// are lifted back into BitDiag factors, read off each factor's map, and
-/// made symbolic again after fusion. Returns the number of stages
-/// eliminated.
-int fuse(StageList& list);
-
 /// True iff m is a bit permutation of [0, q * 2^bits): base 0, strides a
 /// permutation of 1, 2, 4, ..., 2^(bits-1), and the outer digit (if any)
 /// the identity, stride 2^bits. Every side of a complete lowered program
@@ -84,7 +70,16 @@ struct LoweredStage {
   DiagFactors out_diag;
 };
 
-/// fuse() on lowered stages; diagonals stay symbolic.
+/// Fuses lowered stages in place:
+///   1. adjacent pure (non-compute) stages are composed into one;
+///   2. a pure stage directly right of a compute stage (i.e. applied
+///      before it) is folded into that stage's input maps/diagonals;
+///   3. a pure stage directly left of a compute stage (applied after it)
+///      is folded into its output maps/diagonals.
+/// Pure stages with no compute neighbour (e.g. a program that is a single
+/// permutation) survive. The sides are lower()'s bit permutations; their
+/// affine flags are left as found, and the diagonals stay symbolic.
+/// Returns the number of stages eliminated.
 int fuse_lowered(std::vector<LoweredStage>& stages);
 
 /// Makes a lowered stage's diagonals its symbolic in_scale/out_scale

@@ -11,9 +11,9 @@
 //      and emit one Stage per compute/permutation/diagonal leaf whose
 //      absolute index maps are bit-stride functions (BitStrideMap); an
 //      odd batch count is the maps' outer digit.
-//   3. fuse() (see fuse.hpp): merge permutation and diagonal stages into
-//      the neighbouring compute loops — the loop merging of [11] that
-//      makes Spiral's permutations free.
+//   3. fuse_lowered() (see fuse.hpp): merge permutation and diagonal
+//      stages into the neighbouring compute loops — the loop merging of
+//      [11] that makes Spiral's permutations free.
 #pragma once
 
 #include "backend/stage.hpp"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "backend/schedule.hpp"
+
 namespace spiral::backend {
 
 const char* to_string(ExecPolicy p) {
@@ -31,7 +33,7 @@ Program::Program(StageList stages, ExecPolicy policy)
       throw std::invalid_argument("Program: stage '" + s.label +
                                   "' is addressed through an index table");
     }
-    max_p_ = std::max(max_p_, static_cast<int>(s.parallel_p));
+    max_p_ = std::max(max_p_, static_cast<int>(stage_tasks(s)));
   }
   // The walk in execution order: every group is one step, every other
   // stage its own. A group's first read and last write keep the stage's
@@ -65,34 +67,18 @@ Program::Program(StageList stages, ExecPolicy policy)
 
 namespace {
 
-/// Calls run(task, tasks) for each logical task of a p-way step that
-/// pool participant `tid` (of `workers`) owns: the tasks are folded onto
-/// the available threads when the pool is smaller than p. A sequential
-/// step (or a lone caller) is participant 0's single task.
+/// Calls run(task, tasks) for each task of a step split into `tasks`
+/// that pool participant `tid` (of `workers`) owns: tasks tid,
+/// tid + workers, ... A team smaller than `tasks` folds them; a larger
+/// one leaves its extra participants idle for the step. A lone
+/// participant runs the whole step as task 0 of 1.
 template <class Run>
-void for_my_tasks(idx_t p, int tid, int workers, Run&& run) {
-  if (p <= 1 || workers == 1) {
-    if (tid == 0) run(idx_t{0}, idx_t{1});
+void for_my_tasks(idx_t tasks, int tid, int workers, Run&& run) {
+  if (workers == 1) {
+    run(idx_t{0}, idx_t{1});
     return;
   }
-  const idx_t tasks = std::max<idx_t>(p, workers);
   for (idx_t t = tid; t < tasks; t += workers) run(t, tasks);
-}
-
-/// Runs the iterations stage `s` assigns to `task` (of `tasks`):
-/// contiguous chunks by default, block-cyclic when sched_block > 0.
-void run_task(const Stage& s, const simd::StagePlan& sp, const cplx* src,
-              cplx* dst, idx_t task, idx_t tasks) {
-  if (s.sched_block == 0 || tasks == 1) {
-    simd::run_stage(s, s.in_bits, s.out_bits, sp, src, dst,
-                    task * s.iters / tasks, (task + 1) * s.iters / tasks);
-    return;
-  }
-  const idx_t b = s.sched_block;
-  for (idx_t base = task * b; base < s.iters; base += tasks * b) {
-    simd::run_stage(s, s.in_bits, s.out_bits, sp, src, dst, base,
-                    std::min(base + b, s.iters));
-  }
 }
 
 }  // namespace
@@ -103,21 +89,22 @@ void Program::run_group(const GroupExec& g, const cplx* src, cplx* dst,
   const std::size_t members = g.group.count;
   const idx_t block = kGroupBlock;
   const idx_t blocks = list_.n / block;
-  const idx_t p = list_.stages[g.group.stage(0, count)].parallel_p;
+  const idx_t tasks = stage_tasks(list_.stages[g.group.stage(0, count)]);
   // Blocks are closed under the group's stages, so any assignment of
   // blocks to tasks is race-free: each task takes a contiguous share,
   // and each block runs through every member before the next starts.
-  for_my_tasks(p, tid, workers, [&](idx_t task, idx_t tasks) {
-    for (idx_t j = task * blocks / tasks; j < (task + 1) * blocks / tasks;
-         ++j) {
-      for (std::size_t m = 0; m < members; ++m) {
-        const Stage& s = list_.stages[g.group.stage(m, count)];
-        const cplx* in = m == 0 ? src : scratch + ((m - 1) % 2) * block;
-        cplx* out = m + 1 == members ? dst : scratch + (m % 2) * block;
-        simd::run_stage(s, g.in[m], g.out[m], g.plans[m], in, out,
-                        j * block / s.cn, (j + 1) * block / s.cn);
+  for_my_tasks(tasks, tid, workers, [&](idx_t t, idx_t team_tasks) {
+    for_each_run(blocks, 0, t, team_tasks, [&](idx_t lo, idx_t hi) {
+      for (idx_t j = lo; j < hi; ++j) {
+        for (std::size_t m = 0; m < members; ++m) {
+          const Stage& s = list_.stages[g.group.stage(m, count)];
+          const cplx* in = m == 0 ? src : scratch + ((m - 1) % 2) * block;
+          cplx* out = m + 1 == members ? dst : scratch + (m % 2) * block;
+          simd::run_stage(s, g.in[m], g.out[m], g.plans[m], in, out,
+                          j * block / s.cn, (j + 1) * block / s.cn);
+        }
       }
-    }
+    });
   });
 }
 
@@ -141,8 +128,7 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
     pool = ctx.pool_for(max_p_);
   }
   const int workers = pool != nullptr ? pool->size() : 1;
-  threading::SpinBarrier* barrier =
-      workers > 1 ? &ctx.stage_barrier_for(workers) : nullptr;
+  threading::SpinBarrier* barrier = workers > 1 ? &pool->barrier() : nullptr;
   cplx* scratch = nullptr;
   if (!groups_.empty() && !g_pingpong_mutation) {
     ctx.ensure_group_scratch(2 * kGroupBlock * workers);
@@ -165,12 +151,15 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
   //
   // One fork for the whole program: every participant walks the steps
   // with thread-local src/dst ping-pong pointers (the walk is
-  // deterministic, so all workers agree without sharing state) and
-  // crosses the context's spin barrier once per step transition. The
-  // pool's own dispatch/completion barriers bracket the walk, so the
-  // caller observes full fork/join semantics for the program while each
-  // interior step boundary costs a single barrier crossing instead of a
-  // fork/join pair. Without a team the caller is participant 0 of 1.
+  // deterministic, so all workers agree without sharing state), runs its
+  // tasks of each step's schedule (backend/schedule: stage_tasks(s)
+  // tasks, the partition the verifier proves) and crosses the team's
+  // spin barrier once per step transition. Every participant makes the
+  // same crossings, so the pool's completion, one more crossing of the
+  // same barrier, ends the walk: the caller observes full fork/join
+  // semantics for the program while each interior step boundary costs a
+  // single barrier crossing instead of a fork/join pair. Without a team
+  // the caller is participant 0 of 1.
   auto walk = [&](int tid) {
     const cplx* src = first_src;
     int flip = 0;
@@ -188,8 +177,11 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
                   scratch + 2 * kGroupBlock * tid, tid, workers);
       } else {
         const Stage& s = st[step.stage];
-        for_my_tasks(s.parallel_p, tid, workers, [&](idx_t t, idx_t tasks) {
-          run_task(s, plans_[step.stage], src, dst, t, tasks);
+        const simd::StagePlan& sp = plans_[step.stage];
+        for_my_tasks(stage_tasks(s), tid, workers, [&](idx_t t, idx_t tasks) {
+          for_each_run(s, t, tasks, [&](idx_t lo, idx_t hi) {
+            simd::run_stage(s, s.in_bits, s.out_bits, sp, src, dst, lo, hi);
+          });
         });
       }
       // A step transition needs a barrier only when a worker could read
@@ -197,8 +189,8 @@ void Program::execute(ExecContext& ctx, const cplx* x, cplx* y) const {
       // hand data to themselves, so the crossing is elided. (Under the
       // ping-pong mutation the walk order is scrambled, so always cross.)
       if (barrier != nullptr && i + 1 != nsteps &&
-          (g_pingpong_mutation || st[step.stage].parallel_p > 1 ||
-           st[(*steps)[i + 1].stage].parallel_p > 1)) {
+          (g_pingpong_mutation || stage_tasks(st[step.stage]) > 1 ||
+           stage_tasks(st[(*steps)[i + 1].stage]) > 1)) {
         barrier->wait();
       }
       src = dst;
@@ -233,9 +225,9 @@ void Program::enable_simd(idx_t nu) {
     // cache when the buffer exceeds the team's combined L2: the next step
     // would find little of it there, and the stores skip the line reads.
     const Stage& last = list_.stages[g.group.stage(g.group.count - 1, count)];
-    const idx_t team = std::max<idx_t>(last.parallel_p, 1);
-    const bool beyond_l2 = static_cast<std::size_t>(list_.n) * sizeof(cplx) >
-                           static_cast<std::size_t>(team) * kL2Bytes;
+    const auto team = static_cast<std::size_t>(stage_tasks(last));
+    const bool beyond_l2 =
+        static_cast<std::size_t>(list_.n) * sizeof(cplx) > team * kL2Bytes;
     simd::StagePlan& sp = g.plans.back();
     sp.stream_out =
         beyond_l2 && simd::can_stream_out(sp, last.cn, g.out.back());

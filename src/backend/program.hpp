@@ -27,8 +27,10 @@ namespace spiral::backend {
 enum class ExecPolicy {
   kSequential,  ///< ignore parallel annotations, run on the caller
   /// Fused single-fork dispatch on the context's persistent pool: the
-  /// whole stage list runs inside one ThreadPool::run; workers cross one
-  /// spin barrier per stage transition (the "low-latency minimal overhead
+  /// whole stage list runs inside one ThreadPool::run. Each step splits
+  /// into stage_tasks(s) tasks (backend/schedule), participant tid runs
+  /// tasks tid, tid + team, ..., and the team crosses its pool's spin
+  /// barrier once per step transition (the "low-latency minimal overhead
   /// synchronization" of §3.2). The default parallel policy.
   kThreadPool,
 };
@@ -115,14 +117,15 @@ class Program {
   };
 
   /// One step of the interpreter walk: a stage, or a whole group (whose
-  /// stages share one parallel_p).
+  /// stages share one parallel_p, and so one task count).
   struct Step {
     std::size_t stage = 0;  ///< StageList index of the step's first stage
     int group = -1;         ///< index into groups_, -1 for a lone stage
   };
 
-  /// Participant `tid` (of `workers`) runs its share of group g's blocks,
-  /// each through every member, using its two block buffers at scratch.
+  /// Participant `tid` (of `workers`) runs its tasks' shares of group
+  /// g's blocks, each block through every member, using its two block
+  /// buffers at scratch.
   void run_group(const GroupExec& g, const cplx* src, cplx* dst,
                  cplx* scratch, int tid, int workers) const;
 

@@ -243,13 +243,13 @@ struct Stage {
   int sign = -1;         ///< DFT root sign for compute stages
   bool is_compute = false;  ///< true: codelet; false: copy/scale only
   bool wht = false;      ///< compute stages: WHT codelet instead of DFT
-  idx_t parallel_p = 0;  ///< 0: sequential; else #threads
-  /// Iteration-to-thread schedule for parallel stages. 0 = contiguous
-  /// chunks (rule (7)'s mu-aware schedule: thread t gets iterations
-  /// [t*iters/p, (t+1)*iters/p)). Otherwise block-cyclic with this block
-  /// size: iteration i runs on thread (i / sched_block) % p — the
-  /// schedule the paper attributes to FFTW 3.1's loop parallelizer, which
-  /// ignores the cache line length and can false-share.
+  idx_t parallel_p = 0;  ///< 0: sequential; else #tasks (threads)
+  /// Iteration-to-task schedule for parallel stages (backend/schedule).
+  /// 0 = contiguous chunks (rule (7)'s mu-aware schedule: task t gets
+  /// iterations [t*iters/p, (t+1)*iters/p)). Otherwise block-cyclic with
+  /// this block size: iteration i runs on task (i / sched_block) % p —
+  /// the schedule the paper attributes to FFTW 3.1's loop parallelizer,
+  /// which ignores the cache line length and can false-share.
   idx_t sched_block = 0;
 
   /// Addressing of the input and output sides. A lowered side is its

@@ -1,5 +1,7 @@
 #include "core/plan_cache.hpp"
 
+#include <tuple>
+
 #include "util/timer.hpp"
 
 namespace spiral::core {
@@ -14,37 +16,18 @@ PlanCache::PlanCache(std::size_t shards) {
   }
 }
 
-std::size_t PlanCache::Key::hash() const noexcept {
-  // Boost-style hash combining over every field.
+std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
+  // Boost-style hash combining over every field of the key.
   auto mix = [](std::size_t h, std::uint64_t v) {
     return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
   };
-  std::size_t h = 0x811c9dc5u;
-  h = mix(h, static_cast<std::uint64_t>(kind));
-  h = mix(h, static_cast<std::uint64_t>(n));
-  h = mix(h, static_cast<std::uint64_t>(n2));
-  h = mix(h, static_cast<std::uint64_t>(threads));
-  h = mix(h, static_cast<std::uint64_t>(mu));
-  h = mix(h, static_cast<std::uint64_t>(nu));
-  h = mix(h, static_cast<std::uint64_t>(leaf));
-  h = mix(h, static_cast<std::uint64_t>(direction + 2));
-  h = mix(h, static_cast<std::uint64_t>(autotune));
+  std::size_t h = mix(0x811c9dc5u, static_cast<std::uint64_t>(k.second));
+  std::apply(
+      [&](const auto&... field) {
+        ((h = mix(h, static_cast<std::uint64_t>(field))), ...);
+      },
+      k.first);
   return h;
-}
-
-PlanCache::Key PlanCache::make_key(TransformKind kind, idx_t n, idx_t n2,
-                                   const PlannerOptions& o) {
-  Key k;
-  k.kind = static_cast<int>(kind);
-  k.n = n;
-  k.n2 = n2;
-  k.threads = o.threads;
-  k.mu = o.cache_line_complex;
-  k.nu = o.vector_nu;
-  k.leaf = o.leaf;
-  k.direction = o.direction;
-  k.autotune = o.autotune;
-  return k;
 }
 
 std::shared_ptr<FftPlan> PlanCache::plan_uncached(TransformKind kind, idx_t n,
@@ -79,7 +62,7 @@ std::shared_ptr<FftPlan> PlanCache::plan_uncached(TransformKind kind, idx_t n,
 std::shared_ptr<FftPlan> PlanCache::get_or_create(TransformKind kind, idx_t n,
                                                   idx_t n2,
                                                   const PlannerOptions& opt) {
-  const Key key = make_key(kind, n, n2, opt);
+  const Key key{descriptor_key(kind, n, n2, opt), opt.autotune};
   Shard& sh = shard_for(key);
   std::promise<std::shared_ptr<FftPlan>> promise;
   {

@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/spiral_fft.hpp"
@@ -102,24 +103,12 @@ class PlanCache {
   }
 
  private:
-  /// Full plan identity: structural parameters plus the execution-level
-  /// knob (autotune) that changes what object the user gets back.
-  struct Key {
-    int kind = 0;
-    idx_t n = 0;
-    idx_t n2 = 0;
-    int threads = 1;
-    idx_t mu = 4;
-    idx_t nu = 0;  // part of the key: scalar and vectorized plans differ!
-    idx_t leaf = 0;
-    int direction = -1;
-    bool autotune = false;
-
-    bool operator==(const Key&) const = default;
-    [[nodiscard]] std::size_t hash() const noexcept;
-  };
+  /// Full plan identity: the request's descriptor key (descriptor_key,
+  /// normalized per transform kind) plus the execution-level knob
+  /// (autotune) that changes what object the user gets back.
+  using Key = std::pair<wisdom::PlanDescriptor::Key, bool>;
   struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept { return k.hash(); }
+    std::size_t operator()(const Key& k) const noexcept;
   };
 
   using PlanFuture = std::shared_future<std::shared_ptr<FftPlan>>;
@@ -129,11 +118,8 @@ class PlanCache {
     std::unordered_map<Key, PlanFuture, KeyHash> map;
   };
 
-  static Key make_key(wisdom::TransformKind kind, idx_t n, idx_t n2,
-                      const PlannerOptions& o);
-
   Shard& shard_for(const Key& key) {
-    return *shards_[key.hash() % shards_.size()];
+    return *shards_[KeyHash{}(key) % shards_.size()];
   }
 
   std::shared_ptr<FftPlan> get_or_create(wisdom::TransformKind kind, idx_t n,

@@ -103,8 +103,8 @@ spl::FormulaPtr planner_formula_with(idx_t n, const PlannerOptions& opt,
 }
 
 /// Structural planning parameters of a request, normalized per transform
-/// kind (the WHT ignores direction and vectorization, so requests that
-/// differ only there must resolve to the same descriptor).
+/// kind (the WHT ignores direction, so requests that differ only there
+/// must resolve to the same descriptor; its stages still run at width nu).
 wisdom::PlanDescriptor descriptor_shell(wisdom::TransformKind kind, idx_t n,
                                         idx_t n2, const PlannerOptions& opt) {
   wisdom::PlanDescriptor d;
@@ -113,7 +113,7 @@ wisdom::PlanDescriptor descriptor_shell(wisdom::TransformKind kind, idx_t n,
   d.n2 = n2;
   d.threads = opt.threads;
   d.mu = opt.cache_line_complex;
-  d.nu = kind == wisdom::TransformKind::kWHT ? 0 : opt.vector_nu;
+  d.nu = opt.vector_nu;
   d.leaf = opt.leaf;
   d.direction = kind == wisdom::TransformKind::kWHT ? -1 : opt.direction;
   return d;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "backend/codelets.hpp"
+#include "backend/schedule.hpp"
 #include "backend/vectorize.hpp"
 
 namespace spiral::machine {
@@ -140,32 +141,10 @@ SimResult Simulator::run(const backend::StageList& program) {
         kTwiddleBase + static_cast<std::int64_t>(k) * kRegion;
 
     StageSim ss;
-    const int p_eff =
-        (opt_.threads > 1 && s.parallel_p > 1)
-            ? static_cast<int>(std::min<idx_t>(
-                  {s.parallel_p, static_cast<idx_t>(cfg_.cores),
-                   static_cast<idx_t>(opt_.threads)}))
-            : 1;
+    const int p_eff = backend::model_tasks(s, opt_.threads, cfg_.cores);
     ss.parallel_used = p_eff;
 
     std::fill(core_cycles.begin(), core_cycles.end(), 0.0);
-
-    // Iteration schedule: contiguous chunks (rule (7)) or block-cyclic
-    // (sched_block > 0, the FFTW-like scheduler). step_of(c, step) maps a
-    // core's local step counter to the global iteration it executes.
-    const idx_t b = s.sched_block;
-    auto step_of = [&](int c, idx_t step) -> idx_t {
-      if (b == 0) {
-        const idx_t lo = static_cast<idx_t>(c) * s.iters / p_eff;
-        const idx_t hi = static_cast<idx_t>(c + 1) * s.iters / p_eff;
-        const idx_t it = lo + step;
-        return it < hi ? it : idx_t{-1};
-      }
-      const idx_t q = step / b;
-      const idx_t r = step % b;
-      const idx_t it = (q * p_eff + c) * b + r;
-      return it < s.iters ? it : idx_t{-1};
-    };
 
     // SIMD: vectorizable stages execute their arithmetic on vector units.
     double simd_factor = 1.0;
@@ -182,14 +161,16 @@ SimResult Simulator::run(const backend::StageList& program) {
          (s.in_scale.empty() ? 0.0 : 6.0 * double(s.cn)) +
          (s.out_scale.empty() ? 0.0 : 6.0 * double(s.cn)));
 
-    // Round-robin interleaving of the cores' iterations: captures
-    // intra-stage coherence conflicts (false sharing) faithfully.
+    // Round-robin interleaving of the cores' iterations, each core taking
+    // its task's iterations of the stage schedule (contiguous chunks, or
+    // block-cyclic for the FFTW-like scheduler): captures intra-stage
+    // coherence conflicts (false sharing) faithfully.
     bool more = true;
     std::vector<idx_t> steps(static_cast<std::size_t>(p_eff), 0);
     while (more) {
       more = false;
       for (int c = 0; c < p_eff; ++c) {
-        const idx_t it = step_of(c, steps[std::size_t(c)]);
+        const idx_t it = backend::iteration_at(s, c, p_eff, steps[std::size_t(c)]);
         if (it < 0) continue;
         ++steps[std::size_t(c)];
         more = true;

@@ -11,7 +11,7 @@ std::uint64_t ThreadPool::threads_spawned() noexcept {
 }
 
 ThreadPool::ThreadPool(int threads)
-    : threads_(threads), done_barrier_(threads) {
+    : threads_(threads), barrier_(threads) {
   util::require(threads >= 1, "ThreadPool requires at least one thread");
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int id = 1; id < threads; ++id) {
@@ -59,7 +59,7 @@ void ThreadPool::worker_loop(int id) {
     seen = await_epoch(seen);
     if (shutdown_.load(std::memory_order_acquire)) return;
     (*job_)(id);
-    done_barrier_.wait();
+    barrier_.wait();
   }
 }
 
@@ -74,7 +74,7 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
   epoch_.fetch_add(1, std::memory_order_seq_cst);
   if (parked_.load(std::memory_order_seq_cst) != 0) epoch_.notify_all();
   fn(0);                  // caller is participant 0
-  done_barrier_.wait();   // wait for everyone
+  barrier_.wait();   // wait for everyone
   job_ = nullptr;
 }
 

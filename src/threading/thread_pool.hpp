@@ -12,7 +12,7 @@
 //   * dispatch bumps an epoch counter that idle workers spin on for at
 //     most kParkAfter, then sleep on (C++20 atomic::wait), so an idle
 //     pool costs no CPU; completion uses the sense-reversing spin
-//     barrier.
+//     barrier, which a job may also cross between its own steps.
 #pragma once
 
 #include <atomic>
@@ -53,6 +53,11 @@ class ThreadPool {
   /// from inside a task.
   void run(const std::function<void(int)>& fn);
 
+  /// The team's barrier. A running job may cross it between its steps
+  /// when every participant makes the same, data-independent sequence of
+  /// crossings: run()'s completion is one more crossing of it.
+  [[nodiscard]] SpinBarrier& barrier() noexcept { return barrier_; }
+
  private:
   /// How long an idle worker spins on the epoch before it parks. It
   /// must cover the gaps between the transforms of a burst (a warm p=4
@@ -71,7 +76,7 @@ class ThreadPool {
   alignas(kDestructiveInterferenceSize) std::atomic<std::uint32_t> epoch_{0};
   /// Workers asleep in epoch_.wait(); run() notifies only when non-zero.
   alignas(kDestructiveInterferenceSize) std::atomic<int> parked_{0};
-  SpinBarrier done_barrier_;
+  SpinBarrier barrier_;
   const std::function<void(int)>* job_ = nullptr;  // valid between barriers
   std::atomic<bool> shutdown_{false};
   std::vector<std::thread> workers_;

@@ -1,5 +1,6 @@
-// Tests for the Program executor: the one interpreter walk gives identical
-// results inline, on a folded (smaller) team and on a full team; in-place
+// Tests for the Program executor: the iteration schedule partitions
+// every stage; the one interpreter walk gives identical results inline,
+// on a folded (smaller) team, on a full team and on a larger one; in-place
 // execution; barrier elision; repeated execution; stage groups run block
 // by block bit-identically to the flat stage walk, and their streamed
 // final writes change no bits; a reused context's stale scratch never
@@ -9,12 +10,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "backend/lower.hpp"
 #include "backend/program.hpp"
+#include "backend/schedule.hpp"
 #include "backend/simd.hpp"
 #include "core/spiral_fft.hpp"
 #include "rewrite/expand.hpp"
@@ -310,8 +313,6 @@ TEST(Program, ParsevalEnergyConservation) {
   EXPECT_NEAR(ey, ex * static_cast<double>(n), 1e-6 * ex * n);
 }
 
-// ---- Stage groups (backend/stage_group) -------------------------------
-
 core::PlannerOptions group_planner(int threads, idx_t nu) {
   core::PlannerOptions opt;
   opt.threads = threads;
@@ -320,6 +321,98 @@ core::PlannerOptions group_planner(int threads, idx_t nu) {
   opt.verify_lowering = false;
   return opt;
 }
+
+bool bit_identical(const util::cvec& a, const util::cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// ---- The iteration schedule (backend/schedule) -------------------------
+
+TEST(Schedule, RunsPartitionTheIterationsInOrder) {
+  // For every task count and schedule: the runs of the T tasks partition
+  // [0, iters), contiguous chunks are one run each, task_of inverts the
+  // runs, and iteration_at enumerates them in order.
+  for (const idx_t iters : {1, 3, 12, 64, 1000}) {
+    for (const idx_t T : {1, 2, 3, 4, 6}) {
+      for (const idx_t block : {0, 1, 3}) {
+        SCOPED_TRACE("iters=" + std::to_string(iters) + " T=" +
+                     std::to_string(T) + " block=" + std::to_string(block));
+        Stage s;
+        s.iters = iters;
+        s.parallel_p = T == 1 ? 0 : T;
+        s.sched_block = block;
+        ASSERT_EQ(stage_tasks(s), T);
+        std::vector<idx_t> owner(static_cast<std::size_t>(iters), -1);
+        for (idx_t t = 0; t < T; ++t) {
+          std::vector<idx_t> its;
+          int runs = 0;
+          for_each_run(s, t, T, [&](idx_t lo, idx_t hi) {
+            ++runs;
+            ASSERT_LT(lo, hi);
+            ASSERT_TRUE(its.empty() || its.back() < lo);
+            for (idx_t it = lo; it < hi; ++it) {
+              ASSERT_EQ(owner[static_cast<std::size_t>(it)], -1) << it;
+              owner[static_cast<std::size_t>(it)] = t;
+              its.push_back(it);
+            }
+          });
+          if (block == 0 || T == 1) {
+            EXPECT_LE(runs, 1);
+          }
+          for (std::size_t step = 0; step < its.size(); ++step) {
+            EXPECT_EQ(iteration_at(s, t, T, static_cast<idx_t>(step)),
+                      its[step]);
+          }
+          EXPECT_EQ(iteration_at(s, t, T, static_cast<idx_t>(its.size())),
+                    -1);
+        }
+        for (idx_t it = 0; it < iters; ++it) {
+          ASSERT_NE(owner[static_cast<std::size_t>(it)], -1) << it;
+          EXPECT_EQ(task_of(s, T, it), owner[static_cast<std::size_t>(it)]);
+        }
+      }
+    }
+  }
+}
+
+TEST(Program, LargerTeamsRunTheVerifiedPartitionBitForBit) {
+  // A p-way plan splits every stage into its p tasks on any team: on 3,
+  // 6 and 8 participants the extra ones idle, and the output bytes equal
+  // those of a team of p. 2^15 runs stage groups; the others flat steps.
+  std::vector<std::unique_ptr<threading::ThreadPool>> teams;
+  for (const int size : {3, 6, 8}) {
+    teams.push_back(std::make_unique<threading::ThreadPool>(size));
+  }
+  for (const int lg : {8, 10, 15}) {
+    const idx_t n = idx_t{1} << lg;
+    util::Rng rng(static_cast<std::uint64_t>(50 + lg));
+    const auto x = rng.complex_signal(n);
+    for (const int p : {2, 4}) {
+      threading::ThreadPool own(p);
+      for (const idx_t nu : {idx_t{0}, idx_t{4}}) {
+        SCOPED_TRACE("n=2^" + std::to_string(lg) + " p=" +
+                     std::to_string(p) + " nu=" + std::to_string(nu));
+        const auto plan = core::plan_dft(n, group_planner(p, nu));
+        ASSERT_EQ(plan->stages().stages.front().parallel_p, p);
+        util::cvec want(x.size()), y(x.size());
+        {
+          ExecContext ctx;
+          ctx.set_pool(&own);
+          plan->execute(ctx, x.data(), want.data());
+        }
+        for (const auto& team : teams) {
+          ExecContext ctx;
+          ctx.set_pool(team.get());
+          plan->execute(ctx, x.data(), y.data());
+          EXPECT_TRUE(bit_identical(y, want)) << "team of " << team->size();
+        }
+      }
+    }
+  }
+}
+
+// ---- Stage groups (backend/stage_group) -------------------------------
 
 /// y = the program's stages applied one at a time, each a single-stage
 /// Program (which never groups) with SIMD width nu.
@@ -335,11 +428,6 @@ util::cvec stage_by_stage(const StageList& list, idx_t nu,
     std::swap(a, b);
   }
   return a;
-}
-
-bool bit_identical(const util::cvec& a, const util::cvec& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
 TEST(StageGroups, Large4mPlanFormsTwoTwoStageGroups) {

@@ -22,7 +22,6 @@
 #include "baselines/fft_iterative.hpp"
 #include "core/spiral_fft.hpp"
 #include "test_helpers.hpp"
-#include "threading/thread_pool.hpp"
 #include "util/aligned_vector.hpp"
 
 namespace spiral::backend {
@@ -306,10 +305,10 @@ bool same_bytes(const util::cvec& a, const util::cvec& b) {
 // at width 1 and the same list run at W = 2 from the generic TU give the
 // same bytes. Both widths expand one codelet and scale in one order, and
 // the generic TU has no FMA to contract into on x86-64, so any
-// difference is an addressing or driver fault. Also covers a 6-worker
-// pool, which folds each p = 4 stage into 6 chunks with unaligned bounds
-// (one-lane head and tail around the packs), and a block-cyclic stage
-// (sched_block = 1: every block is one iteration).
+// difference is an addressing or driver fault. Also covers a p = 4
+// batch of 12 DFT_64s, whose 12-iteration stage splits into chunks of 3
+// with unaligned bounds (one-lane head and tail around the packs), and a
+// block-cyclic stage (sched_block = 1: every block is one iteration).
 TEST(Simd, ScalarPathIsThePackDriverBitForBit) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "bit identity across widths is an x86-64 property";
@@ -319,19 +318,14 @@ TEST(Simd, ScalarPathIsThePackDriverBitForBit) {
     simd::clear_isa_override();
     GTEST_SKIP() << "vector drivers forced off";
   }
-  threading::ThreadPool six(6);
-  auto same_at_both_widths = [&](const StageList& list, bool on_six) {
+  auto same_at_both_widths = [&](const StageList& list) {
     Program scalar(list, ExecPolicy::kThreadPool);
     Program vec(list, ExecPolicy::kThreadPool);
     vec.enable_simd(2);
     EXPECT_FALSE(scalar.simd_active());
-    const util::cvec x = random_signal(list.n, list.n * 3 + on_six);
+    const util::cvec x = random_signal(list.n, list.n * 3);
     util::cvec want(x.size()), got(x.size());
     ExecContext a, b;
-    if (on_six) {
-      a.set_pool(&six);
-      b.set_pool(&six);
-    }
     scalar.execute(a, x.data(), want.data());
     vec.execute(b, x.data(), got.data());
     return vec.simd_active() && same_bytes(got, want);
@@ -344,7 +338,7 @@ TEST(Simd, ScalarPathIsThePackDriverBitForBit) {
         o.threads = p;
         o.vector_nu = nu;
         const StageList list = core::plan_dft(n, o)->stages();
-        EXPECT_TRUE(same_at_both_widths(list, false))
+        EXPECT_TRUE(same_at_both_widths(list))
             << "n=" << n << " p=" << p << " nu=" << nu;
       }
     }
@@ -352,14 +346,18 @@ TEST(Simd, ScalarPathIsThePackDriverBitForBit) {
   PlannerOptions o;
   o.threads = 4;
   o.vector_nu = 2;
+  const StageList batch = core::plan_batch_dft(64, 12, o)->stages();
+  ASSERT_EQ(batch.stages.size(), 1u);
+  ASSERT_EQ(batch.stages[0].parallel_p, 4);
+  ASSERT_EQ(batch.stages[0].iters, 12);
+  EXPECT_TRUE(same_at_both_widths(batch)) << "chunks of 3 iterations";
   StageList list = core::plan_dft(idx_t{1} << 12, o)->stages();
-  EXPECT_TRUE(same_at_both_widths(list, true)) << "6-worker pool";
   auto parallel =
       std::find_if(list.stages.begin(), list.stages.end(),
                    [](const Stage& s) { return s.parallel_p > 1; });
   EXPECT_NE(parallel, list.stages.end());
   if (parallel != list.stages.end()) parallel->sched_block = 1;
-  EXPECT_TRUE(same_at_both_widths(list, false)) << "sched_block = 1";
+  EXPECT_TRUE(same_at_both_widths(list)) << "sched_block = 1";
   simd::clear_isa_override();
 #endif
 }

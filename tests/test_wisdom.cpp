@@ -315,6 +315,42 @@ TEST(PlanDescriptorTest, AllTransformKindsRoundTrip) {
             p_batch->describe());
 }
 
+TEST(PlanDescriptorTest, WhtKeepsItsVectorWidth) {
+  // A WHT descriptor records nu: the rebuilt plan runs every stage at the
+  // original's width, and so does the one a wisdom replay hands out.
+  auto widths = [](const core::FftPlan& plan) {
+    std::vector<idx_t> w;
+    for (const auto& sp : plan.stage_plans()) w.push_back(sp.width);
+    return w;
+  };
+  for (const int lg : {10, 12, 16}) {
+    core::PlannerOptions opt;
+    opt.vector_nu = 4;
+    PlanDescriptor d;
+    const auto plan = core::plan_wht(idx_t{1} << lg, opt, &d);
+    EXPECT_EQ(d.nu, 4);
+    EXPECT_EQ(widths(*core::plan_from_descriptor(d, opt)), widths(*plan))
+        << "n=2^" << lg;
+    core::PlanCache cache;
+    cache.wisdom().add(d);
+    const auto replayed = cache.wht(idx_t{1} << lg, opt);
+    EXPECT_EQ(cache.stats().wisdom_hits, 1u);
+    EXPECT_EQ(widths(*replayed), widths(*plan)) << "n=2^" << lg;
+  }
+}
+
+TEST(PlanDescriptorTest, WhtRequestsDifferingInDirectionShareOneEntry) {
+  core::PlanCache cache;
+  core::PlannerOptions fwd, inv;
+  inv.direction = +1;
+  const auto a = cache.wht(256, fwd);
+  const auto b = cache.wht(256, inv);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(cache.dft(256, fwd), cache.dft(256, inv));
+  EXPECT_EQ(cache.size(), 3u);
+}
+
 TEST(PlanDescriptorTest, ValidateRejectsBadDescriptors) {
   PlanDescriptor d = sample_descriptor();
   d.n = 255;
