@@ -1,170 +1,115 @@
-// Shared plumbing for the benchmark harness: the library/baseline
-// configurations measured in the paper's evaluation (Section 4), as
-// functions from (size, machine) to simulated performance.
-//
-// Series names follow Figure 3's legend:
-//   spiral-pthreads   multicore CT FFT (14), persistent pool, spin barriers
-//   spiral-openmp     same program, simulated with an OpenMP-style
-//                     barrier-cost multiplier (a simulated series, not an
-//                     executor: the library has no OpenMP runtime path)
-//   spiral-seq        generated sequential code (fused balanced ruletree)
-//   fftw-pthreads     FFTW3.1-like: block-cyclic loop parallelization, no
-//                     working thread pool; planner picks the best thread
-//                     count per size (like FFTW's bench with -onthreads)
-//   fftw-seq          FFTW3.1-like sequential plan
+// Shared plumbing for the benchmark harness: wall-clock timing with
+// min and median over repeats, the host description every committed
+// BENCH_*.json carries, and the JSON writer.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "backend/lower.hpp"
-#include "baselines/fftw_like.hpp"
-#include "machine/simulator.hpp"
-#include "rewrite/expand.hpp"
-#include "rewrite/multicore_fft.hpp"
+#include "util/timer.hpp"
 
 namespace spiral::bench {
 
-using backend::StageList;
-using machine::MachineConfig;
-using machine::SimOptions;
-using machine::SimResult;
+/// Per-call wall-clock seconds of one measured point over its repeats.
+struct Timing {
+  double min_s = 0.0;
+  double median_s = 0.0;
+};
 
-/// Most balanced admissible multicore split, 0 if none.
-inline idx_t admissible_split(idx_t n, idx_t p, idx_t mu) {
-  idx_t best = 0;
-  int best_gap = 1 << 30;
-  for (idx_t m : rewrite::possible_splits(n)) {
-    if (m % (p * mu) != 0 || (n / m) % (p * mu) != 0) continue;
-    const int gap = std::abs(util::log2_floor(m) - util::log2_floor(n / m));
-    if (best == 0 || gap < best_gap) {
-      best = m;
-      best_gap = gap;
-    }
+/// Times `fn` in `repeats` samples. It first runs fn back to back for
+/// 50 ms (worker teams, caches, page tables and clock speed settle; a
+/// fresh process measures up to 1.5x slow without it), which also fixes
+/// the calls per sample so that a sample lasts about 1 ms. Each sample
+/// records its time per call; the result is the min and median of those.
+template <class Fn>
+Timing time_repeats(Fn&& fn, int repeats) {
+  repeats = std::max(repeats, 1);
+  constexpr double kWarmupSeconds = 0.05;
+  constexpr double kSampleSeconds = 1e-3;
+  util::Stopwatch warm;
+  int warm_calls = 0;
+  do {
+    fn();
+    ++warm_calls;
+  } while (warm.seconds() < kWarmupSeconds);
+  const double once = warm.seconds() / warm_calls;
+  const auto calls = static_cast<int>(
+      std::clamp(kSampleSeconds / once, 1.0, 1e6));
+  std::vector<double> per_call;
+  per_call.reserve(static_cast<std::size_t>(repeats));
+  for (int r = 0; r < repeats; ++r) {
+    util::Stopwatch w;
+    for (int c = 0; c < calls; ++c) fn();
+    per_call.push_back(w.seconds() / calls);
   }
-  return best;
+  std::sort(per_call.begin(), per_call.end());
+  return {per_call.front(), per_call[per_call.size() / 2]};
 }
 
-/// Spiral-generated sequential program (fused balanced ruletree).
-inline StageList spiral_seq_plan(idx_t n) {
-  return backend::lower_fused(
-      rewrite::formula_from_ruletree(rewrite::balanced_ruletree(n)));
-}
-
-/// Spiral multicore program for (p, mu); nullopt when (14) inadmissible.
-inline std::optional<StageList> spiral_par_plan(idx_t n, idx_t p, idx_t mu) {
-  const idx_t m = admissible_split(n, p, mu);
-  if (m == 0) return std::nullopt;
-  auto f = rewrite::derive_multicore_ct(n, m, p, mu);
-  return backend::lower_fused(rewrite::expand_dfts_balanced(f));
-}
-
-inline SimResult sim_spiral_seq(idx_t n, const MachineConfig& cfg) {
-  SimOptions opt;
-  opt.threads = 1;
-  return machine::simulate(spiral_seq_plan(n), cfg, opt);
-}
-
-/// Best Spiral parallel result over thread counts {2, 4, ...} <= cores
-/// (the paper always reports the best-performing configuration).
-/// Falls back to the sequential result when no parallel plan exists or
-/// none is faster — matching how the paper's parallel curves branch off
-/// the sequential line.
-inline SimResult sim_spiral_parallel(idx_t n, const MachineConfig& cfg,
-                                     double sync_scale = 1.0) {
-  SimResult best = sim_spiral_seq(n, cfg);
-  for (int p = 2; p <= cfg.cores; p *= 2) {
-    auto plan = spiral_par_plan(n, p, cfg.mu());
-    if (!plan) continue;
-    SimOptions opt;
-    opt.threads = p;
-    opt.thread_pool = true;
-    opt.sync_scale = sync_scale;
-    const SimResult r = machine::simulate(*plan, cfg, opt);
-    if (r.cycles < best.cycles) best = r;
+/// The host's CPU model (from /proc/cpuinfo; "unknown" elsewhere).
+inline std::string host_cpu() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto start = line.find_first_not_of(" \t:", line.find(':'));
+    if (start == std::string::npos) break;
+    return line.substr(start);
   }
-  return best;
+  return "unknown";
 }
 
-inline SimResult sim_fftw_seq(idx_t n, const MachineConfig& cfg) {
-  baselines::FftwLikeOptions fo;
-  fo.threads = 1;
-  SimOptions opt;
-  opt.threads = 1;
-  return machine::simulate(baselines::fftw_like_plan(n, fo), cfg, opt);
+/// Online processors, as nproc prints.
+inline int host_nproc() {
+  return static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
 }
 
-/// FFTW-like with its planner picking the best thread count (1, 2, 4).
-inline SimResult sim_fftw_parallel(idx_t n, const MachineConfig& cfg) {
-  SimResult best = sim_fftw_seq(n, cfg);
-  for (int p = 2; p <= cfg.cores; p *= 2) {
-    baselines::FftwLikeOptions fo;
-    fo.threads = p;
-    fo.min_parallel_n = 2;  // let the measurement decide, not the cutoff
-    SimOptions opt;
-    opt.threads = p;
-    opt.thread_pool = false;  // no (working) thread pooling in FFTW 3.1
-    const SimResult r =
-        machine::simulate(baselines::fftw_like_plan(n, fo), cfg, opt);
-    if (r.cycles < best.cycles) best = r;
-  }
-  return best;
-}
-
-/// Row-oriented JSON emitter for benchmark results committed to the repo
-/// (BENCH_*.json): an array of flat objects, one per measurement row.
-/// Strings are quoted and escaped, numbers printed raw — just enough JSON
-/// for `python -m json.tool` and plotting scripts, with no dependency.
+/// JSON writer for the benchmark results committed to the repo
+/// (BENCH_*.json): one object whose header fields describe the run (the
+/// host, its processor count, the repeat count) and whose "rows" array
+/// holds one flat object per measurement. Strings are quoted and escaped,
+/// numbers printed raw — just enough JSON for `python -m json.tool` and
+/// plotting scripts, with no dependency.
 class JsonRows {
  public:
+  /// A header field, written before the rows.
+  template <class T>
+  void meta(const std::string& key, const T& value) {
+    put(meta_, key, value);
+  }
   void begin_row() { rows_.emplace_back(); }
-
-  void field(const std::string& key, const std::string& value) {
-    std::string quoted;
-    quoted.reserve(value.size() + 2);
-    quoted.append("\"");
-    quoted.append(escaped(value));
-    quoted.append("\"");
-    rows_.back().emplace_back(key, std::move(quoted));
-  }
-  void field(const std::string& key, const char* value) {
-    field(key, std::string(value));
-  }
-  void field(const std::string& key, std::int64_t value) {
-    rows_.back().emplace_back(key, std::to_string(value));
-  }
-  void field(const std::string& key, int value) {
-    field(key, static_cast<std::int64_t>(value));
-  }
-  void field(const std::string& key, double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.8g", value);
-    rows_.back().emplace_back(key, buf);
+  /// A field of the current row.
+  template <class T>
+  void field(const std::string& key, const T& value) {
+    put(rows_.back(), key, value);
   }
 
   [[nodiscard]] std::string to_string() const {
-    std::string out = "[\n";
+    std::string out = "{\n";
+    for (const auto& [key, value] : meta_) {
+      out.append("  \"" + key + "\": " + value + ",\n");
+    }
+    out.append("  \"rows\": [\n");
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-      out.append("  {");
+      out.append("    {");
       for (std::size_t f = 0; f < rows_[r].size(); ++f) {
-        out.append("\"");
-        out.append(rows_[r][f].first);
-        out.append("\": ");
-        out.append(rows_[r][f].second);
+        out.append("\"" + rows_[r][f].first + "\": " + rows_[r][f].second);
         if (f + 1 < rows_[r].size()) out.append(", ");
       }
       out.append(r + 1 < rows_.size() ? "},\n" : "}\n");
     }
-    out.append("]\n");
+    out.append("  ]\n}\n");
     return out;
   }
 
-  /// Writes the rows to `path`; returns false on I/O failure.
+  /// Writes the document to `path`; returns false on I/O failure.
   bool write(const std::string& path) const {
     std::ofstream os(path);
     if (!os) return false;
@@ -173,29 +118,41 @@ class JsonRows {
   }
 
  private:
-  static std::string escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+
+  static void put(Fields& f, const std::string& key, const std::string& v) {
+    std::string quoted = "\"";
+    for (char c : v) {
+      if (c == '"' || c == '\\') quoted += '\\';
+      quoted += c;
     }
-    return out;
+    f.emplace_back(key, quoted + "\"");
+  }
+  static void put(Fields& f, const std::string& key, const char* v) {
+    put(f, key, std::string(v));
+  }
+  static void put(Fields& f, const std::string& key, std::int64_t v) {
+    f.emplace_back(key, std::to_string(v));
+  }
+  static void put(Fields& f, const std::string& key, int v) {
+    put(f, key, static_cast<std::int64_t>(v));
+  }
+  static void put(Fields& f, const std::string& key, double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.8g", v);
+    f.emplace_back(key, buf);
   }
 
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
+  Fields meta_;
+  std::vector<Fields> rows_;
 };
 
-/// Smallest 2-power size at which `parallel` beats `sequential`, scanning
-/// k in [k_lo, k_hi]. Returns 0 when no crossover found.
-template <class ParFn, class SeqFn>
-idx_t crossover_size(ParFn&& parallel, SeqFn&& sequential, int k_lo,
-                     int k_hi) {
-  for (int k = k_lo; k <= k_hi; ++k) {
-    const idx_t n = idx_t{1} << k;
-    if (parallel(n) < sequential(n)) return n;
-  }
-  return 0;
+/// Records the host, its processor count and the repeat count in the
+/// header of `json`.
+inline void describe_host(JsonRows& json, int repeats) {
+  json.meta("host", host_cpu());
+  json.meta("nproc", host_nproc());
+  json.meta("repeats", repeats);
 }
 
 }  // namespace spiral::bench

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the real (host) execution path:
 // codelets, fused programs, plan reuse, thread-pool dispatch. These
 // measure the library's actual implementation quality on the host CPU,
-// complementing the simulated figure benches.
+// complementing the wall-clock figure bench (bench_fig3).
 #include <benchmark/benchmark.h>
 
 #include "backend/lower.hpp"

@@ -1,8 +1,9 @@
 // Batch-service throughput and latency: service::BatchExecutor coalescing
 // many small same-size transforms into I_k (x) DFT_n programs versus the
 // naive per-call loop, across the two execution substrates (scalar
-// interpreter, SIMD nu=4). The committed BENCH_service.json also holds
-// rows of a jit substrate the library no longer has.
+// interpreter, SIMD nu=4). Every mode runs --repeats times; a row holds
+// the median of each metric over the repeats and the best (the min of a
+// latency, the max of a throughput).
 //
 // Modes measured per (substrate, n):
 //   percall-seq  plain plan->execute() loop, sequential plan (reference)
@@ -38,11 +39,12 @@
 //   --max-batch=K          largest coalesced chunk (default 32)
 //   --clients=C            sync client threads (default 4)
 //   --substrates=LIST      comma list of interp,simd (default both)
-//   --json=PATH            write rows as JSON (bench::JsonRows)
+//   --repeats=R            runs per mode (default 3)
+//   --json=PATH            write rows, with the host, nproc and R, as JSON
 //   --check                exit 1 unless every coalesced async run reaches
 //                          --check-ratio (default 1.0) times the percall
 //                          throughput at the same (substrate, n) — the CI
-//                          smoke gate
+//                          smoke gate (on the medians)
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -296,27 +298,62 @@ RunStats run_async(const std::vector<idx_t>& sizes,
   return rs;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One mode's runs over the repeats, reduced: medians and bests.
+struct Summary {
+  RunStats first;  ///< latency basis, plan and batcher counts of run 0
+  double tps = 0.0, tps_max = 0.0;
+  double p50 = 0.0, p50_min = 0.0;
+  double p99 = 0.0, p99_min = 0.0;
+  double p999 = 0.0;
+};
+
+template <class Run>
+Summary repeat_runs(int repeats, Run&& run) {
+  Summary out;
+  std::vector<double> tps, p50, p99, p999;
+  for (int r = 0; r < repeats; ++r) {
+    RunStats rs = run();
+    tps.push_back(rs.throughput());
+    p50.push_back(percentile(rs.lat_us, 0.50));
+    p99.push_back(percentile(rs.lat_us, 0.99));
+    p999.push_back(percentile(rs.lat_us, 0.999));
+    if (r == 0) out.first = std::move(rs);
+  }
+  out.tps = median(tps);
+  out.tps_max = *std::max_element(tps.begin(), tps.end());
+  out.p50 = median(p50);
+  out.p50_min = *std::min_element(p50.begin(), p50.end());
+  out.p99 = median(p99);
+  out.p99_min = *std::min_element(p99.begin(), p99.end());
+  out.p999 = median(p999);
+  return out;
+}
+
 void report(bench::JsonRows& rows, const std::string& substrate,
             const std::string& mode, const std::string& sizes, int threads,
-            const RunStats& rs) {
-  const double p50 = percentile(rs.lat_us, 0.50);
-  const double p99 = percentile(rs.lat_us, 0.99);
-  const double p999 = percentile(rs.lat_us, 0.999);
-  std::printf("%s,%s,%s,%d,%zu,%.3f,%.0f,%.1f,%.1f,%.1f,%.2f\n",
+            const Summary& s) {
+  const RunStats& rs = s.first;
+  std::printf("%s,%s,%s,%d,%zu,%.0f,%.1f,%.1f,%.1f,%.2f\n",
               substrate.c_str(), mode.c_str(), sizes.c_str(), threads,
-              rs.requests, rs.elapsed_s, rs.throughput(), p50, p99, p999,
-              rs.svc.mean_batch());
+              rs.requests, s.tps, s.p50, s.p99, s.p999, rs.svc.mean_batch());
   rows.begin_row();
   rows.field("substrate", substrate);
   rows.field("mode", mode);
   rows.field("sizes", sizes);
   rows.field("threads", threads);
   rows.field("requests", static_cast<std::int64_t>(rs.requests));
-  rows.field("elapsed_s", rs.elapsed_s);
-  rows.field("transforms_per_sec", rs.throughput());
-  rows.field("p50_us", p50);
-  rows.field("p99_us", p99);
-  rows.field("p999_us", p999);
+  rows.field("transforms_per_sec", s.tps);
+  rows.field("transforms_per_sec_max", s.tps_max);
+  rows.field("p50_us", s.p50);
+  rows.field("p50_us_min", s.p50_min);
+  rows.field("p99_us", s.p99);
+  rows.field("p99_us_min", s.p99_min);
+  rows.field("p999_us", s.p999);
   rows.field("batches", static_cast<std::int64_t>(rs.svc.batches));
   rows.field("mean_batch", rs.svc.mean_batch());
   rows.field("lat_basis", rs.lat_basis);
@@ -336,6 +373,8 @@ int main(int argc, char** argv) {
   const int clients = static_cast<int>(args.get_int("clients", 4));
   const bool check = args.has("check");
   const double check_ratio = args.get_double("check-ratio", 1.0);
+  const int repeats =
+      std::max(1, static_cast<int>(args.get_int("repeats", 3)));
   const std::string substrates_arg =
       args.has("substrates") ? args.get("substrates") : "interp,simd";
 
@@ -358,10 +397,11 @@ int main(int argc, char** argv) {
   std::printf("# Batch service vs per-call loop (p=%d, max_batch=%lld)\n",
               threads, static_cast<long long>(max_batch));
   std::printf(
-      "substrate,mode,sizes,threads,requests,elapsed_s,"
+      "substrate,mode,sizes,threads,requests,"
       "transforms_per_sec,p50_us,p99_us,p999_us,mean_batch\n");
 
   bench::JsonRows rows;
+  bench::describe_host(rows, repeats);
   std::vector<std::string> failures;
 
   for (const auto& sub : substrates) {
@@ -374,53 +414,58 @@ int main(int argc, char** argv) {
       const std::string ns = std::to_string(n);
       const std::vector<idx_t> one{n};
 
-      const RunStats seq = run_percall(n, 1, sub.planner, per_size);
+      const Summary seq = repeat_runs(
+          repeats, [&] { return run_percall(n, 1, sub.planner, per_size); });
       report(rows, sub.name, "percall-seq", ns, 1, seq);
 
-      const RunStats percall = run_percall(n, threads, sub.planner, per_size);
+      const Summary percall = repeat_runs(repeats, [&] {
+        return run_percall(n, threads, sub.planner, per_size);
+      });
       report(rows, sub.name, "percall", ns, threads, percall);
 
-      const RunStats sync = run_sync(one, base, per_size, clients);
+      const Summary sync = repeat_runs(
+          repeats, [&] { return run_sync(one, base, per_size, clients); });
       report(rows, sub.name, "sync", ns, threads, sync);
 
-      const RunStats async_full = run_async(one, base, per_size, 0.0);
+      const Summary async_full = repeat_runs(
+          repeats, [&] { return run_async(one, base, per_size, 0.0); });
       report(rows, sub.name, "async", ns, threads, async_full);
 
       // Same concurrency as the sync run (Little's law: same offered
       // load), pipelined — the p99 delta is purely the submission style.
-      const RunStats win = run_async_window(one, base, per_size, clients);
+      const Summary win = repeat_runs(repeats, [&] {
+        return run_async_window(one, base, per_size, clients);
+      });
       report(rows, sub.name, "async-win", ns, threads, win);
 
       // Gate only sizes where a p-thread per-call program exists (rule (9)
       // admissibility) — below that the baseline is the sequential plan
       // and a parallel coalesced program is not comparable.
-      if (check && percall.parallel_plan) {
-        if (async_full.throughput() < check_ratio * percall.throughput()) {
+      if (check && percall.first.parallel_plan) {
+        if (async_full.tps < check_ratio * percall.tps) {
           failures.push_back(sub.name + " n=" + ns + ": async " +
-                             std::to_string(async_full.throughput()) +
-                             " tps < " + std::to_string(check_ratio) +
-                             "x percall " +
-                             std::to_string(percall.throughput()) + " tps");
+                             std::to_string(async_full.tps) + " tps < " +
+                             std::to_string(check_ratio) + "x percall " +
+                             std::to_string(percall.tps) + " tps");
         }
-        const double sync_p99 = percentile(sync.lat_us, 0.99);
-        const double win_p99 = percentile(win.lat_us, 0.99);
-        if (win_p99 >= sync_p99) {
+        if (win.p99 >= sync.p99) {
           failures.push_back(sub.name + " n=" + ns + ": async-win p99 " +
-                             std::to_string(win_p99) + "us >= sync p99 " +
-                             std::to_string(sync_p99) + "us");
+                             std::to_string(win.p99) + "us >= sync p99 " +
+                             std::to_string(sync.p99) + "us");
         }
-        if (win.throughput() < sync.throughput()) {
+        if (win.tps < sync.tps) {
           failures.push_back(sub.name + " n=" + ns + ": async-win " +
-                             std::to_string(win.throughput()) +
-                             " tps < sync " +
-                             std::to_string(sync.throughput()) + " tps");
+                             std::to_string(win.tps) + " tps < sync " +
+                             std::to_string(sync.tps) + " tps");
         }
       }
     }
 
     // The headline scenario: a million mixed-size requests through one
     // pipelined service.
-    const RunStats mixed = run_async(all_sizes, base, mixed_requests, 0.0);
+    const Summary mixed = repeat_runs(repeats, [&] {
+      return run_async(all_sizes, base, mixed_requests, 0.0);
+    });
     report(rows, sub.name, "async", "64,256,1024", threads, mixed);
   }
 

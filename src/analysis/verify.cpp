@@ -423,11 +423,4 @@ Report verify(const backend::StageList& program, const Options& opt) {
   return rep;
 }
 
-Report verify(const backend::StageList& program,
-              const machine::MachineConfig& machine) {
-  Options opt;
-  opt.mu = machine.mu();
-  return verify(program, opt);
-}
-
 }  // namespace spiral::analysis

@@ -3,8 +3,7 @@
 // The paper's central correctness claim (Section 3.1, Definition 1) is
 // that rewriting yields programs that are provably load-balanced and free
 // of false sharing. The formula level checks this structurally
-// (spl::check_fully_optimized) and the machine simulator observes it
-// dynamically; this pass closes the gap in between: it verifies the
+// (spl::check_fully_optimized); this pass carries the proof down to the
 // *lowered* StageList the interpreter and the C emitter actually execute,
 // so a bug in lower/fuse/vectorize or a bad sched_block schedule cannot
 // silently reintroduce races or cache-line ping-pong.
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "backend/stage.hpp"
-#include "machine/config.hpp"
 
 namespace spiral::analysis {
 
@@ -142,10 +140,5 @@ struct Report {
 /// Verifies a lowered program against the given options.
 [[nodiscard]] Report verify(const backend::StageList& program,
                             const Options& opt = {});
-
-/// Convenience overload: verify against a machine model (mu from the
-/// machine's cache-line length).
-[[nodiscard]] Report verify(const backend::StageList& program,
-                            const machine::MachineConfig& machine);
 
 }  // namespace spiral::analysis

@@ -1,6 +1,6 @@
-// Codelet facts shared by the interpreter, the emitter and the models:
-// a stage's codelet kind, the table of roots the straight-line codelets
-// read, and the flop counts the machine model charges.
+// Codelet facts shared by the interpreter and the emitter: a stage's
+// codelet kind, the table of roots the straight-line codelets read, and
+// their flop counts.
 //
 // The codelets themselves are the straight-line code of
 // backend/codelet_template. The interpreter runs them only through the
@@ -22,7 +22,7 @@ struct Stage;
 /// Real flop count of DFT_n (2-power n) in the radix-2 upper-bound
 /// model: log2(n) stages of n/2 butterflies, each with one complex
 /// multiply. The codelets do fewer (w^0 and w^{n/4} cost no multiply);
-/// the machine model and the locality figures use this bound uniformly.
+/// StageList::flops uses this bound uniformly.
 [[nodiscard]] double codelet_flops(idx_t n);
 
 /// Flop count of the WHT codelet (2 real adds per complex add).

@@ -1,9 +1,8 @@
 // The iteration schedule of a stage: which iterations task t of T runs.
 // It is defined here once, and every reader of a parallel stage calls
 // it: the interpreter executes it (Program), the verifier proves
-// Definition 1 over it (analysis::verify), the machine simulator and the
-// locality model replay it round robin, and the C emitter dispatches its
-// chunks. The interpreter folds exactly stage_tasks(s) tasks onto its
+// Definition 1 over it (analysis::verify), and the C emitter dispatches
+// its chunks. The interpreter folds exactly stage_tasks(s) tasks onto its
 // team, so the partition the verifier proves is the one that runs.
 #pragma once
 
@@ -17,15 +16,6 @@ namespace spiral::backend {
 /// The tasks a stage splits into: parallel_p, or 1 for a sequential stage.
 [[nodiscard]] inline idx_t stage_tasks(const Stage& s) noexcept {
   return std::max<idx_t>(s.parallel_p, 1);
-}
-
-/// The tasks a machine model running `threads` threads on `cores` cores
-/// splits stage s into: stage_tasks(s) capped by both, and 1 when the
-/// model or the stage is sequential.
-[[nodiscard]] inline int model_tasks(const Stage& s, int threads, int cores) {
-  if (threads <= 1 || s.parallel_p <= 1) return 1;
-  return static_cast<int>(std::min<idx_t>(
-      {s.parallel_p, static_cast<idx_t>(cores), static_cast<idx_t>(threads)}));
 }
 
 /// Calls run(lo, hi) for each run [lo, hi) of the iterations of
@@ -61,20 +51,6 @@ void for_each_run(const Stage& s, idx_t t, idx_t T, Run&& run) {
   while ((t + 1) * s.iters / T <= it) ++t;
   while (t * s.iters / T > it) --t;
   return t;
-}
-
-/// The step-th iteration task t of T runs, in for_each_run's order, or
-/// -1 past its last: the round-robin replays (simulator, locality model)
-/// advance every task's step in turn.
-[[nodiscard]] inline idx_t iteration_at(const Stage& s, idx_t t, idx_t T,
-                                        idx_t step) {
-  const idx_t b = s.sched_block;
-  if (b == 0 || T == 1) {
-    const idx_t it = t * s.iters / T + step;
-    return it < (t + 1) * s.iters / T ? it : idx_t{-1};
-  }
-  const idx_t it = (step / b * T + t) * b + step % b;
-  return it < s.iters ? it : idx_t{-1};
 }
 
 }  // namespace spiral::backend

@@ -37,7 +37,7 @@ struct FftwLikeOptions {
   /// happens to align with a 64-byte line of complex doubles (the common
   /// benign case, which is why FFTW's large-size numbers are good);
   /// setting 1 or 2 exposes the unsuited schedules its search may also
-  /// pick (bench_false_sharing / the schedule ablation).
+  /// pick (the verifier's kFalseSharing flags them statically).
   idx_t sched_block = 4;
   /// Smallest size at which the planner considers threads at all (FFTW's
   /// documentation: multithreading pays off only "beyond several thousand

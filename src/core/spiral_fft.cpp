@@ -171,9 +171,15 @@ std::unique_ptr<FftPlan> build_batch_dft(
   util::require(batch >= 1, "plan_batch_dft: batch must be >= 1");
   spl::FormulaPtr f =
       spl::Builder::tensor(spl::I(batch), spl::DFT(n, opt.direction));
-  if (opt.threads > 1) {
-    auto g = rewrite::parallelize(f, opt.threads, opt.cache_line_complex);
-    if (!spl::has_smp_tag(g)) f = g;  // else inadmissible: sequential
+  // Split over the largest of p, p/2, ... that rule (9) admits (its count
+  // divides the batch and each share fills whole cache lines); a batch
+  // no such p' admits runs sequential.
+  for (idx_t p = opt.threads; p > 1; p /= 2) {
+    auto g = rewrite::parallelize(f, p, opt.cache_line_complex);
+    if (!spl::has_smp_tag(g)) {
+      f = g;
+      break;
+    }
   }
   f = rewrite::expand_dfts(f, chooser, opt.leaf);
   auto list = backend::lower_fused(f);

@@ -1,8 +1,6 @@
 #include "search/search.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <utility>
 
 namespace spiral::search {
 
@@ -29,32 +27,6 @@ RuleTreePtr DpSearch::best_tree(idx_t n) {
   }
   util::require(!candidates.empty(), "DpSearch: no expansion for size");
 
-  if (model_ && prune_k_ >= 1 && candidates.size() > 1) {
-    // Model pruning: rank by the cheap static model, keep the top k for
-    // real evaluation. stable_sort keeps the original (deterministic)
-    // candidate order among model ties. Candidates the model prices as
-    // infeasible are never timed — the model rejects exactly the trees
-    // the simulated cost rejects (see kInfeasibleCost) — except that one
-    // representative survives when the whole list is infeasible, so the
-    // memo still records a subtree for this size.
-    std::vector<std::pair<double, RuleTreePtr>> ranked;
-    ranked.reserve(candidates.size());
-    for (const auto& c : candidates) {
-      ranked.emplace_back(model_(c), c);
-      ++model_evals_;
-    }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    candidates.clear();
-    for (const auto& [model_cost, tree] : ranked) {
-      if (model_cost >= kInfeasibleCost && !candidates.empty()) break;
-      candidates.push_back(tree);
-      if (candidates.size() >= static_cast<std::size_t>(prune_k_)) break;
-    }
-  }
-
   RuleTreePtr best;
   double best_cost = 0.0;
   for (const auto& c : candidates) {
@@ -73,12 +45,10 @@ SearchResult DpSearch::best(idx_t n) {
   util::require(util::is_pow2(n) && n >= 2, "DpSearch: 2-power n required");
   g_dp_invocations.fetch_add(1, std::memory_order_relaxed);
   evals_ = 0;
-  model_evals_ = 0;
   SearchResult r;
   r.tree = best_tree(n);
   r.cost = cost_(r.tree);
   r.evaluations = evals_ + 1;
-  r.model_evaluations = model_evals_;
   return r;
 }
 

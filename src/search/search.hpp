@@ -1,7 +1,7 @@
 // Spiral's evaluation/search level (Section 2.3): explores the space of
 // ruletrees for a transform size and picks the fastest according to a
-// user-supplied cost function — either measured wall-clock time on the
-// real machine or deterministic cycles on the machine simulator.
+// user-supplied cost function — the planner's is measured wall-clock time
+// on the host (search::walltime_cost), as FFTW's planner measures.
 //
 // Implemented strategies:
 //   * Dynamic programming (the workhorse in Spiral): best tree for size n
@@ -21,51 +21,24 @@ namespace spiral::search {
 
 using rewrite::RuleTreePtr;
 
-/// Cost returned by both the simulated cost functions and their static
-/// model twins for trees that violate the expansion's preconditions
-/// (base-case root, non-(p*mu)-divisible split). The two sides reject
-/// exactly the same trees — cost.hpp documents the contract and the
-/// search tests assert it — which is what lets DpSearch drop
-/// model-infeasible candidates without timing them.
-inline constexpr double kInfeasibleCost = 1e300;
-
 /// Cost of executing the full transform whose expansion is `tree`
 /// (lower is better). The function receives the complete ruletree for
-/// DFT_{tree->n}; implementations lower it and either time or simulate.
+/// DFT_{tree->n}; implementations lower it and time it.
 using CostFn = std::function<double(const RuleTreePtr& tree)>;
 
 struct SearchResult {
   RuleTreePtr tree;
   double cost = 0.0;
   int evaluations = 0;  ///< number of cost-function calls
-  /// Number of model-function calls (0 unless model pruning is active).
-  /// Model calls are orders of magnitude cheaper than cost calls — the
-  /// planning-time win is `evaluations` shrinking, see DpSearch.
-  int model_evaluations = 0;
 };
 
 /// Dynamic programming over Cooley-Tukey splits: for every 2-power size
 /// k <= n, the best tree is the best split m of k combined with the
 /// memoized best trees of m and k/m (leaves up to `leaf` allowed).
-///
-/// Optional model pruning: when a `model` cost function is supplied with
-/// prune_k >= 1, every candidate list is first ranked by the (cheap,
-/// static) model; candidates the model prices at kInfeasibleCost are
-/// dropped outright (the model rejects exactly the trees the simulated
-/// cost rejects), and only the top prune_k survivors are evaluated with
-/// the (expensive, measured/simulated) `cost`. When a list has no
-/// feasible candidate at all, one representative is kept so the memo
-/// still holds a tree for that size as a subtree. The analysis::locality
-/// predicted-cycles model (search::locality_model_* in cost.hpp) is the
-/// intended model.
 class DpSearch {
  public:
-  DpSearch(CostFn cost, idx_t leaf = rewrite::kMaxCodeletSize,
-           CostFn model = {}, int model_prune_k = 0)
-      : cost_(std::move(cost)),
-        model_(std::move(model)),
-        prune_k_(model_prune_k),
-        leaf_(leaf) {}
+  explicit DpSearch(CostFn cost, idx_t leaf = rewrite::kMaxCodeletSize)
+      : cost_(std::move(cost)), leaf_(leaf) {}
 
   /// Runs DP for DFT_n and returns the best tree found.
   SearchResult best(idx_t n);
@@ -82,12 +55,9 @@ class DpSearch {
   RuleTreePtr best_tree(idx_t n);
 
   CostFn cost_;
-  CostFn model_;
-  int prune_k_ = 0;
   idx_t leaf_;
   std::map<idx_t, RuleTreePtr> memo_;
   int evals_ = 0;
-  int model_evals_ = 0;
 };
 
 /// Enumerates all binary Cooley-Tukey ruletrees for a 2-power n (leaves

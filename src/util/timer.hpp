@@ -1,6 +1,6 @@
-// Wall-clock timing utilities used by the search engine and the real-time
-// benchmark mode. (The figure-reproduction benches use the deterministic
-// machine simulator instead; see src/machine/.)
+// Wall-clock timing utilities used by the search engine and the benches.
+// Every committed performance figure is a wall-clock measurement on the
+// host (EXPERIMENTS.md).
 #pragma once
 
 #include <chrono>

@@ -2,6 +2,8 @@
 // sizes/directions/thread counts, fallback behaviour, plan inspection.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "backend/vectorize.hpp"
 #include "core/spiral_fft.hpp"
 #include "spl/properties.hpp"
@@ -198,6 +200,29 @@ TEST(Planner, VectorNuFallsBackWhenTooSmall) {
   util::cvec y(8);
   plan->execute(x.data(), y.data());
   EXPECT_LT(max_diff(y, reference_dft(x)), fft_tolerance(8));
+}
+
+TEST(Planner, BatchSplitsOverTheLargestAdmissibleThreadCount) {
+  // 4 does not divide a batch of 6, 2 does: the 4-thread request splits
+  // over 2 and runs the very plan a 2-thread request gets.
+  PlannerOptions opt;
+  opt.threads = 4;
+  auto plan = plan_batch_dft(64, 6, opt);
+  bool split_over_two = false;
+  for (const auto& s : plan->stages().stages) {
+    split_over_two |= s.parallel_p == 2;
+  }
+  EXPECT_TRUE(split_over_two) << plan->describe();
+
+  opt.threads = 2;
+  auto two = plan_batch_dft(64, 6, opt);
+  util::Rng rng(24);
+  const auto x = rng.complex_signal(plan->size());
+  util::cvec y(x.size());
+  util::cvec y2(x.size());
+  plan->execute(x.data(), y.data());
+  two->execute(x.data(), y2.data());
+  EXPECT_EQ(std::memcmp(y.data(), y2.data(), y.size() * sizeof(cplx)), 0);
 }
 
 }  // namespace

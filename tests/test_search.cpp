@@ -1,12 +1,10 @@
 // Tests for the search engine: DP memoization, exhaustive enumeration,
-// random search, and cost functions on the simulator.
+// and random search.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 
-#include "machine/config.hpp"
-#include "search/cost.hpp"
 #include "search/search.hpp"
 
 namespace spiral::search {
@@ -88,122 +86,6 @@ TEST(RandomSearch, FindsReasonableTree) {
   EXPECT_EQ(r.evaluations, 64);
   const auto best = exhaustive_search(256, toy_cost, 8);
   EXPECT_GE(r.cost, best.cost);
-}
-
-TEST(CostFns, SimulatedCostIsFiniteAndPositive) {
-  auto cost = simulated_cost(machine::core_duo());
-  const auto tree = rewrite::balanced_ruletree(1 << 10);
-  const double c = cost(tree);
-  EXPECT_GT(c, 0.0);
-  EXPECT_LT(c, 1e12);
-}
-
-TEST(CostFns, SimulatedCostDiscriminatesTrees) {
-  // Different ruletrees produce different simulated cycle counts (the
-  // search space is non-trivial).
-  auto cost = simulated_cost(machine::core_duo());
-  const auto trees = enumerate_ruletrees(1 << 10, 32);
-  ASSERT_GE(trees.size(), 2u);
-  double mn = 1e300, mx = 0.0;
-  for (std::size_t i = 0; i < std::min<std::size_t>(trees.size(), 8); ++i) {
-    const double c = cost(trees[i]);
-    mn = std::min(mn, c);
-    mx = std::max(mx, c);
-  }
-  EXPECT_LT(mn, mx);
-}
-
-TEST(CostFns, ParallelCostPenalizesInadmissibleSplits) {
-  auto cost = simulated_parallel_cost(machine::core_duo(), 2, 4);
-  // Leaf tree cannot be parallelized.
-  EXPECT_GE(cost(rewrite::RuleTree::leaf(16)), 1e300);
-  // Admissible balanced tree gets a finite cost.
-  const auto t = rewrite::balanced_ruletree(1 << 12);
-  EXPECT_LT(cost(t), 1e300);
-}
-
-TEST(CostFns, DpWithSimulatedCostBeatsWorstTree) {
-  auto cost = simulated_cost(machine::core_duo());
-  DpSearch dp(cost, 32);
-  const auto best = dp.best(1 << 10);
-  // Compare against the degenerate all-radix-2 tree.
-  const auto worst = rewrite::default_ruletree(1 << 10, 2);
-  EXPECT_LE(best.cost, cost(worst));
-}
-
-// ---------------------------------------------------------------------------
-// Model pruning (analysis::locality as the DP ranking model).
-
-TEST(ModelPrune, MechanicsWithToyModel) {
-  // A model identical to the cost must prune losslessly: same winner,
-  // same cost, fewer cost evaluations, model evaluations accounted.
-  const idx_t n = 256;
-  DpSearch full(toy_cost, 8);
-  const auto f = full.best(n);
-  EXPECT_EQ(f.model_evaluations, 0);
-
-  DpSearch pruned(toy_cost, 8, toy_cost, 1);
-  const auto p = pruned.best(n);
-  EXPECT_GT(p.model_evaluations, 0);
-  EXPECT_LT(p.evaluations, f.evaluations);
-  EXPECT_DOUBLE_EQ(p.cost, f.cost);
-}
-
-TEST(ModelPrune, ZeroKAndNoModelAreClassicDp) {
-  DpSearch a(toy_cost, 8);
-  DpSearch b(toy_cost, 8, toy_cost, 0);  // k=0: model ignored
-  const auto ra = a.best(128);
-  const auto rb = b.best(128);
-  EXPECT_EQ(ra.evaluations, rb.evaluations);
-  EXPECT_EQ(rb.model_evaluations, 0);
-  EXPECT_DOUBLE_EQ(ra.cost, rb.cost);
-}
-
-TEST(ModelPrune, LocalityModelRejectsWhatTheSimulatorRejects) {
-  const auto cfg = machine::opteron();
-  auto model = locality_model_parallel_cost(cfg, 4, 4);
-  auto sim = simulated_parallel_cost(cfg, 4, 4);
-  EXPECT_GE(model(rewrite::RuleTree::leaf(16)), 1e300);
-  // m=2: left side not divisible by p*mu = 16.
-  const auto bad = rewrite::RuleTree::node(
-      BreakdownKind::kCooleyTukey, rewrite::RuleTree::leaf(2),
-      rewrite::balanced_ruletree(1 << 11));
-  EXPECT_GE(model(bad), 1e300);
-  EXPECT_GE(sim(bad), 1e300);
-  const auto good = rewrite::balanced_ruletree(1 << 12);
-  EXPECT_LT(model(good), 1e300);
-  EXPECT_LT(sim(good), 1e300);
-}
-
-TEST(ModelPrune, AcceptancePrunedSearchAt2p16) {
-  // Acceptance criterion: with model pruning the planner times <= half
-  // the candidates and still lands within 10% of the full search's
-  // measured (here: deterministically simulated) runtime.
-  const idx_t n = idx_t{1} << 16;
-  const idx_t p = 4;
-  const idx_t mu = 4;
-  const auto cfg = machine::opteron();
-
-  auto sim = simulated_parallel_cost(cfg, p, mu);
-  DpSearch full(sim, 32);
-  const auto f = full.best(n);
-
-  // prune_k = 6 is the committed bench_locality configuration: at 2^18
-  // the sim-best split is model-ranked 6th, so 6 is the smallest k that
-  // holds the 10% bound across 2^16..2^20 (BENCH_locality.json rows).
-  DpSearch pruned(sim, 32, locality_model_parallel_cost(cfg, p, mu), 6);
-  const auto pr = pruned.best(n);
-
-  EXPECT_GT(pr.model_evaluations, 0);
-  EXPECT_LE(2 * pr.evaluations, f.evaluations)
-      << "pruned=" << pr.evaluations << " full=" << f.evaluations;
-  ASSERT_LT(f.cost, 1e300);
-  ASSERT_LT(pr.cost, 1e300);
-  // pr.cost is sim-cost of the pruned winner (same CostFn): directly
-  // comparable to the full winner's cost.
-  EXPECT_LE(pr.cost, 1.10 * f.cost)
-      << "pruned plan " << (pr.cost / f.cost - 1.0) * 100.0
-      << "% worse than full search";
 }
 
 }  // namespace

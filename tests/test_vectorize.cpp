@@ -5,7 +5,6 @@
 
 #include "backend/lower.hpp"
 #include "backend/vectorize.hpp"
-#include "machine/simulator.hpp"
 #include "rewrite/breakdown.hpp"
 #include "rewrite/expand.hpp"
 #include "rewrite/multicore_fft.hpp"
@@ -102,41 +101,6 @@ TEST(Vectorize, WidthNeverExceedsRequested) {
   for (const auto& vi : program_vector_info(prog, 2)) {
     EXPECT_LE(vi.width, 2);
   }
-}
-
-TEST(Vectorize, SimdSimulationSpeedsUpVectorizablePrograms) {
-  const auto cfg = machine::core_duo();
-  auto prog = multicore_program(1 << 10, 2, cfg.mu());
-  machine::SimOptions scalar;
-  scalar.threads = 2;
-  machine::SimOptions simd = scalar;
-  simd.simd_complex = 2;
-  const auto a = machine::simulate(prog, cfg, scalar);
-  const auto b = machine::simulate(prog, cfg, simd);
-  EXPECT_LT(b.cycles, a.cycles);
-  // Memory costs are untouched: speedup strictly below the SIMD width.
-  EXPECT_GT(b.cycles, a.cycles / 2.0);
-}
-
-TEST(Vectorize, SimdAndThreadingCompose) {
-  // "(14) in tandem with the short vector CT FFT": SIMD x threads gives
-  // a larger combined speedup than either alone.
-  const auto cfg = machine::core_duo();
-  auto prog = multicore_program(1 << 12, 2, cfg.mu());
-  auto run = [&](int threads, idx_t simd) {
-    machine::SimOptions o;
-    o.threads = threads;
-    o.simd_complex = simd;
-    return machine::simulate(prog, cfg, o).cycles;
-  };
-  const double base = run(1, 1);
-  const double simd_only = run(1, 4);
-  const double thr_only = run(2, 1);
-  const double both = run(2, 4);
-  EXPECT_LT(simd_only, base);
-  EXPECT_LT(thr_only, base);
-  EXPECT_LT(both, simd_only);
-  EXPECT_LT(both, thr_only);
 }
 
 }  // namespace

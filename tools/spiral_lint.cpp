@@ -20,7 +20,6 @@
 //               [--max-steps=N] [--quiet]
 //
 // Common flags:
-//   --machine=NAME   take mu from a paper machine (substring match)
 //   --mu=MU          cache-line length in complex doubles (default 4)
 //   --imbalance=X    load-imbalance warning threshold (default 1.5)
 //   --no-coverage / --no-races / --no-false-sharing / --no-load-balance
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "analysis/codegen_check.hpp"
-#include "analysis/locality.hpp"
 #include "analysis/rule_audit.hpp"
 #include "analysis/verify.hpp"
 #include "backend/codegen_c.hpp"
@@ -49,7 +47,6 @@
 #include "backend/stage_group.hpp"
 #include "baselines/fft_iterative.hpp"
 #include "core/spiral_fft.hpp"
-#include "machine/config.hpp"
 #include "spl/dense.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -70,7 +67,7 @@ void usage() {
                " [--sched-block=B] [flags]\n"
                "       spiral-lint --audit-rules [--mutant=NAME]"
                " [--fuzz-iters=N] [--seed=S] [--max-steps=N]\n"
-               "flags: --machine=NAME --mu=MU --imbalance=X --quiet\n"
+               "flags: --mu=MU --imbalance=X --quiet\n"
                "       --no-coverage --no-races --no-false-sharing"
                " --no-load-balance\n"
                "       --mutate-affine[=D]  skew affine strides by D"
@@ -102,16 +99,6 @@ void usage() {
                " stages run one at a time, bit\n"
                "                            for bit, and a DFT against"
                " the radix-2 baseline)\n"
-               "       --analyze-locality   static cache-traffic analysis"
-               " (analysis::locality); gates on\n"
-               "                            false sharing and"
-               " --max-traffic-ratio=X (default 1.05)\n"
-               "       --json               emit the locality reports as a"
-               " JSON array on stdout\n"
-               "       --mutate-schedule[=B] re-schedule parallel stages"
-               " block-cyclically (default B=1)\n"
-               "                            before the locality analysis"
-               " (implies --analyze-locality)\n"
                "exit:  0 clean, 1 findings, 2 usage/corrupt input\n");
 }
 
@@ -124,49 +111,10 @@ struct LintItem {
   bool exec_checked = false;
   bool exec_ok = true;
   std::string exec_failure;  ///< what the failed parity check saw
-  bool locality_checked = false;
-  bool locality_ok = true;
-  spiral::analysis::LocalityReport locality;
   bool codegen_checked = false;
   bool codegen_ok = true;
   spiral::analysis::CodegenReport codegen;
 };
-
-/// Minimal JSON string escape for plan names (quotes and backslashes;
-/// names are ASCII CLI strings, nothing fancier occurs).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// --analyze-locality: runs the static cache-traffic analysis on `list`
-/// (optionally with the block-cyclic schedule mutation applied first) and
-/// gates on LocalityReport::clean(max_ratio).
-void check_locality(const spiral::backend::StageList& list, int threads,
-                    const spiral::machine::MachineConfig& cfg,
-                    double max_ratio, spiral::idx_t sched_mutation,
-                    LintItem* item) {
-  using namespace spiral;
-  analysis::LocalityOptions lo;
-  lo.threads = threads;
-  if (sched_mutation > 0) {
-    backend::StageList mutated = list;
-    for (auto& s : mutated.stages) {
-      if (s.parallel_p > 1) s.sched_block = sched_mutation;
-    }
-    item->name += " mutate-schedule=" + std::to_string(sched_mutation);
-    item->locality = analysis::analyze_locality(mutated, cfg, lo);
-  } else {
-    item->locality = analysis::analyze_locality(list, cfg, lo);
-  }
-  item->locality_checked = true;
-  item->locality_ok = item->locality.clean(max_ratio);
-}
 
 /// --validate-codegen: emits the plan's program as C at the requested
 /// SIMD width and runs the static translation validator on the result.
@@ -340,44 +288,6 @@ int run(const spiral::util::CliArgs& args) {
   vo.check_load_balance = !args.has("no-load-balance");
   const bool quiet = args.has("quiet");
 
-  // Locality analysis mode: a schedule mutation implies it (the gate
-  // exists to prove the analyzer notices the mutated schedule).
-  const bool analyze_locality =
-      args.has("analyze-locality") || args.has("mutate-schedule");
-  const idx_t sched_mutation =
-      args.has("mutate-schedule") ? args.get_int("mutate-schedule", 1) : 0;
-  const double max_traffic_ratio = args.get_double("max-traffic-ratio", 1.05);
-  const bool json = args.has("json");
-
-  // The machine model the locality analysis prices against. --machine
-  // selects a paper machine (full config); otherwise a synthetic config
-  // with the requested mu and as many cores as the plan has threads.
-  machine::MachineConfig lint_machine;
-  bool machine_named = false;
-
-  if (args.has("machine")) {
-    const std::string want = args.get("machine");
-    bool found = false;
-    for (const auto& cfg : machine::all_machines()) {
-      if (cfg.name.find(want) != std::string::npos) {
-        vo.mu = cfg.mu();
-        lint_machine = cfg;
-        machine_named = true;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "spiral-lint: unknown machine '%s'; known:\n",
-                   want.c_str());
-      for (const auto& cfg : machine::all_machines()) {
-        std::fprintf(stderr, "  %s (mu=%lld)\n", cfg.name.c_str(),
-                     static_cast<long long>(cfg.mu()));
-      }
-      return kExitUsage;
-    }
-  }
-
   // The lint binary owns the verdict: plans must be built with the
   // plan-time hook off, else a debug build throws before we can report.
   core::PlannerOptions base;
@@ -487,7 +397,7 @@ int run(const spiral::util::CliArgs& args) {
       try {
         const auto plan = core::plan_from_descriptor(d, base);
         analysis::Options per_plan = vo;
-        if (!args.has("mu") && !args.has("machine")) per_plan.mu = d.mu;
+        if (!args.has("mu")) per_plan.mu = d.mu;
         item.report = analysis::verify(plan->stages(), per_plan);
         // Executing a program the static verifier already flagged is UB
         // (out-of-bounds writes are among the defects it reports), so the
@@ -501,14 +411,6 @@ int run(const spiral::util::CliArgs& args) {
         if (validate_codegen) {
           check_codegen_emission(plan->stages(), args.get_int("nu", 0),
                                  per_plan.mu, &item);
-        }
-        if (analyze_locality) {
-          const auto cfg = machine_named
-                               ? lint_machine
-                               : machine::generic_config(
-                                     std::max(d.threads, 1), per_plan.mu);
-          check_locality(plan->stages(), std::max(d.threads, 1), cfg,
-                         max_traffic_ratio, sched_mutation, &item);
         }
       } catch (const std::exception& e) {
         std::fprintf(stderr, "spiral-lint: cannot rebuild %s: %s\n",
@@ -580,14 +482,6 @@ int run(const spiral::util::CliArgs& args) {
     if (validate_codegen) {
       check_codegen_emission(plan->stages(), base.vector_nu, vo.mu, &item);
     }
-    if (analyze_locality) {
-      const auto cfg =
-          machine_named ? lint_machine
-                        : machine::generic_config(
-                              std::max(base.threads, 1), vo.mu);
-      check_locality(plan->stages(), std::max(base.threads, 1), cfg,
-                     max_traffic_ratio, sched_mutation, &item);
-    }
     items.push_back(std::move(item));
   } else {
     usage();
@@ -598,19 +492,15 @@ int run(const spiral::util::CliArgs& args) {
   std::size_t warnings = 0;
   std::size_t dirty = 0;
   std::size_t exec_fail = 0;
-  std::size_t traffic_fail = 0;
   std::size_t codegen_fail = 0;
   for (const auto& item : items) {
     errors += item.report.error_count();
     warnings += item.report.warning_count();
     const bool bad_exec = item.exec_checked && !item.exec_ok;
-    const bool bad_locality = item.locality_checked && !item.locality_ok;
     const bool bad_codegen = item.codegen_checked && !item.codegen_ok;
     if (bad_exec) ++exec_fail;
-    if (bad_locality) ++traffic_fail;
     if (bad_codegen) ++codegen_fail;
-    if (json) continue;  // reports go out as one JSON array below
-    if (!item.report.clean() || bad_exec || bad_locality || bad_codegen) {
+    if (!item.report.clean() || bad_exec || bad_codegen) {
       ++dirty;
       std::printf("FAIL %s\n", item.name.c_str());
       if (bad_exec) {
@@ -619,59 +509,21 @@ int run(const spiral::util::CliArgs& args) {
       if (bad_codegen) {
         std::printf("%s", item.codegen.to_string().c_str());
       }
-      if (bad_locality) {
-        std::printf("  locality: false-sharing=%lld traffic-ratio=%.3f "
-                    "(max %.3f)\n",
-                    static_cast<long long>(item.locality.false_sharing_events),
-                    item.locality.traffic_ratio(), max_traffic_ratio);
-      }
-      if (!quiet) {
-        std::printf("%s", item.report.to_string().c_str());
-        if (item.locality_checked) {
-          std::printf("%s", item.locality.to_string().c_str());
-        }
-      }
+      if (!quiet) std::printf("%s", item.report.to_string().c_str());
     } else if (!quiet) {
-      std::printf("ok   %s%s%s%s\n", item.name.c_str(),
+      std::printf("ok   %s%s%s\n", item.name.c_str(),
                   item.exec_checked ? " [exec parity ok]" : "",
-                  item.locality_checked ? " [locality clean]" : "",
                   item.codegen_checked ? " [codegen validated]" : "");
       if (item.codegen_checked && !item.codegen.vec_stage_ids.empty()) {
         std::printf("  codegen vec stages: %s\n",
                     item.codegen.vec_stages_string().c_str());
       }
-      if (item.locality_checked && analyze_locality) {
-        std::printf("%s", item.locality.to_string().c_str());
-      }
     }
   }
-  if (json) {
-    // Machine-readable mode (CI artifact): one JSON array on stdout, the
-    // human summary on stderr. The verdict still gates the exit code.
-    std::printf("[");
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const auto& item = items[i];
-      const bool bad_exec = item.exec_checked && !item.exec_ok;
-      const bool bad_locality = item.locality_checked && !item.locality_ok;
-      const bool bad_codegen = item.codegen_checked && !item.codegen_ok;
-      const bool ok = item.report.clean() && !bad_exec && !bad_locality &&
-                      !bad_codegen;
-      if (!ok) ++dirty;
-      std::printf("%s{\"name\":\"%s\",\"clean\":%s", i > 0 ? "," : "",
-                  json_escape(item.name).c_str(), ok ? "true" : "false");
-      if (item.locality_checked) {
-        std::printf(",\"locality\":%s", item.locality.to_json().c_str());
-      }
-      std::printf("}");
-    }
-    std::printf("]\n");
-  }
-  std::fprintf(json ? stderr : stdout,
-               "spiral-lint: %zu plan(s), %zu with findings (%zu error(s), "
-               "%zu warning(s), %zu execution-parity failure(s), %zu traffic "
-               "gate failure(s), %zu codegen-validation failure(s))\n",
-               items.size(), dirty, errors, warnings, exec_fail,
-               traffic_fail, codegen_fail);
+  std::printf("spiral-lint: %zu plan(s), %zu with findings (%zu error(s), "
+              "%zu warning(s), %zu execution-parity failure(s), %zu "
+              "codegen-validation failure(s))\n",
+              items.size(), dirty, errors, warnings, exec_fail, codegen_fail);
   return dirty == 0 ? kExitClean : kExitFindings;
 }
 
